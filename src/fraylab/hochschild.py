@@ -40,7 +40,7 @@ from .homalg import (
     pm_degree,
     pm_mul,
 )
-from .linalg import ClassTracker, RowBasis, kernel_basis, rank_of
+from .linalg import ClassTracker, kernel_basis, rank_of
 from .qseries import Laurent, RationalSeriesExpr, TriSeries, Window, unknot_table
 from .ssbim import (
     MergeSplitBimodule,
@@ -270,14 +270,6 @@ class HochschildData:
             for ridx, val in tgt_tr.express(img).items():
                 out[(ridx, col)] = val
         return out
-
-
-def _columns_as_vectors(rows: list[dict]) -> list[dict]:
-    cols: dict[int, dict] = {}
-    for ridx, row in enumerate(rows):
-        for c, v in row.items():
-            cols.setdefault(c, {})[ridx] = v
-    return list(cols.values())
 
 
 _HH_DATA_CACHE: dict[tuple, HochschildData] = {}
@@ -614,10 +606,15 @@ def unknot_invariant(
     cap: int = 3,
     window: Optional[Window] = None,
     generator_basis: str = "elementary",
-) -> dict:
+) -> tuple[dict, TriSeries, TriSeries]:
     """Compute the k-column-colored unknot invariant for the given variant
     and compare with the table row.  Infinite variants at k = 2 are
-    compared up to one overall q-monomial, which is reported."""
+    compared up to one overall q-monomial, which is reported.
+
+    Returns (report, computed, expected): the JSON-ready comparison report
+    (variant, k, window, match, mismatches, monomial_defect), the
+    KR-normalized computed series and the table row expanded on the window.
+    """
     if variant not in DESK_LIMITS:
         raise ValueError(f"unknown variant {variant!r}")
     if k > DESK_LIMITS[variant]:

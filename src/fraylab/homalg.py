@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .grading import MultiDegree, parity, shift_sign
-from .linalg import ClassTracker, RowBasis, rank_of, vec_add
+from .linalg import RowBasis, rank_of
 from .qseries import TriSeries, Window
 from .symfun import Mono, Poly, eval_at_point, gen_degree
 
@@ -1380,19 +1380,8 @@ def homology_truncated(C: CurvedComplex, window: Window, samples: int = 8) -> Tr
                 if ncols == 0:
                     continue
                 d_in, _, nin = differential(g - MultiDegree(0, 0, 1))
-                # rank of incoming, kernel of outgoing
-                cols_out: dict[int, dict] = {}
-                for r, row in d_out.items():
-                    for cidx, v in row.items():
-                        cols_out.setdefault(cidx, {})[r] = v
-                rank_out = rank_of(cols_out.values())
-                ker = ncols - rank_out
-                cols_in: dict[int, dict] = {}
-                for r, row in d_in.items():
-                    for cidx, v in row.items():
-                        cols_in.setdefault(cidx, {})[r] = v
-                rank_in = rank_of(cols_in.values())
-                dim = ker - rank_in
+                # rank of incoming, kernel of outgoing (row rank = column rank)
+                dim = ncols - rank_of(d_out.values()) - rank_of(d_in.values())
                 if dim:
                     coeffs[(a_exp, q_exp, t_exp)] = Fraction(dim)
     return TriSeries(window, coeffs)

@@ -1,13 +1,22 @@
 """Exact sparse linear algebra over Q.
 
 Vectors are dicts {column index: Fraction}; matrices are lists of row
-vectors.  Everything here is plain Gaussian elimination with fraction
-arithmetic; the callers keep dimensions small by working one graded piece
-at a time.
+vectors.  There is one elimination loop, ``RowBasis.reduce``; the callers
+keep dimensions small by working one graded piece at a time.
+
+A ``RowBasis`` keeps its rows in semi-echelon form: each row is keyed by
+its smallest column (its pivot, with coefficient 1), and no row holds the
+pivot of an earlier one.  Reduction eliminates the smallest pivot column
+present at each step, so the pivot set and the remainder of a vector
+depend only on the row space, not on the order the rows were added.  A row
+may carry tag coordinates, which every elimination adds along with the
+row; ``ClassTracker`` uses them for class coordinates.  Reduced row-echelon
+form is formed only inside ``kernel_basis``, through ``interreduce``.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Iterable
 
@@ -28,33 +37,57 @@ def vec_add(v: Vec, w: Vec, c: Fraction) -> Vec:
 
 
 class RowBasis:
-    """A row-reduced family of vectors supporting reduction and membership."""
+    """A semi-echelon family of vectors supporting reduction and membership."""
 
     def __init__(self):
         self.rows: dict[int, Vec] = {}  # pivot col -> row (pivot coeff 1)
+        self.tags: dict[int, Vec] = {}  # pivot col -> tag of the row, if any
 
-    def reduce(self, v: Vec) -> Vec:
-        # rows are kept fully inter-reduced, so each elimination removes a
-        # pivot column for good and the loop terminates
-        out = dict(v)
-        while True:
-            hit = next((col for col in out if col in self.rows), None)
-            if hit is None:
-                return out
-            out = vec_add(out, self.rows[hit], -out[hit])
+    def reduce(self, v: Vec, coords: Vec | None = None) -> Vec:
+        """Remainder of v modulo the rows; it holds no pivot column.  For
+        each c * row subtracted, c * (its tag) is added to coords if given."""
+        out = {col: x for col, x in v.items() if x}
+        todo = [col for col in out if col in self.rows]
+        heapq.heapify(todo)
+        while todo:
+            p = heapq.heappop(todo)
+            c = out.get(p)
+            if c is None:  # a repeated heap entry, already eliminated
+                continue
+            # the row at p holds only columns >= p, so a column it brings in
+            # is larger than every pivot eliminated so far
+            for col, x in self.rows[p].items():
+                s = out.get(col, 0) - c * x
+                if s:
+                    if col not in out and col in self.rows:
+                        heapq.heappush(todo, col)
+                    out[col] = s
+                else:
+                    del out[col]
+            if coords is not None:
+                for idx, x in self.tags.get(p, {}).items():
+                    s = coords.get(idx, 0) + c * x
+                    if s:
+                        coords[idx] = s
+                    else:
+                        del coords[idx]
+        return out
 
-    def add(self, v: Vec) -> bool:
-        """Reduce and insert; returns True if the vector was independent."""
-        r = self.reduce(v)
+    def add(self, v: Vec, tag: Vec | None = None) -> bool:
+        """Reduce and insert; returns True if the vector was independent.
+        A given tag is stored as (tag - coordinates picked up while
+        reducing v), scaled like the row."""
+        coords: Vec | None = None if tag is None else {}
+        r = self.reduce(v, coords)
         if not r:
             return False
         p = min(r)
-        c = r[p]
-        self.rows[p] = {k: x / c for k, x in r.items()}
-        # keep fully reduced: clear this pivot from existing rows
-        for q, row in list(self.rows.items()):
-            if q != p and row.get(p):
-                self.rows[q] = vec_add(row, self.rows[p], -row[p])
+        inv = 1 / Fraction(r[p])
+        self.rows[p] = {k: x * inv for k, x in r.items()}
+        if tag is not None:
+            t = vec_add(tag, coords, Fraction(-1))
+            if t:
+                self.tags[p] = {k: x * inv for k, x in t.items()}
         return True
 
     @property
@@ -68,15 +101,11 @@ class RowBasis:
         return set(self.rows)
 
     def interreduce(self) -> None:
-        """Bring the echelon family to reduced row-echelon form."""
+        """Bring the rows to reduced row-echelon form."""
+        # re-adding the rows from the largest pivot down clears every other
+        # pivot column from each, using rows that are already cleared
         for p in sorted(self.rows, reverse=True):
-            row = self.rows[p]
-            while True:
-                hit = next((c for c in row if c != p and c in self.rows), None)
-                if hit is None:
-                    break
-                row = vec_add(row, self.rows[hit], -row[hit])
-            self.rows[p] = row
+            self.add(self.rows.pop(p), self.tags.pop(p, {}))
 
 
 def rank_of(rows: Iterable[Vec]) -> int:
@@ -84,18 +113,6 @@ def rank_of(rows: Iterable[Vec]) -> int:
     for r in rows:
         rb.add(r)
     return rb.rank
-
-
-def kernel_dim(rows: list[Vec], ncols: int) -> int:
-    """Dimension of {x : Mx = 0} where rows are the rows of M acting on
-    column vectors indexed 0..ncols-1."""
-    # rank-nullity on the transpose: columns of M span the image
-    cols: dict[int, Vec] = {}
-    for i, row in enumerate(rows):
-        for j, c in row.items():
-            cols.setdefault(j, {})[i] = c
-    rk = rank_of(cols.values())
-    return ncols - rk
 
 
 def kernel_basis(rows: Iterable[Vec], ncols: int) -> list[Vec]:
@@ -118,58 +135,30 @@ def kernel_basis(rows: Iterable[Vec], ncols: int) -> list[Vec]:
     return out
 
 
-class ClassTracker:
+class ClassTracker(RowBasis):
     """Subquotient bookkeeping: a row space of 'image' vectors plus chosen
     class representatives; express() writes any vector of the subspace
-    spanned by (image + reps) in class coordinates."""
+    spanned by (image + reps) in class coordinates.  Each row is tagged
+    with its class coordinates modulo the image."""
 
     def __init__(self):
-        # pivot col -> (row, class coords of the row)
-        self.rows: dict[int, tuple[Vec, dict[int, Fraction]]] = {}
+        super().__init__()
         self.n_classes = 0
 
-    def _reduce(self, v: Vec):
-        out = dict(v)
-        coords: dict[int, Fraction] = {}
-        while True:
-            hit = next((col for col in out if col in self.rows), None)
-            if hit is None:
-                return out, coords
-            c = out[hit]
-            row, rc = self.rows[hit]
-            out = vec_add(out, row, -c)
-            for idx, x in rc.items():
-                s = coords.get(idx, Fraction(0)) + c * x
-                if s:
-                    coords[idx] = s
-                else:
-                    coords.pop(idx, None)
-
     def add_image(self, v: Vec) -> bool:
-        r, _ = self._reduce(v)
-        if not r:
-            return False
-        p = min(r)
-        c = r[p]
-        self.rows[p] = ({k: x / c for k, x in r.items()}, {})
-        return True
+        return self.add(v, {})
 
     def add_rep(self, v: Vec) -> int | None:
         """Insert v as a new class representative if independent; returns
         its class index or None."""
-        r, _ = self._reduce(v)
-        if not r:
+        if not self.add(v, {self.n_classes: Fraction(1)}):
             return None
-        idx = self.n_classes
         self.n_classes += 1
-        p = min(r)
-        c = r[p]
-        self.rows[p] = ({k: x / c for k, x in r.items()}, {idx: Fraction(1) / c})
-        return idx
+        return self.n_classes - 1
 
     def express(self, v: Vec) -> dict[int, Fraction]:
         """Class coordinates of v; raises if v is not in the tracked span."""
-        r, coords = self._reduce(v)
-        if r:
+        coords: dict[int, Fraction] = {}
+        if self.reduce(v, coords):
             raise ValueError("vector lies outside the tracked subspace")
         return coords

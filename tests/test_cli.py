@@ -108,3 +108,17 @@ def test_console_entry_point():
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["tool_version"]
+
+
+@pytest.mark.parametrize("args", [
+    ["dump", "projector", "--lambda", "1,x"],
+    ["dump", "poly", "--family", "a-ijk", "--b", "0,1"],
+    ["unknot", "--k", "9"],
+    ["unknot", "--variant", "bogus"],
+])
+def test_bad_input_is_one_line_on_stderr(args, capsys):
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
