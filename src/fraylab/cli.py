@@ -18,7 +18,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from .grading import MultiDegree
 from . import __version__
@@ -33,20 +32,19 @@ from .homalg import (
     gaussian_eliminate,
     homology_truncated,
 )
-from .hochschild import BraidStats, hh_bimodule, kr_normalize, trace_check, unknot_invariant
-from .qseries import Window, theorem1_check, unknot_table
+from .hochschild import trace_check, unknot_invariant
+from .qseries import Window, theorem1_check
 from .ssbim import (
     basis_change_check,
-    build_identity,
     build_W,
     cn_family,
-    cone_iota_eliminate,
     graded_rank_check,
     ladder_collapse,
     projector,
 )
 from .symfun import (
     Composition,
+    compositions,
     Poly,
     a_family,
     a_identity_defect,
@@ -74,15 +72,6 @@ def _window_from_args(args, k: int = 1) -> Window:
     return Window((0, amax), (qmin, qmax), (0, tmax))
 
 
-def _all_compositions(n: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _all_compositions(n - first):
-            yield (first,) + rest
-
-
 # ---------------------------------------------------------------------------
 # suites
 
@@ -91,7 +80,7 @@ def suite_a_ijk(args, seed) -> list[dict]:
     checks = []
     max_n = args.max_n or 5
     for N in range(1, max_n + 1):
-        for parts in _all_compositions(N):
+        for parts in compositions(N):
             b = Composition(parts)
             fam = a_family(b)
             ok = all(
@@ -162,7 +151,7 @@ def suite_mc(args, seed) -> list[dict]:
     checks = []
     total = args.max_n or 3
     cap = args.cap or 2
-    lams = [Composition(p) for N in range(1, total + 1) for p in _all_compositions(N)]
+    lams = [Composition(p) for N in range(1, total + 1) for p in compositions(N)]
     for lam in lams:
         for variant in ("finite", "def_finite", "infinite", "def_infinite"):
             try:
@@ -285,7 +274,7 @@ def suite_trace(args, seed) -> list[dict]:
     # single-block alphabet, which the presentation preprocessing folds away
     for N in range(2, maxN + 1):
         full = Composition.of(N)
-        for parts in _all_compositions(N):
+        for parts in compositions(N):
             a = Composition(parts)
             if a == full:
                 continue
@@ -299,7 +288,7 @@ def suite_trace(args, seed) -> list[dict]:
             })
     # random small pairs at N = 2 (both orders computable directly)
     rng = random.Random(seed)
-    small = [Composition(p) for p in _all_compositions(2)]
+    small = [Composition(p) for p in compositions(2)]
     for idx in range(args.n or 10):
         a, b = rng.choice(small), rng.choice(small)
         rep = trace_check(build_W(a, b), build_W(b, a), Window((0, 2), (-6, 8), (0, 0)))
@@ -310,7 +299,7 @@ def suite_trace(args, seed) -> list[dict]:
         })
     # digon / blamgon ranks against windowed dimensions
     for N in range(1, (args.max_n or 3) + 1):
-        for parts in _all_compositions(N):
+        for parts in compositions(N):
             lam = Composition(parts)
             ok = graded_rank_check(lam, 12)
             checks.append({"name": f"blamgon rank lambda={parts}",

@@ -57,10 +57,6 @@ def deg(a: int = 0, q: int = 0, t: int = 0) -> MultiDegree:
     return MultiDegree(a, q, t)
 
 
-def deg_add(d1: MultiDegree, d2: MultiDegree) -> MultiDegree:
-    return d1 + d2
-
-
 def parity(d1: MultiDegree, d2: MultiDegree) -> int:
     """The sign form <d1, d2> = a1*a2 + t1*t2 mod 2."""
     return (d1.a * d2.a + d1.t * d2.t) % 2
@@ -79,20 +75,3 @@ def shift_parity(delta: MultiDegree) -> int:
 def shift_sign(delta: MultiDegree) -> int:
     return -1 if shift_parity(delta) else 1
 
-
-@dataclass(frozen=True)
-class ShiftSpec:
-    """A grading shift.  Shifting a complex by delta multiplies its
-    connection by (-1)^(delta.t + delta.a)."""
-
-    delta: MultiDegree
-
-    @property
-    def sign(self) -> int:
-        return shift_sign(self.delta)
-
-
-def shift_complex(complex_, spec: ShiftSpec):
-    """Translate all object degrees by spec.delta, twisting the connection
-    by the shift sign.  Works on anything exposing .shifted(delta)."""
-    return complex_.shifted(spec.delta)

@@ -21,7 +21,9 @@ pins the intrinsic unknot rows to prod_j (1 + a q^{-2j})/(1 - q^{2j}).
 Curved complexes are handled termwise: chain objects take Koszul homology
 with tracked class representatives, the connection is transported through
 the left/right identification (primed alphabets replaced by unprimed), and
-the resulting complex of classes is resolved in the t-direction.
+the resulting complex of classes is resolved in the t-direction by
+homalg.unrolled_homology, the routine truncated homology uses as well.  A
+bimodule is the one-object complex with no parameters.
 """
 
 from __future__ import annotations
@@ -29,26 +31,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Optional
 
 from .grading import MultiDegree
 from .homalg import (
     CurvedComplex,
     GradedRing,
+    ParamSpec,
     PMono,
+    RC_Object,
     RingSpec,
-    pm_degree,
-    pm_mul,
+    unrolled_homology,
 )
 from .linalg import ClassTracker, kernel_basis, rank_of
-from .qseries import Laurent, RationalSeriesExpr, TriSeries, Window, unknot_table
-from .ssbim import (
-    MergeSplitBimodule,
-    FrayedProjector,
-    bimodule_poly,
-    projector,
-)
-from .symfun import BOTTOM, Composition, Poly, TOP, e_gen, p_in_e
+from .qseries import TriSeries, Window, unknot_table
+from .ssbim import MergeSplitBimodule, projector
+from .symfun import Composition, Poly, TOP, e_gen, p_in_e
 
 # ---------------------------------------------------------------------------
 # results
@@ -300,7 +298,7 @@ def orient_window(window: Window, N: int, qshift: int, orientation: str) -> tupl
         i_hi = min(N, window.a[1])
     d_lo = window.q[0] + shift
     d_hi = window.q[1] + shift
-    return range(i_lo, i_hi + 1), range(max(d_lo, 0), d_hi + 1)
+    return range(i_lo, i_hi + 1), range(d_lo, d_hi + 1)
 
 
 def orient_degree(i: int, d: int, t: int, N: int, qshift: int, orientation: str):
@@ -321,24 +319,12 @@ def hh_bimodule(
     generator_basis: str = "elementary",
     orientation: str = "table",
 ) -> HHResult:
-    """Total Hochschild homology of a merge-split (or identity) bimodule,
-    reported in the table orientation."""
+    """Total Hochschild homology of a merge-split (or identity) bimodule:
+    hh_complex of the one-object complex on its ring."""
     if M.top != M.bottom:
         raise ValueError("Hochschild homology needs matching top and bottom")
-    comp = M.top
-    N = comp.total
-    data = hochschild_data(M.ring, comp, len(comp), generator_basis)
-    qshift = M.qshift
-    i_range, d_range = orient_window(window, N, qshift, orientation)
-    coeffs: dict[tuple[int, int, int], Fraction] = {}
-    for i in i_range:
-        for d in d_range:
-            dim = data.dims(i, d)
-            if dim:
-                deg = orient_degree(i, d, 0, N, qshift, orientation)
-                if window.contains(deg):
-                    coeffs[deg] = Fraction(dim)
-    return HHResult(TriSeries(window, coeffs), window, generator_basis, N, M.qshift)
+    C = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), M.ring)], ParamSpec(()))
+    return hh_complex(C, M.top, window, generator_basis, orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +379,9 @@ def hh_complex(
                 f"(cap {C.cap}, window t <= {window.t[1]})"
             )
 
+    if any(o.degree.a for o in C.objects):
+        raise ValueError("objects with a-degree are not supported")
+
     data = hochschild_data(ring, comp, blocks, generator_basis)
 
     # transported connection entries
@@ -406,13 +395,9 @@ def hh_complex(
             if not p.is_zero():
                 transported.setdefault(mono, {})[(i, j)] = p
 
-    from .homalg import _module_monomials
-
-    monos = _module_monomials(C.params, C.cap, window.t[0] - 1, window.t[1] + 1)
-
-    # fast paths: no transported differential at all, or scalar entries only
-    # (then every induced map is a scalar multiple of the identity on class
-    # spaces and dimensions suffice)
+    # with scalar entries only, every entry acts as a multiple of the
+    # identity on class spaces, so class counts suffice and no
+    # representatives are built
     scalar_only = all(
         p.constant_value() is not None
         for mat in transported.values()
@@ -420,103 +405,24 @@ def hh_complex(
     )
 
     def class_dim(i: int, local: int) -> int:
-        if local < 0:
-            return 0
         if scalar_only:
             return data.dims(i, local)
         return len(data.tracker(i, local)[1])
 
-    # summands: (obj index, param mono, tor level i) with degree bookkeeping
-    # final (a, q, t) = (N - i, q_nat - shift, t)
-    def summands_for(g_nat: tuple[int, int, int]):
-        """blocks at natural degree (i, q_nat, t): list of
-        (obj, mono, i, local d, class dim, offset)."""
-        i, qn, t = g_nat
-        out = []
-        off = 0
-        for oi, o in enumerate(C.objects):
-            base = o.degree
-            if base.a != 0:
-                raise ValueError("objects with a-degree are not supported")
-            for mono, mdeg in monos:
-                if base.t + mdeg.t != t:
-                    continue
-                local = qn - base.q - mdeg.q
-                dim = class_dim(i, local)
-                if dim:
-                    out.append((oi, mono, local, off, dim))
-                    off += dim
-        return out, off
-
-    eps_cache: dict[PMono, list[int]] = {}
-
-    def eps(mono: PMono) -> list[int]:
-        if mono not in eps_cache:
-            eps_cache[mono] = C._eps(mono)
-        return eps_cache[mono]
-
-    diff_cache: dict = {}
-
-    def differential(i: int, qn: int, t: int):
-        key = (i, qn, t)
-        if key in diff_cache:
-            return diff_cache[key]
-        src, ncols = summands_for((i, qn, t))
-        tgt, nrows = summands_for((i, qn, t + 1))
-        tgt_off = {(oi, mono): off for oi, mono, local, off, dim in tgt}
-        tgt_local = {(oi, mono): local for oi, mono, local, off, dim in tgt}
-        rows: dict[int, dict[int, Fraction]] = {}
-        for s_mono, mat in transported.items():
-            for (ti, tj), p in mat.items():
-                pq = p.degree().q
-                for oj, vmono, local, coff, dim in src:
-                    if oj != tj:
-                        continue
-                    sgn = eps(s_mono)[tj]
-                    for msign, new_mono in pm_mul(C.params, s_mono, vmono):
-                        if new_mono.duals:
-                            continue
-                        hit = tgt_off.get((ti, new_mono))
-                        if hit is None:
-                            continue
-                        if scalar_only:
-                            c = p.constant_value() * msign * sgn
-                            for idx in range(dim):
-                                row = rows.setdefault(idx + hit, {})
-                                v = row.get(idx + coff, Fraction(0)) + c
-                                if v:
-                                    row[idx + coff] = v
-                                else:
-                                    row.pop(idx + coff, None)
-                            continue
-                        ind = data.induced(p, i, local)
-                        for (rr, cc), val in ind.items():
-                            if cc >= dim:
-                                continue
-                            row = rows.setdefault(rr + hit, {})
-                            v = row.get(cc + coff, Fraction(0)) + val * msign * sgn
-                            if v:
-                                row[cc + coff] = v
-                            else:
-                                row.pop(cc + coff, None)
-        diff_cache[key] = (rows, nrows, ncols)
-        return diff_cache[key]
-
-    coeffs: dict[tuple[int, int, int], Fraction] = {}
+    # natural cells (Tor level i, natural q-degree d, t)
     i_range, d_range = orient_window(window, N, qshift, orientation)
-    for i in i_range:
-        for t in range(window.t[0], window.t[1] + 1):
-            for qn in d_range:
-                out_rows, _, ncols = differential(i, qn, t)
-                if ncols == 0:
-                    continue
-                in_rows, _, _ = differential(i, qn, t - 1)
-                ker = ncols - rank_of(out_rows.values())
-                dim = ker - rank_of(in_rows.values())
-                if dim:
-                    deg = orient_degree(i, qn, t, N, qshift, orientation)
-                    if window.contains(deg):
-                        coeffs[deg] = Fraction(dim)
+    cells = [
+        (i, d, t)
+        for i in i_range
+        for t in range(window.t[0], window.t[1] + 1)
+        for d in d_range
+    ]
+    dims = unrolled_homology(C, transported, cells, window.t, class_dim, data.induced)
+    coeffs: dict[tuple[int, int, int], Fraction] = {}
+    for (i, d, t), dim in dims.items():
+        deg = orient_degree(i, d, t, N, qshift, orientation)
+        if window.contains(deg):
+            coeffs[deg] = Fraction(dim)
     return HHResult(TriSeries(window, coeffs), window, generator_basis, N, qshift)
 
 

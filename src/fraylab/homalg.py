@@ -296,9 +296,6 @@ class PMono:
     thetas: tuple[str, ...] = ()
     duals: tuple[str, ...] = ()
 
-    def is_module_monomial(self) -> bool:
-        return not self.duals
-
     def total_even_weight(self) -> int:
         return sum(e for _, e in self.evens)
 
@@ -1267,6 +1264,114 @@ def _module_monomials(params: ParamSpec, cap: Optional[int], t_lo: int, t_hi: in
     return out
 
 
+def unrolled_homology(
+    C: CurvedComplex,
+    entries: Mapping[PMono, Mapping[tuple[int, int], Poly]],
+    cells: Iterable[tuple[int, int, int]],
+    t_range: tuple[int, int],
+    piece_dim: Callable[[int, int], int],
+    act: Callable[[Poly, int, int], Mapping[tuple[int, int], Fraction]],
+) -> dict[tuple[int, int, int], int]:
+    """Graded dimensions of ker/im of C's connection unrolled over its
+    dual-free parameter monomials, at each requested cell (level, q, t).
+
+    A piece is object o times monomial m, with base = deg o + deg m.  At a
+    cell g with g.t = base.t it sits at (level, local) = (g.a - base.a,
+    g.q - base.q).  piece_dim(level, local) is its dimension (never asked
+    for local < 0, where it is 0) and act(p, level, local) the matrix of the
+    plain entry p from it; a scalar entry acts as c times the identity.
+    `entries` holds the nonzero plain entries per parameter monomial, and
+    t_range the t-span of the cells.  Dimensions, actions and differentials
+    are computed once per call.  Returns {cell: dim} for the cells of
+    nonzero dimension."""
+    monos = _module_monomials(C.params, C.cap, t_range[0] - 1, t_range[1] + 1)
+    bases = [
+        (oi, mono, o.degree + mdeg)
+        for oi, o in enumerate(C.objects)
+        for mono, mdeg in monos
+    ]
+    terms = []
+    for s_mono, mat in entries.items():
+        eps = C._eps(s_mono)
+        for (i, j), p in mat.items():
+            key = frozenset(p.terms.items())
+            terms.append((s_mono, i, j, eps[j], p, p.constant_value(), key))
+
+    dims: dict[tuple[int, int], int] = {}
+
+    def dim(level: int, local: int) -> int:
+        if local < 0:
+            return 0
+        if (level, local) not in dims:
+            dims[(level, local)] = piece_dim(level, local)
+        return dims[(level, local)]
+
+    def layout(g: tuple[int, int, int]):
+        """{(obj, mono): (offset, level, local, dim)} of the nonzero pieces
+        at g, and their total dimension."""
+        a, q, t = g
+        out, off = {}, 0
+        for oi, mono, base in bases:
+            if base.t != t:
+                continue
+            level, local = a - base.a, q - base.q
+            d = dim(level, local)
+            if d:
+                out[(oi, mono)] = (off, level, local, d)
+                off += d
+        return out, off
+
+    actions: dict = {}
+    diffs: dict[tuple[int, int, int], tuple[list, int]] = {}
+
+    def differential(g: tuple[int, int, int]) -> tuple[list, int]:
+        """Rows of the connection g -> g + t, and the dimension at g."""
+        if g in diffs:
+            return diffs[g]
+        src, ncols = layout(g)
+        tgt, _ = layout((g[0], g[1], g[2] + 1))
+        rows: dict[int, dict[int, Fraction]] = {}
+        for s_mono, i, j, sgn, p, c, key in terms:
+            for (oj, vmono), (coff, level, local, d) in src.items():
+                if oj != j:
+                    continue
+                # a product with a dual kills the cyclic generator, so it
+                # matches no piece
+                for msign, new_mono in pm_mul(C.params, s_mono, vmono):
+                    hit = tgt.get((i, new_mono))
+                    if hit is None:
+                        continue
+                    if c is not None:
+                        mat = {(r, r): c for r in range(d)}
+                    elif (key, level, local) in actions:
+                        mat = actions[(key, level, local)]
+                    else:
+                        mat = actions[(key, level, local)] = act(p, level, local)
+                    roff = hit[0]
+                    for (rr, cc), val in mat.items():
+                        row = rows.setdefault(rr + roff, {})
+                        row[cc + coff] = row.get(cc + coff, 0) + val * msign * sgn
+        clean = []
+        for row in rows.values():
+            row = {col: v for col, v in row.items() if v}
+            if row:
+                clean.append(row)
+        diffs[g] = (clean, ncols)
+        return diffs[g]
+
+    out: dict[tuple[int, int, int], int] = {}
+    for g in cells:
+        d_out, n = differential(g)
+        if n == 0:
+            continue
+        d_in, _ = differential((g[0], g[1], g[2] - 1))
+        # kernel of the outgoing map minus rank of the incoming one (row ranks)
+        d = n - rank_of(d_out) - rank_of(d_in)
+        if d:
+            out[g] = d
+    return out
+
+
 def homology_truncated(C: CurvedComplex, window: Window, samples: int = 8) -> TriSeries:
     """Graded dimensions of ker/im of the unrolled connection, per
     multidegree in the window.  Requires curvature that reduces to zero in
@@ -1278,110 +1383,27 @@ def homology_truncated(C: CurvedComplex, window: Window, samples: int = 8) -> Tr
                     "homology of a complex with non-vanishing curvature "
                     f"(monomial {mono})"
                 )
-        # entries must be plain to act on monomial bases
+    # entries must be plain to act on monomial bases
+    entries: dict[PMono, dict[tuple[int, int], Poly]] = {}
     for mono, mat in C.terms.items():
         for ij, e in mat.items():
             if not e.is_plain():
                 raise ValueError("homology with opaque entries is not defined")
+            if not e.plain_part().is_zero():
+                entries.setdefault(mono, {})[ij] = e.plain_part()
     rings = {id(o.ring) for o in C.objects}
     if len(rings) > 1:
         raise ValueError("homology_truncated expects all objects over one ring")
-
-    monos = _module_monomials(C.params, C.cap, window.t[0] - 1, window.t[1] + 1)
-    # summands: (obj index, module monomial) with total degree shift
-    summands = []
-    for oi, o in enumerate(C.objects):
-        for mono, mdeg in monos:
-            summands.append((oi, mono, o.degree + mdeg))
-
-    # ring pieces contribute only nonnegative even q; group summands by (a, t)
-    def piece_dims(g: MultiDegree) -> list[tuple[int, PMono, int, int]]:
-        """(obj, mono, local qdeg, dim) blocks contributing at degree g."""
-        out = []
-        for oi, mono, base in summands:
-            if base.a != g.a or base.t != g.t:
-                continue
-            local = g.q - base.q
-            d = C.objects[oi].ring.dim(local)
-            if d:
-                out.append((oi, mono, local, d))
-        return out
-
-    # matrix of the connection from degree g to g + t
-    eps_cache: dict[PMono, list[int]] = {}
-
-    def eps(mono: PMono) -> list[int]:
-        if mono not in eps_cache:
-            eps_cache[mono] = C._eps(mono)
-        return eps_cache[mono]
-
-    diff_cache: dict[tuple[int, int, int], tuple] = {}
-
-    def differential(g: MultiDegree):
-        key = g.as_tuple()
-        if key in diff_cache:
-            return diff_cache[key]
-        src = piece_dims(g)
-        tgt = piece_dims(g + MultiDegree(0, 0, 1))
-        src_off = {}
-        off = 0
-        for oi, mono, local, d in src:
-            src_off[(oi, mono)] = (off, local)
-            off += d
-        ncols = off
-        tgt_off = {}
-        off = 0
-        for oi, mono, local, d in tgt:
-            tgt_off[(oi, mono)] = (off, local)
-            off += d
-        nrows = off
-        rows: dict[int, dict[int, Fraction]] = {}
-        for s_mono, mat in C.terms.items():
-            for (i, j), e in mat.items():
-                p = e.plain_part()
-                if p.is_zero():
-                    continue
-                pq = p.degree().q
-                for (oj, vm), (coff, local) in src_off.items():
-                    if oj != j:
-                        continue
-                    sgn = eps(s_mono)[j]
-                    for msign, new_mono in pm_mul(C.params, s_mono, vm):
-                        if new_mono.duals:
-                            continue  # kills the cyclic generator
-                        hit = tgt_off.get((i, new_mono))
-                        if hit is None:
-                            continue
-                        roff, tlocal = hit
-                        if tlocal != local + pq:
-                            raise AssertionError("graded bookkeeping mismatch")
-                        mm = C.objects[i].ring.mult_matrix(p, local)
-                        for (rr, cc), val in mm.items():
-                            v = val * msign * sgn
-                            if not v:
-                                continue
-                            row = rows.setdefault(rr + roff, {})
-                            row[cc + coff] = row.get(cc + coff, Fraction(0)) + v
-        # clean zeros
-        clean = {}
-        for r, row in rows.items():
-            row = {c: v for c, v in row.items() if v}
-            if row:
-                clean[r] = row
-        diff_cache[key] = (clean, nrows, ncols)
-        return diff_cache[key]
-
-    coeffs: dict[tuple[int, int, int], Fraction] = {}
-    for a_exp in range(window.a[0], window.a[1] + 1):
-        for t_exp in range(window.t[0], window.t[1] + 1):
-            for q_exp in range(window.q[0], window.q[1] + 1):
-                g = MultiDegree(a_exp, q_exp, t_exp)
-                d_out, _, ncols = differential(g)
-                if ncols == 0:
-                    continue
-                d_in, _, nin = differential(g - MultiDegree(0, 0, 1))
-                # rank of incoming, kernel of outgoing (row rank = column rank)
-                dim = ncols - rank_of(d_out.values()) - rank_of(d_in.values())
-                if dim:
-                    coeffs[(a_exp, q_exp, t_exp)] = Fraction(dim)
-    return TriSeries(window, coeffs)
+    ring = C.objects[0].ring if C.objects else None
+    cells = (
+        (a, q, t)
+        for a in range(window.a[0], window.a[1] + 1)
+        for t in range(window.t[0], window.t[1] + 1)
+        for q in range(window.q[0], window.q[1] + 1)
+    )
+    dims = unrolled_homology(
+        C, entries, cells, window.t,
+        lambda level, local: ring.dim(local) if level == 0 else 0,
+        lambda p, level, local: ring.mult_matrix(p, local),
+    )
+    return TriSeries(window, {g: Fraction(d) for g, d in dims.items()})

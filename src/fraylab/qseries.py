@@ -310,10 +310,6 @@ class TriSeries:
                 out.append({"degree": list(d), "got": str(got), "expected": str(exp)})
         return out
 
-    def is_zero_on(self, window: Window | None = None) -> bool:
-        w = self.window if window is None else self.window.intersect(window)
-        return all(not w.contains(d) or c == 0 for d, c in self.coeffs.items())
-
     def monomial_quotient(self, other: "TriSeries", scan: int = 8):
         """If self == q^m * other on the window overlap for a single overall
         q-monomial, return m, else None.  Candidate shifts are scanned since
@@ -420,10 +416,6 @@ def _geometric(window: Window, m: tuple[int, int, int]) -> TriSeries:
         if window.contains(d) or n == 0:
             coeffs[d] = Fraction(1)
     return TriSeries(window, coeffs)
-
-
-def expand_rational(expr: RationalSeriesExpr, window: Window) -> TriSeries:
-    return expr.expand(window)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ u_{n+1}-ladder into tw_{tau_n} on W_{(1^{n+1})}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .grading import MultiDegree
 from .homalg import (
@@ -37,9 +36,8 @@ from .homalg import (
     Terms,
     cone,
     gaussian_eliminate,
-    homology_truncated,
 )
-from .qseries import Laurent, TriSeries, Window, f_factor, quantum_binomial
+from .qseries import Laurent, f_factor, quantum_binomial
 from .symfun import (
     BOTTOM,
     Composition,

@@ -26,7 +26,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .grading import MultiDegree
 
@@ -306,6 +306,16 @@ class Composition:
             out.append(acc)
             acc += p
         return out
+
+
+def compositions(n: int):
+    """Every composition of n, as tuples of parts, in lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------

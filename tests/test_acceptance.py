@@ -39,6 +39,7 @@ from fraylab.ssbim import (
 from fraylab.symfun import (
     BOTTOM,
     Composition,
+    compositions,
     Poly,
     a_family,
     a_identity_defect,
@@ -61,15 +62,6 @@ def report(name: str, ok: bool, extra: str = "") -> None:
     if extra:
         line += f"  ({extra})"
     print(line)
-
-
-def _all_compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _all_compositions(n - first):
-            yield (first,) + rest
 
 
 # -- criterion 1: intrinsic unknot table --------------------------------------------
@@ -179,7 +171,7 @@ def test_criterion_4_infinite_k2(variant):
 def test_criterion_5_a_identities():
     ok = True
     for N in range(1, 6):
-        for parts in _all_compositions(N):
+        for parts in compositions(N):
             b = Composition(parts)
             fam = a_family(b)
             for i in range(1, N + 1):
@@ -250,7 +242,7 @@ def test_criterion_7_g_congruences():
 def test_criterion_8a_projector_mc():
     ok = True
     for N in range(1, 4):
-        for parts in _all_compositions(N):
+        for parts in compositions(N):
             lam = Composition(parts)
             for variant in ("finite", "def_finite", "infinite", "def_infinite"):
                 try:
@@ -319,14 +311,14 @@ def test_criterion_10_trace_and_digon():
     window = Window((0, 3), (-6, 10), (0, 0))
     for N in range(2, 4):
         full = Composition.of(N)
-        for parts in _all_compositions(N):
+        for parts in compositions(N):
             a = Composition(parts)
             if a == full:
                 continue
             rep = trace_check(build_W(a, full), build_W(full, a), window)
             ok = ok and rep["ok"]
     for N in range(1, 5):
-        for parts in _all_compositions(N):
+        for parts in compositions(N):
             ok = ok and graded_rank_check(Composition(parts), 12)
     report("criterion 10: trace on merge/split pairs (N <= 3), ranks (N <= 4)", ok)
     assert ok

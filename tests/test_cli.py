@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fraylab
 from fraylab.cli import main
 
 
@@ -47,6 +50,13 @@ def test_verify_gauss_seeded():
     assert code == 0
     rep = json.loads(out)
     assert len(rep["checks"]) == 5
+
+
+def test_unknot_command_below_natural_degree_zero():
+    code, out = run_cli(["unknot", "--variant", "finite", "--k", "1",
+                         "--qmin", "-8", "--qmax", "6", "--tmax", "3"])
+    assert code == 0
+    assert json.loads(out)["match"] is True
 
 
 def test_unknot_command_json():
@@ -100,10 +110,15 @@ def test_out_file(tmp_path):
 
 
 def test_console_entry_point():
+    # the child imports the same fraylab as this process, also when only
+    # pytest's `pythonpath` setting put it on the path
+    src = str(Path(fraylab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "fraylab.cli", "verify", "thin-recursion",
          "--max-n", "2"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)

@@ -2,10 +2,8 @@ from hypothesis import given, strategies as st
 
 from fraylab.grading import (
     MultiDegree,
-    ShiftSpec,
     commutator_sign,
     deg,
-    deg_add,
     parity,
     shift_sign,
 )
@@ -15,11 +13,11 @@ degrees = st.builds(MultiDegree, small, small, small)
 
 
 def test_addition_examples():
-    assert deg_add(deg(0, 0, 0), deg(1, -2, 2)) == deg(1, -2, 2)
-    assert deg_add(deg(0, 2, 0), deg(0, -2, 1)) == deg(0, 0, 1)
+    assert deg(0, 0, 0) + deg(1, -2, 2) == deg(1, -2, 2)
+    assert deg(0, 2, 0) + deg(0, -2, 1) == deg(0, 0, 1)
     # deg(u_i) + deg(e_i): curvature terms land in t^2
     for i in range(1, 5):
-        assert deg_add(deg(0, -2 * i, 2), deg(0, 2 * i, 0)) == deg(0, 0, 2)
+        assert deg(0, -2 * i, 2) + deg(0, 2 * i, 0) == deg(0, 0, 2)
 
 
 def test_commutator_sign_examples():
@@ -49,7 +47,7 @@ def test_shift_signs():
     assert shift_sign(deg(0, 1, 0)) == 1   # q-shifts leave differentials alone
     assert shift_sign(deg(0, 0, 1)) == -1  # t-shift negates
     assert shift_sign(deg(1, 0, 0)) == -1  # a-shift negates
-    assert ShiftSpec(deg(0, 3, 1)).sign == -1
+    assert shift_sign(deg(0, 3, 1)) == -1
 
 
 @given(degrees)

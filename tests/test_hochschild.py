@@ -4,7 +4,9 @@ import pytest
 
 from fraylab.hochschild import (
     BraidStats,
+    HochschildData,
     compose_bimodules,
+    default_window,
     framing_shift,
     hh_bimodule,
     hh_complex,
@@ -267,3 +269,50 @@ def test_cap_sufficiency_guard():
     proj = projector(lam, "def_infinite", cap=1)
     with pytest.raises(ValueError):
         hh_complex(proj.complex, lam, Window((0, 1), (-2, 6), (0, 6)))
+
+
+# -- windows below natural q-degree 0 ------------------------------------------------
+
+@pytest.mark.parametrize("k, window, classes", [
+    (1, Window((0, 1), (-8, 6), (0, 3)), {(1, -4, 1): 1}),
+    (2, Window((0, 2), (-10, 8), (0, 2)), {(1, -9, 2): 1, (2, -9, 1): 2, (2, -9, 2): 2}),
+])
+def test_finite_row_below_natural_degree_zero(k, window, classes):
+    """The theta monomials carry negative q, so on these windows the
+    natural q-degrees of the projector's classes reach below 0."""
+    rep, computed, _ = unknot_invariant("finite", k, window=window)
+    assert rep["match"], rep["mismatches"][:5]
+    for deg, dim in classes.items():
+        assert computed.coeffs.get(deg) == dim
+
+
+# -- one computation per piece ---------------------------------------------------------
+
+def _record_calls(monkeypatch, name):
+    """Wrap HochschildData.<name>; return the list of argument tuples
+    (polynomials compare by value)."""
+    calls = []
+    original = getattr(HochschildData, name)
+
+    def wrapper(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(HochschildData, name, wrapper)
+    return calls
+
+
+def test_hh_complex_induces_each_action_once(monkeypatch):
+    lam = Composition.thin(2)
+    proj = projector(lam, "infinite", cap=3)
+    calls = _record_calls(monkeypatch, "induced")
+    hh_complex(proj.complex, lam, default_window("infinite", 2))
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_hh_complex_counts_each_piece_once(monkeypatch):
+    lam = Composition.thin(2)
+    proj = finite_projector(lam)
+    calls = _record_calls(monkeypatch, "dims")
+    hh_complex(proj.complex, lam, Window((0, 2), (0, 10), (0, 2)), orientation="natural")
+    assert calls and len(calls) == len(set(calls))

@@ -399,12 +399,13 @@ def test_complex_json_shape(qx):
 
 
 def test_shift_complex_function(qx):
-    from fraylab.grading import MultiDegree as MD, ShiftSpec, shift_complex
+    """CurvedComplex.shifted moves every object and applies the shift sign."""
+    from fraylab.grading import MultiDegree as MD
 
     x = Poly.gen(x_gen(1))
     cx = two_term(qx, x)
-    shifted = shift_complex(cx, ShiftSpec(MD(0, 0, 1)))
+    shifted = cx.shifted(MD(0, 0, 1))
     assert shifted.terms[PM_ONE][(1, 0)].plain_part() == -1 * x
     assert shifted.objects[0].degree == MD(0, 0, 1)
-    again = shift_complex(shifted, ShiftSpec(MD(0, 0, -1)))
+    again = shifted.shifted(MD(0, 0, -1))
     assert again.terms[PM_ONE][(1, 0)].plain_part() == x

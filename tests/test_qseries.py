@@ -9,7 +9,6 @@ from fraylab.qseries import (
     RationalSeriesExpr,
     TriSeries,
     Window,
-    expand_rational,
     f_factor,
     quantum_binomial,
     quantum_factorial,
@@ -64,7 +63,7 @@ def test_f_factor():
 
 def test_expand_geometric():
     w = Window((0, 0), (0, 6), (0, 0))
-    s = expand_rational(RationalSeriesExpr([], [(0, 2, 0)]), w)
+    s = RationalSeriesExpr([], [(0, 2, 0)]).expand(w)
     assert s.coeffs == {(0, 0, 0): 1, (0, 2, 0): 1, (0, 4, 0): 1, (0, 6, 0): 1}
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fraylab.symfun import (
     BOTTOM,
     Composition,
+    compositions,
     Poly,
     a_family,
     a_identity_defect,
@@ -131,18 +132,17 @@ def test_a_family_single_block_is_kronecker():
             assert fam[(i, 1, k)] == expected
 
 
-def _all_compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _all_compositions(n - first):
-            yield (first,) + rest
+def test_compositions():
+    assert list(compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
+    for n in range(1, 7):
+        parts = list(compositions(n))
+        assert len(parts) == len(set(parts)) == 2 ** (n - 1)
+        assert all(sum(p) == n and min(p) >= 1 for p in parts)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_a_family_identity_small(N):
-    for parts in _all_compositions(N):
+    for parts in compositions(N):
         b = Composition(parts)
         fam = a_family(b)
         for i in range(1, N + 1):
