@@ -138,6 +138,7 @@ class HochschildData:
         self._layout_cache: dict = {}
         self._matrix_cache: dict = {}
         self._tracker_cache: dict = {}
+        self._dims_cache: dict = {}
 
     # ambient layout at (i, d): blocks over subsets E of ops
     def layout(self, i: int, d: int):
@@ -195,16 +196,17 @@ class HochschildData:
 
     def dims(self, i: int, d: int) -> int:
         """dim Tor_i at natural q-degree d."""
-        blocks, n = self.layout(i, d)
-        if n == 0:
-            return 0
-        out_rows = self.boundary(i, d)
-        ker = n - rank_of(out_rows.values())
-        if i + 1 > self.g:
-            return ker
-        in_rows = self.boundary(i + 1, d)
-        # rank of the incoming map = rank of its row space
-        return ker - rank_of(in_rows.values())
+        key = (i, d)
+        if key not in self._dims_cache:
+            _, n = self.layout(i, d)
+            out = 0
+            if n:
+                out = n - rank_of(self.boundary(i, d).values())
+                if i + 1 <= self.g:
+                    # rank of the incoming map = rank of its row space
+                    out -= rank_of(self.boundary(i + 1, d).values())
+            self._dims_cache[key] = out
+        return self._dims_cache[key]
 
     def tracker(self, i: int, d: int) -> tuple[ClassTracker, list[dict]]:
         """Class tracker and representative vectors at (i, d)."""
@@ -275,8 +277,9 @@ _HH_DATA_CACHE: dict[tuple, HochschildData] = {}
 
 def hochschild_data(ring: GradedRing, comp: Composition, blocks: int, basis: str) -> HochschildData:
     """Shared Tor data per (ring, operator basis); graded pieces are
-    expensive, so reuse across calls."""
-    key = (id(ring), comp.parts, blocks, basis)
+    expensive, so reuse across calls.  The key holds the ring itself, not
+    its id(), so a new ring never picks up the entry of a collected one."""
+    key = (ring, comp.parts, blocks, basis)
     if key not in _HH_DATA_CACHE:
         _HH_DATA_CACHE[key] = HochschildData(ring, hh_operators(comp, blocks, basis))
     return _HH_DATA_CACHE[key]

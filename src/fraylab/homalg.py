@@ -1,5 +1,10 @@
 """Curved complexes over presented rings.
 
+A presented ring is a polynomial ring on graded generators modulo
+homogeneous relations.  Its normal forms are division by a reduced Gröbner
+basis of the relations, grown degree by degree as far as a computation
+asks; the quotient in each q-degree has the standard monomials as basis.
+
 A curved complex is stored in decomposed form: a list of rank-1 free
 objects (each with a multidegree and a presented ring), a connection
 written as a sum of (parameter monomial, matrix of ring elements) terms,
@@ -24,15 +29,17 @@ homology -- are built on that one composition rule.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .grading import MultiDegree, parity, shift_sign
-from .linalg import RowBasis, rank_of
+from .linalg import rank_of
 from .qseries import TriSeries, Window
-from .symfun import Mono, Poly, eval_at_point, gen_degree
+from .symfun import Mono, Poly, eval_at_point
 
 # ---------------------------------------------------------------------------
 # presented rings with graded normal forms
@@ -57,12 +64,180 @@ class RingSpec:
     eval_composition: object = None  # Composition for eval_at_point, if sampled
 
 
+class GroebnerBasis:
+    """Reduced Gröbner basis of a weight-homogeneous ideal, grown degree by
+    degree by homogeneous Buchberger with the product criterion.
+
+    Monomials are exponent tuples over a fixed generator list with positive
+    weights, and polynomials are dicts {monomial: Fraction}.  The order is
+    weighted grevlex: weight first, then the monomial whose last differing
+    exponent is smaller is the larger.  After ``extend(d)`` the basis is
+    complete through weight d: there its leading monomials generate the
+    leading ideal, so division gives the unique normal form.
+    """
+
+    def __init__(self, weights: Sequence[int], relations: Iterable[dict]):
+        self.weights = tuple(weights)
+        self.polys: list[dict] = []  # monic; no term of one is another's lead
+        self.leads: list[tuple] = []
+        self.done = -1  # complete through this weight
+        # weight -> relations and S-pairs (i, j) still to reduce there
+        self._todo: dict[int, list] = {}
+        # monomial -> index of the first lead dividing it (or None); only
+        # for weights <= done, where later elements cannot divide
+        self._divisors: dict[tuple, Optional[int]] = {}
+        for rel in relations:
+            weights_seen = {self.weight(m) for m in rel}
+            if len(weights_seen) != 1:
+                raise ValueError(f"relation of mixed weights {sorted(weights_seen)}")
+            self._todo.setdefault(weights_seen.pop(), []).append(rel)
+
+    def weight(self, m: tuple) -> int:
+        return sum(w * e for w, e in zip(self.weights, m))
+
+    def extend(self, top: int) -> None:
+        """Make the basis complete through weight top."""
+        for d in range(self.done + 1, top + 1):
+            # a new element of weight d is reduced by every older lead, so
+            # its S-pairs all lie above d
+            while self._todo.get(d):
+                item = self._todo[d].pop()
+                h = self._divide(self._s_poly(*item) if isinstance(item, tuple) else item)
+                if h:
+                    self._insert(h)
+            self._todo.pop(d, None)
+            self.done = d
+
+    def normal_form(self, f: dict) -> dict:
+        """The remainder of f on division by the basis, made complete
+        through the weight of every term of f first."""
+        if f:
+            self.extend(max(map(self.weight, f)))
+        return self._divide(f)
+
+    def standard(self, d: int) -> list[tuple]:
+        """Monomials of weight d that no lead divides, largest first.  The
+        basis is first extended through d, so they span the quotient there."""
+        self.extend(d)
+        n = len(self.weights)
+        by_last: list[list[tuple]] = [[] for _ in range(n)]
+        for lead in self.leads:
+            support = [k for k, e in enumerate(lead) if e]
+            if not support:  # the unit ideal
+                return []
+            by_last[support[-1]].append(lead)
+        out: list[tuple] = []
+        exps = [0] * n
+
+        def rec(i: int, rest: int) -> None:
+            if i == n:
+                if rest == 0:
+                    out.append(tuple(exps))
+                return
+            for e in range(rest // self.weights[i] + 1):
+                exps[i] = e
+                # a lead ending at i that divides now divides every larger e
+                if any(all(map(operator.le, lead[: i + 1], exps)) for lead in by_last[i]):
+                    break
+                rec(i + 1, rest - e * self.weights[i])
+            exps[i] = 0
+
+        rec(0, d)
+        out.sort(key=lambda m: m[::-1])
+        return out
+
+    def _divisor(self, m: tuple, w: int) -> Optional[int]:
+        i = self._divisors.get(m, -1)
+        if i != -1:
+            return i
+        i = next(
+            (k for k, lead in enumerate(self.leads) if all(map(operator.le, lead, m))),
+            None,
+        )
+        if w <= self.done:
+            self._divisors[m] = i
+        return i
+
+    def _divide(self, f: dict) -> dict:
+        f = dict(f)
+        # largest term first: higher weight, then smaller reversed exponents
+        heap = [(-self.weight(m), m[::-1]) for m in f]
+        heapq.heapify(heap)
+        out: dict = {}
+        while heap:
+            negw, rev = heapq.heappop(heap)
+            m = rev[::-1]
+            c = f.get(m)
+            if c is None:  # cancelled, or a repeated heap entry
+                continue
+            i = self._divisor(m, -negw)
+            if i is None:
+                out[m] = f.pop(m)
+                continue
+            q = tuple(map(operator.sub, m, self.leads[i]))
+            for mm in _subtract(f, self.polys[i], c, q):
+                heapq.heappush(heap, (negw, mm[::-1]))
+        return out
+
+    def _s_poly(self, i: int, j: int) -> dict:
+        li, lj = self.leads[i], self.leads[j]
+        lcm = tuple(map(max, li, lj))
+        f = _shift(self.polys[i], tuple(map(operator.sub, lcm, li)))
+        _subtract(f, self.polys[j], Fraction(1), tuple(map(operator.sub, lcm, lj)))
+        return f
+
+    def _insert(self, h: dict) -> None:
+        lead = min(h, key=lambda m: m[::-1])
+        inv = 1 / h[lead]
+        h = {m: c * inv for m, c in h.items()}
+        zero = (0,) * len(lead)
+        for g in self.polys:  # only elements of the same weight can hold lead
+            c = g.get(lead)
+            if c:
+                _subtract(g, h, c, zero)
+        new = len(self.polys)
+        for i, other in enumerate(self.leads):
+            # the S-pair of coprime leads reduces to zero (product criterion)
+            if any(map(min, other, lead)):
+                lcm = tuple(map(max, other, lead))
+                self._todo.setdefault(self.weight(lcm), []).append((i, new))
+        self.polys.append(h)
+        self.leads.append(lead)
+
+
+def _shift(f: dict, q: tuple) -> dict:
+    """x^q * f."""
+    return {tuple(map(operator.add, m, q)): c for m, c in f.items()}
+
+
+def _subtract(f: dict, g: dict, c: Fraction, q: tuple) -> list[tuple]:
+    """f -= c * x^q * g in place; returns the monomials new to f."""
+    new = []
+    for m, x in g.items():
+        mm = tuple(map(operator.add, m, q))
+        s = f.get(mm)
+        if s is None:
+            f[mm] = -c * x
+            new.append(mm)
+        else:
+            s -= c * x
+            if s:
+                f[mm] = s
+            else:
+                del f[mm]
+    return new
+
+
 class GradedRing:
     """Normal forms and graded linear algebra for a RingSpec.
 
     Relations whose leading generator occurs linearly and nowhere else in
-    the same relation are folded into a substitution; the rest are handled
-    degree by degree as row spaces over the monomial basis.
+    the same relation are folded into a substitution.  The rest generate an
+    ideal whose reduced Gröbner basis, in weighted grevlex on the sorted
+    generator list, is built on first use and extended degree by degree up
+    to the highest q-degree asked for.  Normal forms are division by it, the
+    quotient basis of each degree is its standard monomials, and
+    mult_matrix writes coordinates in that basis.
     """
 
     def __init__(self, spec: RingSpec):
@@ -100,8 +275,9 @@ class GradedRing:
         self.relations = kept
         self.qshift = spec.qshift
         self._basis_cache: dict[int, list[Mono]] = {}
-        self._ideal_cache: dict[int, RowBasis] = {}
-        self._qbasis_cache: dict[int, list[int]] = {}
+        self._gb: Optional[GroebnerBasis] = None  # built on first use
+        self._index = {g: i for i, (g, _) in enumerate(self.generators)}
+        self._standard_cache: dict[int, tuple[list[tuple], dict[tuple, int]]] = {}
         self._mult_cache: dict = {}
 
     # -- presentation preprocessing -----------------------------------------
@@ -128,88 +304,64 @@ class GradedRing:
     # -- monomial bases ------------------------------------------------------
     def basis(self, qdeg: int) -> list[Mono]:
         """All monomials of the given q-degree in the surviving generators."""
-        if qdeg in self._basis_cache:
-            return self._basis_cache[qdeg]
-        if qdeg < 0 or qdeg % 2:
-            self._basis_cache[qdeg] = []
-            return []
-        weights = [(g, d // 2) for g, d in self.generators]
-        out: list[Mono] = []
+        if qdeg not in self._basis_cache:
+            free = GroebnerBasis([d for _, d in self.generators], [])
+            self._basis_cache[qdeg] = sorted(map(self._mono, free.standard(qdeg)), key=repr)
+        return self._basis_cache[qdeg]
 
-        def rec(i: int, remaining: int, acc: list):
-            if remaining == 0:
-                out.append(tuple(acc))
-                return
-            if i >= len(weights):
-                return
-            g, w = weights[i]
-            rec(i + 1, remaining, acc)
-            for e in range(1, remaining // w + 1):
-                rec(i + 1, remaining - e * w, acc + [(g, e)])
+    # -- Gröbner normal forms --------------------------------------------------
+    def _groebner(self) -> GroebnerBasis:
+        if self._gb is None:
+            self._gb = GroebnerBasis(
+                [d for _, d in self.generators], map(self._exps, self.relations)
+            )
+        return self._gb
 
-        rec(0, qdeg // 2, [])
-        out = [tuple(sorted(m)) for m in out]
-        out.sort(key=repr)
-        self._basis_cache[qdeg] = out
+    def _exps(self, p: Poly) -> dict:
+        """p in the Gröbner engine's form, over exponent tuples."""
+        out = {}
+        for m, c in p.terms.items():
+            exps = [0] * len(self.generators)
+            for g, e in m:
+                exps[self._index[g]] = e
+            out[tuple(exps)] = c
         return out
 
-    def _ideal(self, qdeg: int) -> RowBasis:
-        if qdeg in self._ideal_cache:
-            return self._ideal_cache[qdeg]
-        rb = RowBasis()
-        basis = self.basis(qdeg)
-        index = {m: i for i, m in enumerate(basis)}
-        for rel in self.relations:
-            rdeg = rel.degree().q
-            if rdeg > qdeg:
-                continue
-            for m in self.basis(qdeg - rdeg):
-                prod = Poly({m: Fraction(1)}) * rel
-                vec = {}
-                for mm, c in prod.terms.items():
-                    vec[index[mm]] = c
-                rb.add(vec)
-        self._ideal_cache[qdeg] = rb
-        return rb
+    def _mono(self, exps: tuple) -> Mono:
+        return tuple(sorted((self.generators[i][0], e) for i, e in enumerate(exps) if e))
 
-    def quotient_basis(self, qdeg: int) -> list[int]:
-        """Indices (into basis(qdeg)) of monomials spanning the quotient."""
-        if qdeg in self._qbasis_cache:
-            return self._qbasis_cache[qdeg]
-        pivots = self._ideal(qdeg).pivots()
-        out = [i for i in range(len(self.basis(qdeg))) if i not in pivots]
-        self._qbasis_cache[qdeg] = out
-        return out
+    def _standard(self, qdeg: int) -> tuple[list[tuple], dict[tuple, int]]:
+        """Standard monomials of the q-degree, as exponent tuples, and
+        their positions."""
+        if qdeg not in self._standard_cache:
+            std = self._groebner().standard(qdeg)
+            self._standard_cache[qdeg] = (std, {m: i for i, m in enumerate(std)})
+        return self._standard_cache[qdeg]
 
     def dim(self, qdeg: int) -> int:
-        return len(self.quotient_basis(qdeg))
+        return len(self._standard(qdeg)[0])
 
     def normal_form(self, p: Poly) -> Poly:
         """Canonical representative of p modulo the relation ideal."""
         p = self._apply_subst(p)
         if p.is_zero():
             return p
-        out = Poly.zero()
-        by_deg: dict[int, dict[Mono, Fraction]] = {}
-        for m, c in p.terms.items():
-            d = sum(gen_degree(g).q * e for g, e in m)
-            by_deg.setdefault(d, {})[m] = c
-        for d, terms in by_deg.items():
-            basis = self.basis(d)
-            index = {m: i for i, m in enumerate(basis)}
-            vec = {index[m]: c for m, c in terms.items()}
-            red = self._ideal(d).reduce(vec)
-            for i, c in red.items():
-                out = out + Poly({basis[i]: c})
-        return out
+        red = self._groebner().normal_form(self._exps(p))
+        return Poly({self._mono(m): c for m, c in red.items()})
 
     def reduces_to_zero(self, p: Poly) -> bool:
         return self.normal_form(p).is_zero()
 
     def sampled_zero(self, p: Poly, count: int = 20, seed: int = 0) -> bool:
-        """Exact evaluation at vanishing-locus samples (True if no sampler)."""
+        """Exact evaluation at vanishing-locus samples.  Without a sampler
+        the ring must have no relations left, and then the normal form
+        decides exactly."""
         if self.spec.sampler is None:
-            return True
+            if self.relations:
+                raise ValueError(
+                    f"ring {self.spec.name} has relations but no sampler for a second check"
+                )
+            return self.reduces_to_zero(p)
         p = self._apply_subst(p)
         from .symfun import expand_to_x
 
@@ -220,28 +372,21 @@ class GradedRing:
         return True
 
     def mult_matrix(self, p: Poly, qdeg: int) -> dict[tuple[int, int], Fraction]:
-        """Matrix of multiplication by p: quotient(qdeg) -> quotient(qdeg + deg p)."""
+        """Matrix of multiplication by p: quotient(qdeg) -> quotient(qdeg + deg p),
+        in the standard-monomial bases."""
         p = self._apply_subst(p)
         if p.is_zero():
             return {}
         key = (frozenset(p.terms.items()), qdeg)
         if key in self._mult_cache:
             return self._mult_cache[key]
-        pdeg = p.degree().q
-        src = self.quotient_basis(qdeg)
-        src_basis = self.basis(qdeg)
-        tgt_deg = qdeg + pdeg
-        tgt_basis = self.basis(tgt_deg)
-        tgt_index = {m: i for i, m in enumerate(tgt_basis)}
-        tgt_cols = {i: r for r, i in enumerate(self.quotient_basis(tgt_deg))}
-        ideal = self._ideal(tgt_deg)
+        src, _ = self._standard(qdeg)
+        _, tgt = self._standard(qdeg + p.degree().q)
+        gb, f = self._groebner(), self._exps(p)
         out: dict[tuple[int, int], Fraction] = {}
-        for col, bi in enumerate(src):
-            prod = Poly({src_basis[bi]: Fraction(1)}) * p
-            vec = {tgt_index[m]: c for m, c in prod.terms.items()}
-            red = ideal.reduce(vec)
-            for i, c in red.items():
-                out[(tgt_cols[i], col)] = c
+        for col, m in enumerate(src):
+            for mm, c in gb.normal_form(_shift(f, m)).items():
+                out[(tgt[mm], col)] = c
         self._mult_cache[key] = out
         return out
 

@@ -2,7 +2,9 @@
 
 Vectors are dicts {column index: Fraction}; matrices are lists of row
 vectors.  There is one elimination loop, ``RowBasis.reduce``; the callers
-keep dimensions small by working one graded piece at a time.
+keep dimensions small by working one graded piece at a time.  Normal forms
+in presented rings are not linear elimination: they are division by a
+Gröbner basis (``homalg.GroebnerBasis``).
 
 A ``RowBasis`` keeps its rows in semi-echelon form: each row is keyed by
 its smallest column (its pivot, with coefficient 1), and no row holds the

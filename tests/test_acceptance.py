@@ -92,6 +92,16 @@ def test_criterion_2_finite_table(k):
     assert rep["match"], rep["mismatches"][:5]
 
 
+def test_criterion_2_finite_table_k3_low_q():
+    """finite k = 3 against its table row in the table orientation, on
+    q <= 0 (DISCREPANCIES.md).  The default window q -6..18 matches too, at
+    about ten times the cost, so tier-1 keeps to this one."""
+    w = Window((0, 3), (-6, 0), (0, 3))
+    rep, computed, _ = unknot_invariant("finite", 3, window=w)
+    report("criterion 2: finite table k=3, q <= 0", rep["match"])
+    assert computed.coeffs and rep["match"], rep["mismatches"][:5]
+
+
 def test_criterion_2b_finite_factor_law_consistency():
     """The engine's finite k=2 value equals the factor-law prediction
     [2]! (1 + t q^{-2})^2 x intrinsic exactly, built here from the

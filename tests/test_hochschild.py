@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from fraylab import hochschild
 from fraylab.hochschild import (
     BraidStats,
     HochschildData,
@@ -14,6 +15,7 @@ from fraylab.hochschild import (
     trace_check,
     unknot_invariant,
 )
+from fraylab.linalg import rank_of
 from fraylab.qseries import (
     Laurent,
     RationalSeriesExpr,
@@ -52,6 +54,23 @@ def test_hh_W11_is_quantum_two_times_intrinsic():
     res = hh_bimodule(build_W(Composition.of(1, 1)), w)
     expected = unknot_table("intrinsic", 2).times_laurent(quantum_int(2)).expand(w)
     assert res.series.equal_on(expected, w)
+
+
+def test_repeated_hh_call_reuses_koszul_ranks(monkeypatch):
+    """Tor dimensions are memoized on the shared HochschildData, so an
+    identical second call ranks no Koszul boundary again."""
+    M = build_W(Composition.of(1, 1))
+    w = Window((0, 2), (-6, 10), (0, 0))
+    first = hh_bimodule(M, w).series
+    calls = []
+
+    def counting_rank_of(rows):
+        calls.append(1)
+        return rank_of(rows)
+
+    monkeypatch.setattr(hochschild, "rank_of", counting_rank_of)
+    assert hh_bimodule(M, w).series.coeffs == first.coeffs
+    assert calls == []
 
 
 def test_hh_rejects_unbalanced():
