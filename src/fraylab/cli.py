@@ -64,11 +64,18 @@ from .symfun import (
 SCHEMA = "fraylab/1"
 
 
-def _window_from_args(args, k: int = 1) -> Window:
+def _window_from_args(args, k: int = 1) -> Window | None:
+    """The window the q/t/a flags ask for, or None if no q or t flag is given."""
+    if args.qmin is None and args.qmax is None and args.tmax is None:
+        return None
     qmin = args.qmin if args.qmin is not None else -2 * k
     qmax = args.qmax if args.qmax is not None else 2 * k + 12
     tmax = args.tmax if args.tmax is not None else 4
     amax = args.amax if args.amax is not None else k
+    if qmin > qmax or tmax < 0 or amax < 0:
+        raise ValueError(
+            f"empty window: q {qmin}..{qmax}, t 0..{tmax}, a 0..{amax}"
+        )
     return Window((0, amax), (qmin, qmax), (0, tmax))
 
 
@@ -247,7 +254,7 @@ def suite_ladder(args, seed) -> list[dict]:
 def suite_tables(args, seed) -> list[dict]:
     variant = args.variant or "intrinsic"
     k = args.k or 1
-    window = _window_from_args(args, k) if (args.qmin or args.qmax) else None
+    window = _window_from_args(args, k)
     rep, computed, expected = unknot_invariant(variant, k, cap=args.cap or 3,
                                                window=window)
     status = "pass" if rep["match"] else "fail"
@@ -346,9 +353,7 @@ def cmd_verify(args) -> int:
 def cmd_unknot(args) -> int:
     k = args.k or 1
     variant = args.variant or "intrinsic"
-    window = None
-    if args.qmin is not None or args.qmax is not None or args.tmax is not None:
-        window = _window_from_args(args, k)
+    window = _window_from_args(args, k)
     rep, computed, expected = unknot_invariant(
         variant, k, cap=args.cap or 3, window=window
     )
@@ -464,11 +469,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# counts and sizes: 0 or less is an error, not a request for the default
+POSITIVE_OPTIONS = ("k", "cap", "max_n", "n")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name in POSITIVE_OPTIONS:
+            value = getattr(args, name)
+            if value is not None and value < 1:
+                raise ValueError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
         return args.func(args)
-    except ValueError as exc:  # bad --lambda/--b/--k/--variant values
+    except ValueError as exc:  # bad --lambda/--b/--k/--variant/window values
         print(f"fraylab {args.command}: {exc}", file=sys.stderr)
         return 2
 

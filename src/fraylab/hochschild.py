@@ -138,7 +138,7 @@ class HochschildData:
         self._layout_cache: dict = {}
         self._matrix_cache: dict = {}
         self._tracker_cache: dict = {}
-        self._dims_cache: dict = {}
+        self._rank_cache: dict = {}
 
     # ambient layout at (i, d): blocks over subsets E of ops
     def layout(self, i: int, d: int):
@@ -194,43 +194,37 @@ class HochschildData:
         self._matrix_cache[key] = rows
         return rows
 
+    def rank(self, i: int, d: int) -> int:
+        """Rank of the contraction differential out of (i, d)."""
+        key = (i, d)
+        if key not in self._rank_cache:
+            rows = self.boundary(i, d)
+            self._rank_cache[key] = rank_of(rows.values()) if rows else 0
+        return self._rank_cache[key]
+
     def dims(self, i: int, d: int) -> int:
         """dim Tor_i at natural q-degree d."""
-        key = (i, d)
-        if key not in self._dims_cache:
-            _, n = self.layout(i, d)
-            out = 0
-            if n:
-                out = n - rank_of(self.boundary(i, d).values())
-                if i + 1 <= self.g:
-                    # rank of the incoming map = rank of its row space
-                    out -= rank_of(self.boundary(i + 1, d).values())
-            self._dims_cache[key] = out
-        return self._dims_cache[key]
+        _, n = self.layout(i, d)
+        return n and n - self.rank(i, d) - self.rank(i + 1, d)
 
     def tracker(self, i: int, d: int) -> tuple[ClassTracker, list[dict]]:
         """Class tracker and representative vectors at (i, d)."""
         key = (i, d)
         if key in self._tracker_cache:
             return self._tracker_cache[key]
-        blocks, n = self.layout(i, d)
+        _, n = self.layout(i, d)
         tr = ClassTracker()
         reps: list[dict] = []
         if n:
-            if i + 1 <= self.g:
-                in_rows = self.boundary(i + 1, d)
-                # image vectors of the incoming map in target coordinates:
-                # transpose {row: {col: v}} to columns
-                cols: dict[int, dict] = {}
-                for ridx, row in in_rows.items():
-                    for cidx, v in row.items():
-                        cols.setdefault(cidx, {})[ridx] = v
-                for vec in cols.values():
-                    tr.add_image(vec)
-            out_rows = self.boundary(i, d)
-            for v in kernel_basis(out_rows.values(), n):
-                idx = tr.add_rep(v)
-                if idx is not None:
+            # image vectors of the incoming map in target coordinates:
+            # transpose {row: {col: v}} to columns
+            cols: dict[int, dict] = {}
+            for ridx, row in self.boundary(i + 1, d).items():
+                for cidx, v in row.items():
+                    cols.setdefault(cidx, {})[ridx] = v
+            tr = ClassTracker(cols.values())
+            for v in kernel_basis(self.boundary(i, d).values(), n):
+                if tr.add_rep(v) is not None:
                     reps.append(v)
         self._tracker_cache[key] = (tr, reps)
         return self._tracker_cache[key]

@@ -1427,7 +1427,8 @@ def unrolled_homology(
     plain entry p from it; a scalar entry acts as c times the identity.
     `entries` holds the nonzero plain entries per parameter monomial, and
     t_range the t-span of the cells.  Dimensions, actions and differentials
-    are computed once per call.  Returns {cell: dim} for the cells of
+    are computed once per call; a differential is ranked when it is built,
+    and only its rank is kept.  Returns {cell: dim} for the cells of
     nonzero dimension."""
     monos = _module_monomials(C.params, C.cap, t_range[0] - 1, t_range[1] + 1)
     bases = [
@@ -1467,12 +1468,12 @@ def unrolled_homology(
         return out, off
 
     actions: dict = {}
-    diffs: dict[tuple[int, int, int], tuple[list, int]] = {}
+    ranks: dict[tuple[int, int, int], tuple[int, int]] = {}
 
-    def differential(g: tuple[int, int, int]) -> tuple[list, int]:
-        """Rows of the connection g -> g + t, and the dimension at g."""
-        if g in diffs:
-            return diffs[g]
+    def differential(g: tuple[int, int, int]) -> tuple[int, int]:
+        """Rank of the connection g -> g + t, and the dimension at g."""
+        if g in ranks:
+            return ranks[g]
         src, ncols = layout(g)
         tgt, _ = layout((g[0], g[1], g[2] + 1))
         rows: dict[int, dict[int, Fraction]] = {}
@@ -1501,17 +1502,17 @@ def unrolled_homology(
             row = {col: v for col, v in row.items() if v}
             if row:
                 clean.append(row)
-        diffs[g] = (clean, ncols)
-        return diffs[g]
+        ranks[g] = (rank_of(clean) if clean else 0, ncols)
+        return ranks[g]
 
     out: dict[tuple[int, int, int], int] = {}
     for g in cells:
-        d_out, n = differential(g)
+        r_out, n = differential(g)
         if n == 0:
             continue
-        d_in, _ = differential((g[0], g[1], g[2] - 1))
-        # kernel of the outgoing map minus rank of the incoming one (row ranks)
-        d = n - rank_of(d_out) - rank_of(d_in)
+        r_in, _ = differential((g[0], g[1], g[2] - 1))
+        # kernel of the outgoing map minus rank of the incoming one
+        d = n - r_out - r_in
         if d:
             out[g] = d
     return out

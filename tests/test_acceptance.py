@@ -332,3 +332,14 @@ def test_criterion_10_trace_and_digon():
             ok = ok and graded_rank_check(Composition(parts), 12)
     report("criterion 10: trace on merge/split pairs (N <= 3), ranks (N <= 4)", ok)
     assert ok
+
+
+@pytest.mark.parametrize("parts", [(2, 2), (1, 3), (3, 1), (1, 1, 2), (2, 1, 1)])
+def test_criterion_10_trace_n4(parts):
+    """The trace property for merge/split pairs through (4), on the window
+    of `fraylab verify trace`.  The pairs (1,2,1) and (1,1,1,1) take longer;
+    `fraylab verify trace --max-n 4` checks them with the rest."""
+    a, full = Composition(parts), Composition.of(4)
+    rep = trace_check(build_W(a, full), build_W(full, a), Window((0, 4), (-8, 12), (0, 0)))
+    report(f"criterion 10: trace on {parts} <-> (4,)", rep["ok"])
+    assert rep["ok"], rep["mismatches"][:5]

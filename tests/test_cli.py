@@ -130,6 +130,10 @@ def test_console_entry_point():
     ["dump", "poly", "--family", "a-ijk", "--b", "0,1"],
     ["unknot", "--k", "9"],
     ["unknot", "--variant", "bogus"],
+    ["unknot", "--k", "0"],
+    ["unknot", "--cap", "0"],
+    ["unknot", "--qmin", "5", "--qmax", "1"],
+    ["unknot", "--tmax", "-1"],
 ])
 def test_bad_input_is_one_line_on_stderr(args, capsys):
     assert main(args) == 2

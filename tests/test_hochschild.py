@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fraylab import hochschild
+from fraylab import hochschild, homalg
 from fraylab.hochschild import (
     BraidStats,
     HochschildData,
@@ -335,3 +335,28 @@ def test_hh_complex_counts_each_piece_once(monkeypatch):
     calls = _record_calls(monkeypatch, "dims")
     hh_complex(proj.complex, lam, Window((0, 2), (0, 10), (0, 2)), orientation="natural")
     assert calls and len(calls) == len(set(calls))
+
+
+def test_hh_complex_ranks_each_matrix_once(monkeypatch):
+    """One call hands each Koszul boundary (i, d) and each unrolled
+    differential g to rank_of once.  A matrix is known by its row objects,
+    which the caches share; the recorder keeps them alive so that their
+    ids stay unique."""
+    calls = {"hochschild": [], "homalg": []}
+
+    def recorder(module):
+        def counting_rank_of(rows):
+            rows = list(rows)
+            calls[module].append(rows)
+            return rank_of(rows)
+        return counting_rank_of
+
+    monkeypatch.setattr(hochschild, "_HH_DATA_CACHE", {})
+    monkeypatch.setattr(hochschild, "rank_of", recorder("hochschild"))
+    monkeypatch.setattr(homalg, "rank_of", recorder("homalg"))
+    lam = Composition.thin(2)
+    proj = deformed_finite_projector(lam, cap=3)
+    hh_complex(proj.complex, lam, Window((0, 2), (-4, 16), (0, 4)))
+    for module, ranked in calls.items():
+        keys = [frozenset(map(id, rows)) for rows in ranked if rows]
+        assert keys and len(keys) == len(set(keys)), module
