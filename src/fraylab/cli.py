@@ -65,8 +65,8 @@ SCHEMA = "fraylab/1"
 
 
 def _window_from_args(args, k: int = 1) -> Window | None:
-    """The window the q/t/a flags ask for, or None if no q or t flag is given."""
-    if args.qmin is None and args.qmax is None and args.tmax is None:
+    """The window the q/t/a flags ask for, or None if no window flag is given."""
+    if args.qmin is None and args.qmax is None and args.tmax is None and args.amax is None:
         return None
     qmin = args.qmin if args.qmin is not None else -2 * k
     qmax = args.qmax if args.qmax is not None else 2 * k + 12

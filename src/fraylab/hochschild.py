@@ -43,7 +43,7 @@ from .homalg import (
     RingSpec,
     unrolled_homology,
 )
-from .linalg import ClassTracker, kernel_basis, rank_of
+from .linalg import ClassTracker, _exact, rank_of
 from .qseries import TriSeries, Window, unknot_table
 from .ssbim import MergeSplitBimodule, projector
 from .symfun import Composition, Poly, TOP, e_gen, p_in_e
@@ -207,61 +207,44 @@ class HochschildData:
         _, n = self.layout(i, d)
         return n and n - self.rank(i, d) - self.rank(i + 1, d)
 
-    def tracker(self, i: int, d: int) -> tuple[ClassTracker, list[dict]]:
-        """Class tracker and representative vectors at (i, d)."""
+    def tracker(self, i: int, d: int) -> ClassTracker:
+        """Tor_i at natural q-degree d as a ClassTracker, with its class
+        representatives."""
         key = (i, d)
-        if key in self._tracker_cache:
-            return self._tracker_cache[key]
-        _, n = self.layout(i, d)
-        tr = ClassTracker()
-        reps: list[dict] = []
-        if n:
-            # image vectors of the incoming map in target coordinates:
-            # transpose {row: {col: v}} to columns
-            cols: dict[int, dict] = {}
+        if key not in self._tracker_cache:
+            # the image vectors of the incoming map are its columns
+            images: dict[int, dict] = {}
             for ridx, row in self.boundary(i + 1, d).items():
                 for cidx, v in row.items():
-                    cols.setdefault(cidx, {})[ridx] = v
-            tr = ClassTracker(cols.values())
-            for v in kernel_basis(self.boundary(i, d).values(), n):
-                if tr.add_rep(v) is not None:
-                    reps.append(v)
-        self._tracker_cache[key] = (tr, reps)
+                    images.setdefault(cidx, {})[ridx] = v
+            self._tracker_cache[key] = ClassTracker(
+                self.boundary(i, d).values(), images.values(), self.layout(i, d)[1])
         return self._tracker_cache[key]
 
     def induced(self, c: Poly, i: int, d: int) -> dict[tuple[int, int], Fraction]:
         """Matrix of multiplication by c on classes: (i, d) -> (i, d + deg c)."""
         c = self.ring._apply_subst(c)
-        if c.is_zero():
+        src = self.tracker(i, d)
+        if c.is_zero() or not src.reps:
             return {}
         dq = c.degree().q
-        src_tr, src_reps = self.tracker(i, d)
-        tgt_tr, _ = self.tracker(i, d + dq)
-        src_blocks, _ = self.layout(i, d)
-        tgt_blocks, _ = self.layout(i, d + dq)
-        tgt_off = {E: (off, local) for E, local, off, dim in tgt_blocks}
+        tgt = self.tracker(i, d + dq)
+        tgt_off = {E: off for E, _, off, _ in self.layout(i, d + dq)[0]}
+        # multiplication by c as {source column: [(target column, value)]},
+        # integral values as ints, so most images stay in integer arithmetic
+        act: dict[int, list] = {}
+        for E, local, off, dim in self.layout(i, d)[0]:
+            if dim:
+                roff = tgt_off[E]
+                for (rr, cc), val in self.ring.mult_matrix(c, local).items():
+                    act.setdefault(cc + off, []).append((rr + roff, _exact(val)))
         out: dict[tuple[int, int], Fraction] = {}
-        for col, rep in enumerate(src_reps):
+        for col, rep in enumerate(src.reps):
             img: dict[int, Fraction] = {}
-            for E, local, off, dim in src_blocks:
-                if dim == 0:
-                    continue
-                chunk = {
-                    k - off: v for k, v in rep.items() if off <= k < off + dim
-                }
-                if not chunk:
-                    continue
-                mm = self.ring.mult_matrix(c, local)
-                roff, _ = tgt_off[E]
-                for (rr, cc), val in mm.items():
-                    if cc in chunk:
-                        k = rr + roff
-                        s = img.get(k, Fraction(0)) + val * chunk[cc]
-                        if s:
-                            img[k] = s
-                        else:
-                            img.pop(k, None)
-            for ridx, val in tgt_tr.express(img).items():
+            for k, x in rep.items():
+                for r, val in act.get(k, ()):
+                    img[r] = img.get(r, 0) + x * val
+            for ridx, val in tgt.express(img).items():
                 out[(ridx, col)] = val
         return out
 
@@ -404,7 +387,7 @@ def hh_complex(
     def class_dim(i: int, local: int) -> int:
         if scalar_only:
             return data.dims(i, local)
-        return len(data.tracker(i, local)[1])
+        return data.tracker(i, local).n_classes
 
     # natural cells (Tor level i, natural q-degree d, t)
     i_range, d_range = orient_window(window, N, qshift, orientation)
@@ -500,7 +483,7 @@ def trace_check(
 # the unknot acceptance computations
 
 
-DESK_LIMITS = {"finite": 3, "def_finite": 3, "intrinsic": 3, "infinite": 2, "def_infinite": 2}
+DESK_LIMITS = {"finite": 3, "def_finite": 3, "intrinsic": 3, "infinite": 2, "def_infinite": 3}
 
 
 def unknot_invariant(

@@ -59,6 +59,14 @@ def test_unknot_command_below_natural_degree_zero():
     assert json.loads(out)["match"] is True
 
 
+def test_unknot_command_amax_alone_sets_the_window():
+    code, out = run_cli(["unknot", "--variant", "intrinsic", "--k", "2", "--amax", "0"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["computed"]["window"]["a"] == [0, 0]
+    assert all(term["a"] == 0 for term in rep["computed"]["terms"])
+
+
 def test_unknot_command_json():
     code, out = run_cli(["unknot", "--variant", "def_finite", "--k", "1"])
     assert code == 0
@@ -134,6 +142,7 @@ def test_console_entry_point():
     ["unknot", "--cap", "0"],
     ["unknot", "--qmin", "5", "--qmax", "1"],
     ["unknot", "--tmax", "-1"],
+    ["unknot", "--amax", "-1"],
 ])
 def test_bad_input_is_one_line_on_stderr(args, capsys):
     assert main(args) == 2

@@ -15,19 +15,20 @@ from hypothesis import given, strategies as st
 from fraylab.grading import MultiDegree
 from fraylab.hochschild import compose_bimodules
 from fraylab.homalg import GradedRing, RingSpec
-from fraylab.linalg import RowBasis
 from fraylab.ssbim import build_identity, build_W
 from fraylab.symfun import Composition, Poly, compositions, mono_degree, v_gen, x_gen
+
+from elimination_oracle import SmallestPivotOracle
 
 
 class MacaulayOracle:
     def __init__(self, ring: GradedRing):
         self.ring = ring
-        self._ideal: dict[int, RowBasis] = {}
+        self._ideal: dict[int, SmallestPivotOracle] = {}
 
-    def ideal(self, qdeg: int) -> RowBasis:
+    def ideal(self, qdeg: int) -> SmallestPivotOracle:
         if qdeg not in self._ideal:
-            rb = RowBasis()
+            rows = []
             index = {m: i for i, m in enumerate(self.ring.basis(qdeg))}
             for rel in self.ring.relations:
                 rdeg = rel.degree().q
@@ -35,8 +36,8 @@ class MacaulayOracle:
                     continue
                 for m in self.ring.basis(qdeg - rdeg):
                     prod = Poly({m: 1}) * rel
-                    rb.add({index[mm]: c for mm, c in prod.terms.items()})
-            self._ideal[qdeg] = rb
+                    rows.append({index[mm]: c for mm, c in prod.terms.items()})
+            self._ideal[qdeg] = SmallestPivotOracle(rows)
         return self._ideal[qdeg]
 
     def dim(self, qdeg: int) -> int:

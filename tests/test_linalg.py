@@ -1,22 +1,24 @@
-"""The elimination kernel: ranks, remainders, kernels and class coordinates.
+"""The elimination kernel: ranks, reduced forms, kernels and class
+coordinates.
 
-``SmallestPivotOracle`` is the incremental elimination ``rank_of`` and
-``kernel_basis`` used before the Markowitz kernel: rows added one at a time,
-each reduced in column order and pivoted at its smallest column, and the
-kernel read off the reduced row-echelon form.  It stays here as the
-reference that the kernel is compared with.
+The references are dense textbook elimination and ``SmallestPivotOracle``
+(``tests/elimination_oracle.py``), the incremental smallest-column route
+``rank_of`` and ``kernel_basis`` took before the Markowitz kernel.
 """
 
-import heapq
+import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
-from fraylab import hochschild, homalg
+from fraylab import hochschild, homalg, linalg
 from fraylab.hochschild import unknot_invariant
-from fraylab.linalg import ClassTracker, RowBasis, kernel_basis, rank_of
+from fraylab.linalg import ClassTracker, kernel_basis, rank_of, rref
 from fraylab.ssbim import build_W
 from fraylab.symfun import Composition
+
+from elimination_oracle import SmallestPivotOracle
 
 NCOLS = 6
 
@@ -58,66 +60,23 @@ def dense_rank(rows: list[dict], ncols: int = NCOLS) -> int:
     return rank
 
 
-class SmallestPivotOracle:
-    """Semi-echelon rows keyed by their smallest column (coefficient 1)."""
-
-    def __init__(self, rows=()):
-        self.rows: dict[int, dict] = {}
-        # shortest rows first: pivots and remainders do not depend on the
-        # order (test_pivots_and_remainders_do_not_depend_on_row_order), but
-        # the fill-in on the way does, by a factor of 100 on the Koszul
-        # boundaries
-        for r in sorted(rows, key=len):
-            self.add(r)
-
-    def reduce(self, v: dict) -> dict:
-        out = {col: Fraction(x) for col, x in v.items() if x}
-        # integral entries as ints, as in the kernel: still exact, and faster
-        out = {col: x.numerator if x.denominator == 1 else x for col, x in out.items()}
-        todo = [col for col in out if col in self.rows]
-        heapq.heapify(todo)
-        while todo:
-            p = heapq.heappop(todo)
-            c = out.get(p)
-            if c is None:
-                continue
-            # a row holds only columns >= its pivot
-            for col, x in self.rows[p].items():
-                s = out.get(col, 0) - c * x
-                if s:
-                    if col not in out and col in self.rows:
-                        heapq.heappush(todo, col)
-                    out[col] = s
-                else:
-                    del out[col]
-        return out
-
-    def add(self, v: dict) -> None:
-        r = self.reduce(v)
-        if r:
-            p = min(r)
-            inv = r[p] if r[p] in (1, -1) else 1 / Fraction(r[p])
-            self.rows[p] = {k: x * inv for k, x in r.items()}
-
-    def kernel(self, ncols: int) -> list[dict]:
-        rref = SmallestPivotOracle()
-        for p in sorted(self.rows, reverse=True):
-            rref.add(self.rows[p])
-        return [
-            {f: Fraction(1), **{p: -row[f] for p, row in rref.rows.items() if f in row}}
-            for f in range(ncols) if f not in rref.rows
-        ]
+def dense_gauss_jordan(rows: list[dict], pivots, ncols: int) -> dict[int, dict]:
+    """Gauss-Jordan on a dense copy of the rows, pivoting on the given
+    columns in turn; fails unless they are a pivot set of the row space."""
+    m = [[Fraction(r.get(j, 0)) for j in range(ncols)] for r in rows]
+    done: dict[int, list] = {}
+    for col in pivots:
+        piv = m.pop(next(i for i, r in enumerate(m) if r[col]))
+        prow = [x / piv[col] for x in piv]
+        m = [[a - r[col] * b for a, b in zip(r, prow)] for r in m]
+        done = {p: [a - r[col] * b for a, b in zip(r, prow)] for p, r in done.items()}
+        done[col] = prow
+    assert not any(any(r) for r in m)
+    return {p: {j: x for j, x in enumerate(r) if x} for p, r in done.items()}
 
 
 def apply(rows: list[dict], x: dict) -> list:
     return [sum(c * x.get(j, 0) for j, c in r.items()) for r in rows]
-
-
-def basis_of(rows: list[dict]) -> RowBasis:
-    rb = RowBasis()
-    for r in rows:
-        rb.add(r)
-    return rb
 
 
 @given(matrices)
@@ -125,13 +84,22 @@ def test_rank_matches_dense_elimination(rows):
     assert rank_of(rows) == dense_rank(rows)
 
 
-@given(st.data(), matrices, vectors)
-def test_pivots_and_remainders_do_not_depend_on_row_order(data, rows, v):
-    shuffled = data.draw(st.permutations(rows))
-    a, b = basis_of(rows), basis_of(shuffled)
-    assert a.pivots() == b.pivots()
-    assert a.reduce(v) == b.reduce(v)
-    assert not a.reduce(v).keys() & a.pivots()
+@given(st.data(), matrices)
+def test_rref_does_not_depend_on_row_order(data, rows):
+    form = rref(rows)
+    assert rref(data.draw(st.permutations(rows))) == form
+    assert form == dense_gauss_jordan(rows, form, NCOLS)
+    assert len(form) == dense_rank(rows)
+
+
+def test_rref_of_tied_rows_does_not_depend_on_row_order():
+    """Every pivot step here ties on row length, and which row wins decides
+    whether column 3 or 4 ends up a pivot."""
+    rows = [{0: 1}, {0: 1, 1: 1, 2: 1, 3: 2, 4: 1, 5: 1},
+            {0: 1, 1: 1, 2: -1, 3: 1, 4: 1, 5: 1}, {0: 1, 1: -1, 2: 1, 3: 1, 4: 1, 5: 1}]
+    forms = [rref(list(p)) for p in itertools.permutations(rows)]
+    assert all(f == forms[0] for f in forms)
+    assert forms[0] == dense_gauss_jordan(rows, forms[0], NCOLS)
 
 
 @given(matrices)
@@ -178,7 +146,7 @@ def test_markowitz_kernel_matches_the_incremental_route(monkeypatch):
                 checked += 1
     assert checked >= 18
 
-    seen = {"rank": 0, "kernel": 0}
+    seen = {"rank": 0, "rref": 0}
 
     def checked_rank_of(rows):
         rows = list(rows)
@@ -186,58 +154,72 @@ def test_markowitz_kernel_matches_the_incremental_route(monkeypatch):
         assert rank_of(rows) == len(SmallestPivotOracle(rows).rows)
         return rank_of(rows)
 
-    def checked_kernel_basis(rows, ncols):
+    def checked_rref(rows):
+        """rref agrees with the incremental route: the same rank, and row
+        spaces (so kernels) of the same span."""
         rows = list(rows)
-        seen["kernel"] += 1
-        assert_same_as_oracle(rows, ncols)
-        return kernel_basis(rows, ncols)
+        seen["rref"] += 1
+        form, oracle = rref(rows), SmallestPivotOracle(rows)
+        assert len(form) == oracle.rank == rank_of([*form.values(), *oracle.rows.values()])
+        return form
 
     monkeypatch.setattr(hochschild, "_HH_DATA_CACHE", {})
     monkeypatch.setattr(homalg, "rank_of", checked_rank_of)
-    monkeypatch.setattr(hochschild, "kernel_basis", checked_kernel_basis)
+    monkeypatch.setattr(linalg, "rref", checked_rref)
     rep, _, _ = unknot_invariant("def_infinite", 2)
     assert rep["match"]
-    assert seen["rank"] >= 100 and seen["kernel"] >= 20
+    assert seen["rank"] >= 100 and seen["rref"] >= 20
 
 
-def test_add_rep_keeps_the_coordinates_it_picks_up():
-    tr = ClassTracker()
-    assert tr.add_rep({0: Fraction(1), 1: Fraction(1)}) == 0
-    assert tr.add_rep({0: Fraction(1)}) == 1
-    assert tr.express({0: Fraction(1)}) == {1: 1}
-    assert tr.express({0: Fraction(1), 1: Fraction(1)}) == {0: 1}
+def combination(coeffs: list[int], vecs: list[dict]) -> dict:
+    out = {j: sum(c * v.get(j, 0) for c, v in zip(coeffs, vecs)) for j in range(NCOLS)}
+    return {j: x for j, x in out.items() if x}
 
 
-def test_image_added_after_a_rep_has_class_zero():
-    tr = ClassTracker()
-    assert tr.add_rep({0: Fraction(1)}) == 0
-    assert tr.add_image({0: Fraction(1), 1: Fraction(1)})
-    assert tr.express({0: Fraction(1), 1: Fraction(1)}) == {}
-    assert tr.express({1: Fraction(1)}) == {0: -1}
+def test_tracker_on_a_small_matrix():
+    """M = (1 -1 0) and the image (1, 1, 1): column 0 is M's pivot and
+    column 1 the image's, so column 2 is the one class."""
+    tr = ClassTracker([{0: 1, 1: -1}], [{0: 1, 1: 1, 2: 1}], 3)
+    assert tr.n_classes == 1 and tr.reps == [{2: 1}]
+    assert tr.express({0: 1, 1: 1}) == {0: -1}
+    assert tr.express({0: 2, 1: 2, 2: 2}) == {}
+    for outside in ({0: 1}, {3: 1}):
+        with pytest.raises(ValueError):
+            tr.express(outside)
+    with pytest.raises(ValueError):
+        ClassTracker().express({0: 1})
 
 
-@given(matrices, st.lists(st.tuples(st.booleans(), vectors), max_size=8))
-def test_reps_express_as_unit_vectors(first_images, steps):
-    tr = ClassTracker(first_images)
-    reps, images = [], list(first_images)
-    for is_rep, v in steps:
-        if is_rep:
-            if tr.add_rep(v) is not None:
-                reps.append(v)
-        elif tr.add_image(v):
-            images.append(v)
-    assert tr.n_classes == len(reps)
-    for j, v in enumerate(reps):
+@given(st.data(), matrices)
+def test_reps_express_as_unit_vectors(data, rows):
+    """ker(M) / span(images), the images drawn as combinations of kernel
+    vectors."""
+    ker = kernel_basis(rows, NCOLS)
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(ker), max_size=len(ker))
+    images = [combination(c, ker) for c in data.draw(st.lists(coeffs, max_size=4))]
+    tr = ClassTracker(rows, images, NCOLS)
+    assert tr.n_classes == len(tr.reps) == NCOLS - dense_rank(rows) - dense_rank(images)
+    for j, v in enumerate(tr.reps):
         assert tr.express(v) == {j: 1}
     for v in images:
         assert tr.express(v) == {}
+    v = data.draw(st.one_of(vectors, coeffs.map(lambda c: combination(c, ker))))
+    if any(apply(rows, v)):
+        with pytest.raises(ValueError):
+            tr.express(v)
+    else:
+        # v is the combination of reps its coordinates name, up to the image
+        x = tr.express(v)
+        rest = combination([1, *(-x.get(j, 0) for j in range(tr.n_classes))], [v, *tr.reps])
+        assert rank_of([*images, rest]) == rank_of(images)
 
 
 def test_hh_trackers_express_their_reps_as_unit_vectors():
     unknot_invariant("infinite", 2, cap=3)
     checked = 0
     for data in hochschild._HH_DATA_CACHE.values():
-        for tr, reps in data._tracker_cache.values():
+        for tr in data._tracker_cache.values():
+            reps = tr.reps
             assert tr.n_classes == len(reps)
             for j, rep in enumerate(reps):
                 assert tr.express(rep) == {j: 1}
