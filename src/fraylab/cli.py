@@ -6,67 +6,38 @@ Subcommands:
     fraylab unknot --variant V --k K  computed vs expected unknot series
     fraylab dump <object> [params]    serialize an object
 
-Suites: a-ijk, thin-recursion, psi-rho, g-congruence, mc, gauss, ladder,
-tables, factors, trace.  All output is deterministic given --seed; exit
-code is 0 iff every check passed.
+Each suite runs one function of fraylab.criteria (see SUITES), the one
+definition of the paper's acceptance criteria: tables checks criteria 1-4,
+factors 2-4, a-ijk and thin-recursion 5, psi-rho 6, g-congruence 7, mc 8a,
+gauss 8b, ladder 9 and trace 10.
+
+A suite takes the flags named like its function's parameters (--k, --cap,
+--max-n, --n, --variant, and the window flags for `window`); any other
+flag is an error.  All output is deterministic given --seed; exit code is
+0 iff every check passed.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
-import random
 import sys
 
-from .grading import MultiDegree
-from . import __version__
-from .homalg import (
-    CurvedComplex,
-    Entry,
-    GradedRing,
-    PM_ONE,
-    ParamSpec,
-    RC_Object,
-    RingSpec,
-    gaussian_eliminate,
-    homology_truncated,
-)
-from .hochschild import trace_check, unknot_invariant
-from .qseries import Window, theorem1_check
-from .ssbim import (
-    basis_change_check,
-    build_W,
-    cn_family,
-    graded_rank_check,
-    ladder_collapse,
-    projector,
-)
-from .symfun import (
-    Composition,
-    compositions,
-    Poly,
-    a_family,
-    a_identity_defect,
-    a_thin_recursive,
-    eval_at_point,
-    expand_to_x,
-    psi_rho_roundtrip,
-    rho_psi_roundtrip,
-    curvature_transport_defect,
-    vanishing_locus_sampler,
-    g_polys,
-    esp_sym,
-    e_gen,
-    BOTTOM,
-)
+from . import __version__, criteria
+from .hochschild import unknot_invariant
+from .qseries import Window
+from .ssbim import cn_family, projector
+from .symfun import Composition, a_family, a_thin_recursive, g_polys
 
 SCHEMA = "fraylab/1"
+WINDOW_FLAGS = ("qmin", "qmax", "tmax", "amax")
 
 
 def _window_from_args(args, k: int = 1) -> Window | None:
     """The window the q/t/a flags ask for, or None if no window flag is given."""
-    if args.qmin is None and args.qmax is None and args.tmax is None and args.amax is None:
+    if all(getattr(args, name) is None for name in WINDOW_FLAGS):
         return None
     qmin = args.qmin if args.qmin is not None else -2 * k
     qmax = args.qmax if args.qmax is not None else 2 * k + 12
@@ -79,253 +50,40 @@ def _window_from_args(args, k: int = 1) -> Window | None:
     return Window((0, amax), (qmin, qmax), (0, tmax))
 
 
-# ---------------------------------------------------------------------------
-# suites
-
-
-def suite_a_ijk(args, seed) -> list[dict]:
-    checks = []
-    max_n = args.max_n or 5
-    for N in range(1, max_n + 1):
-        for parts in compositions(N):
-            b = Composition(parts)
-            fam = a_family(b)
-            ok = all(
-                a_identity_defect(fam, b, i).is_zero() for i in range(1, N + 1)
-            )
-            checks.append(
-                {"name": f"a_family identity b={parts}", "params": {"N": N},
-                 "status": "pass" if ok else "fail"}
-            )
-    return checks
-
-
-def suite_thin_recursion(args, seed) -> list[dict]:
-    checks = []
-    max_n = args.max_n or 6
-    for n in range(1, max_n + 1):
-        fam = a_thin_recursive(n)
-        ok = all(
-            a_identity_defect(fam, Composition.thin(n), i, thin=True).is_zero()
-            for i in range(1, n + 1)
-        )
-        checks.append({"name": f"thin recursion n={n}", "params": {"n": n},
-                       "status": "pass" if ok else "fail"})
-    return checks
-
-
-def suite_psi_rho(args, seed) -> list[dict]:
-    checks = []
-    max_a = args.max_n or 4
-    for a in range(1, max_a + 1):
-        comp = Composition.of(a)
-        inv_ok = all(
-            expand_to_x(d, comp).is_zero() for d in psi_rho_roundtrip(a)
-        ) and all(expand_to_x(d, comp).is_zero() for d in rho_psi_roundtrip(a))
-        transport_ok = curvature_transport_defect(a).is_zero()
-        checks.append({"name": f"psi/rho mutual inversion a={a}",
-                       "params": {"a": a},
-                       "status": "pass" if inv_ok else "fail"})
-        checks.append({"name": f"curvature transport a={a}",
-                       "params": {"a": a},
-                       "status": "pass" if transport_ok else "fail"})
-    return checks
-
-
-def suite_g_congruence(args, seed) -> list[dict]:
-    checks = []
-    max_n = args.max_n or 4
-    count = 100
-    for n in range(1, max_n + 1):
-        b = Composition.of(n, 1)
-        gs = g_polys(n)
-        pts = vanishing_locus_sampler(b, count, seed)
-        xdiff = Poly.gen(e_gen(2, 1)) - Poly.gen(e_gen(2, 1, BOTTOM))
-        ok = True
-        for i in range(1, n + 2):
-            expr = xdiff * gs[i - 1] + (esp_sym(i, n) - esp_sym(i, n, 1, BOTTOM))
-            expanded = expand_to_x(expr, b)
-            for pt in pts:
-                if eval_at_point(expanded, pt, b) != 0:
-                    ok = False
-        checks.append({"name": f"g congruence n={n} ({count} samples, i<=n+1)",
-                       "params": {"n": n, "samples": count},
-                       "status": "pass" if ok else "fail"})
-    return checks
-
-
-def suite_mc(args, seed) -> list[dict]:
-    checks = []
-    total = args.max_n or 3
-    cap = args.cap or 2
-    lams = [Composition(p) for N in range(1, total + 1) for p in compositions(N)]
-    for lam in lams:
-        for variant in ("finite", "def_finite", "infinite", "def_infinite"):
-            try:
-                projector(lam, variant, cap=cap, check=True)
-                status = "pass"
-            except ValueError:
-                status = "fail"
-            checks.append({
-                "name": f"mc {variant} lambda={lam.parts}",
-                "params": {"lambda": list(lam.parts), "cap": cap},
-                "status": status,
-            })
-    for n in (1, 2):
-        for variant in ("plain", "y", "u", "yu"):
-            try:
-                cn_family(n, variant, cap=cap, check=True)
-                status = "pass"
-            except ValueError:
-                status = "fail"
-            checks.append({"name": f"mc C_{n}^{variant}",
-                           "params": {"n": n}, "status": status})
-    return checks
-
-
-def random_zero_curvature_complex(rng: random.Random):
-    """A small random complex over Q[x] with d^2 = 0 and at least one unit
-    entry, built as a twist of a direct sum of two-term pieces."""
-    from .symfun import x_gen
-
-    ring = GradedRing(RingSpec("Qx", [(x_gen(1), 2)], []))
-    objects = []
-    d0: dict = {}
-    # two independent two-term pieces, entries in {0, 1, x}
-    for piece in range(2):
-        t0 = rng.choice([0, 1])
-        q0 = rng.choice([-2, 0, 2])
-        entry = rng.choice(["one", "x", "zero"])
-        qq = q0 - (2 if entry == "x" else 0)
-        objects.append(RC_Object(MultiDegree(0, q0, t0), ring))
-        objects.append(RC_Object(MultiDegree(0, qq, t0 + 1), ring))
-        if entry != "zero":
-            p = Poly.one() if entry == "one" else Poly.gen(x_gen(1))
-            d0[(2 * piece + 1, 2 * piece)] = Entry.plain(p)
-    cx = CurvedComplex(objects, ParamSpec.make([]), {PM_ONE: d0} if d0 else {})
-    cx.check_homogeneous()
-    return cx
-
-
-def suite_gauss(args, seed) -> list[dict]:
-    rng = random.Random(seed)
-    checks = []
-    count = args.max_n or 50
-    window = Window((0, 0), (-8, 8), (-2, 4))
-    done = 0
-    attempts = 0
-    while done < count and attempts < count * 10:
-        attempts += 1
-        cx = random_zero_curvature_complex(rng)
-        unit_entries = [
-            ij for ij, e in cx.terms.get(PM_ONE, {}).items()
-            if e.is_plain() and e.plain_part().constant_value() not in (None, 0)
-        ]
-        if not unit_entries:
-            continue
-        before = homology_truncated(cx, window)
-        red, sdr = gaussian_eliminate(cx, unit_entries[0])
-        after = homology_truncated(red, window)
-        ok = before.equal_on(after, window) and bool(sdr.verify())
-        checks.append({"name": f"gauss homology preserved #{done + 1}",
-                       "params": {}, "status": "pass" if ok else "fail"})
-        done += 1
-    return checks
-
-
-def suite_ladder(args, seed) -> list[dict]:
-    checks = []
-    max_n = args.n or 3
-    for n in range(1, max_n + 1):
-        rep = basis_change_check(n, cap=args.cap or 2)
-        checks.append({"name": f"ladder basis change n={n}", "params": {"n": n},
-                       "status": "pass" if rep.ok else "fail"})
-    for n in range(1, min(max_n, 3) + 1):
-        try:
-            ladder_collapse(n, cap=args.cap or 2)
-            status = "pass"
-        except (ValueError, AssertionError):
-            status = "fail"
-        checks.append({"name": f"ladder collapse n={n}", "params": {"n": n},
-                       "status": status})
-    return checks
-
-
-def suite_tables(args, seed) -> list[dict]:
-    variant = args.variant or "intrinsic"
-    k = args.k or 1
-    window = _window_from_args(args, k)
-    rep, computed, expected = unknot_invariant(variant, k, cap=args.cap or 3,
-                                               window=window)
-    status = "pass" if rep["match"] else "fail"
-    out = {"name": f"table {variant} k={k}", "params": {"variant": variant, "k": k},
-           "status": status, "details": rep}
-    return [out]
-
-
-def suite_factors(args, seed) -> list[dict]:
-    window = Window((0, 3), (-8, 14), (0, 8))
-    rep = theorem1_check([1, 2, 3], window)
-    return [
-        {"name": c["name"], "params": {}, "status": c["status"]}
-        for c in rep["checks"]
-    ]
-
-
-def suite_trace(args, seed) -> list[dict]:
-    checks = []
-    maxN = args.max_n or 3
-    window = Window((0, maxN), (-8, 12), (0, 0))
-    # merge/split pairs through the full symmetric ring: split a <- (N)
-    # against merge (N) <- a; both composition orders route through a
-    # single-block alphabet, which the presentation preprocessing folds away
-    for N in range(2, maxN + 1):
-        full = Composition.of(N)
-        for parts in compositions(N):
-            a = Composition(parts)
-            if a == full:
-                continue
-            M_split = build_W(a, full)
-            M_merge = build_W(full, a)
-            rep = trace_check(M_split, M_merge, window)
-            checks.append({
-                "name": f"trace split/merge {parts} <-> ({N},)",
-                "params": {"a": list(parts), "N": N},
-                "status": "pass" if rep["ok"] else "fail",
-            })
-    # random small pairs at N = 2 (both orders computable directly)
-    rng = random.Random(seed)
-    small = [Composition(p) for p in compositions(2)]
-    for idx in range(args.n or 10):
-        a, b = rng.choice(small), rng.choice(small)
-        rep = trace_check(build_W(a, b), build_W(b, a), Window((0, 2), (-6, 8), (0, 0)))
-        checks.append({
-            "name": f"trace random pair #{idx + 1} {a.parts} vs {b.parts}",
-            "params": {"a": list(a.parts), "b": list(b.parts)},
-            "status": "pass" if rep["ok"] else "fail",
-        })
-    # digon / blamgon ranks against windowed dimensions
-    for N in range(1, (args.max_n or 3) + 1):
-        for parts in compositions(N):
-            lam = Composition(parts)
-            ok = graded_rank_check(lam, 12)
-            checks.append({"name": f"blamgon rank lambda={parts}",
-                           "params": {}, "status": "pass" if ok else "fail"})
-    return checks
-
-
 SUITES = {
-    "a-ijk": suite_a_ijk,
-    "thin-recursion": suite_thin_recursion,
-    "psi-rho": suite_psi_rho,
-    "g-congruence": suite_g_congruence,
-    "mc": suite_mc,
-    "gauss": suite_gauss,
-    "ladder": suite_ladder,
-    "tables": suite_tables,
-    "factors": suite_factors,
-    "trace": suite_trace,
+    "tables": criteria.unknot_row,
+    "factors": criteria.factor_relations,
+    "a-ijk": criteria.a_identities,
+    "thin-recursion": criteria.thin_recursion,
+    "psi-rho": criteria.psi_rho,
+    "g-congruence": criteria.g_congruences,
+    "mc": criteria.maurer_cartan,
+    "gauss": criteria.gauss,
+    "ladder": criteria.ladder,
+    "trace": criteria.trace,
 }
+
+# the flags a criterion takes as the parameter of the same name
+CRITERION_FLAGS = ("k", "cap", "max_n", "n", "variant")
+
+
+def _criterion_kwargs(criterion, args) -> dict:
+    """The flags that were given, the window and the seed, as keyword
+    arguments of `criterion`; a given flag it does not take is an error."""
+    takes = inspect.signature(criterion).parameters
+    kwargs = {name: getattr(args, name) for name in CRITERION_FLAGS
+              if getattr(args, name) is not None}
+    unknown = ["--" + name.replace("_", "-") for name in kwargs if name not in takes]
+    window_given = any(getattr(args, name) is not None for name in WINDOW_FLAGS)
+    if window_given and "window" not in takes:
+        unknown.append("--qmin/--qmax/--tmax/--amax")
+    if unknown:
+        raise ValueError(f"suite {args.suite} takes no {', '.join(unknown)}")
+    if window_given:
+        kwargs["window"] = _window_from_args(args, args.k or 1)
+    if "seed" in takes:
+        kwargs["seed"] = args.seed
+    return kwargs
 
 
 # ---------------------------------------------------------------------------
@@ -333,21 +91,12 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed
     if args.suite not in SUITES:
-        print(f"unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}",
-              file=sys.stderr)
-        return 2
-    checks = SUITES[args.suite](args, seed)
-    report = {
-        "schema": SCHEMA,
-        "tool_version": __version__,
-        "seed": seed,
-        "suite": args.suite,
-        "checks": checks,
-    }
-    _emit(args, report)
-    return 0 if all(c["status"] in ("pass", "skipped") for c in checks) else 1
+        raise ValueError(f"unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}")
+    criterion = SUITES[args.suite]
+    checks = criterion(**_criterion_kwargs(criterion, args))
+    _emit(args, suite=args.suite, checks=checks)
+    return 0 if all(c["status"] == "pass" for c in checks) else 1
 
 
 def cmd_unknot(args) -> int:
@@ -357,19 +106,7 @@ def cmd_unknot(args) -> int:
     rep, computed, expected = unknot_invariant(
         variant, k, cap=args.cap or 3, window=window
     )
-    report = {
-        "schema": SCHEMA,
-        "tool_version": __version__,
-        "seed": args.seed,
-        "variant": variant,
-        "k": k,
-        "match": rep["match"],
-        "monomial_defect": rep["monomial_defect"],
-        "computed": computed.to_json(),
-        "expected": expected.to_json(),
-        "mismatches": rep["mismatches"],
-    }
-    _emit(args, report)
+    _emit(args, **rep, computed=computed.to_json(), expected=expected.to_json())
     return 0 if rep["match"] else 1
 
 
@@ -407,13 +144,12 @@ def cmd_dump(args) -> int:
     else:
         print(f"unknown object {obj!r}", file=sys.stderr)
         return 2
-    report = {"schema": SCHEMA, "tool_version": __version__, "seed": args.seed,
-              "object": obj, "payload": payload}
-    _emit(args, report)
+    _emit(args, object=obj, payload=payload)
     return 0
 
 
-def _emit(args, report: dict) -> None:
+def _emit(args, **fields) -> None:
+    report = {"schema": SCHEMA, "tool_version": __version__, "seed": args.seed, **fields}
     if args.format == "text":
         lines = [f"# {report.get('suite', report.get('object', 'report'))}"]
         for c in report.get("checks", []):
@@ -481,7 +217,7 @@ def main(argv=None) -> int:
             if value is not None and value < 1:
                 raise ValueError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
         return args.func(args)
-    except ValueError as exc:  # bad --lambda/--b/--k/--variant/window values
+    except ValueError as exc:  # bad --lambda/--b/--k/--variant/window values, unused flags
         print(f"fraylab {args.command}: {exc}", file=sys.stderr)
         return 2
 

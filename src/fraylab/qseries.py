@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .symfun import Composition
 
@@ -494,49 +494,3 @@ def unknot_table(variant: str, k: int) -> RationalSeriesExpr:
     else:
         raise ValueError(f"unknown table variant {variant!r}")
     return RationalSeriesExpr(num, den)
-
-
-def theorem1_check(k_list: Iterable[int], window: Window) -> dict:
-    """Check the multiplicative-factor relations between table rows:
-    finite = intrinsic * [k]! (1 + t q^{-2})^k,
-    def_finite = intrinsic * [k]!,
-    def_infinite = def_intrinsic * [k]!."""
-    checks = []
-    for k in k_list:
-        # multiply at the expression level, then expand once: products of
-        # already-truncated series are wrong near the window boundary
-        factor = RationalSeriesExpr([], [])
-        for _ in range(k):
-            factor.numerator.append(_num(((0, 0, 0), 1), ((0, -2, 1), 1)))
-        fin_expected = (
-            (unknot_table("intrinsic", k) * factor)
-            .times_laurent(quantum_factorial(k))
-            .expand(window)
-        )
-        fin = unknot_table("finite", k).expand(window)
-        checks.append({
-            "name": f"finite=[k]!*(1+tq^-2)^k*intrinsic, k={k}",
-            "status": "pass" if fin.equal_on(fin_expected, window) else "fail",
-        })
-
-        dfin = unknot_table("def_finite", k).expand(window)
-        dfin_expected = (
-            unknot_table("intrinsic", k).times_laurent(quantum_factorial(k)).expand(window)
-        )
-        checks.append({
-            "name": f"def_finite=[k]!*intrinsic, k={k}",
-            "status": "pass" if dfin.equal_on(dfin_expected, window) else "fail",
-        })
-
-        dinf = unknot_table("def_infinite", k).expand(window)
-        dinf_expected = (
-            unknot_table("def_intrinsic", k)
-            .times_laurent(quantum_factorial(k))
-            .expand(window)
-        )
-        checks.append({
-            "name": f"def_infinite=[k]!*def_intrinsic, k={k}",
-            "status": "pass" if dinf.equal_on(dinf_expected, window) else "fail",
-        })
-    ok = all(c["status"] == "pass" for c in checks)
-    return {"ok": ok, "checks": checks}

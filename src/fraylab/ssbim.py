@@ -25,6 +25,7 @@ from typing import Mapping, Optional
 from .grading import MultiDegree
 from .homalg import (
     ChainMap,
+    CheckReport,
     CurvedComplex,
     Entry,
     GradedRing,
@@ -689,7 +690,7 @@ def _tau_like(n: int, fam: Mapping[tuple[int, int], Poly], cap: int, check: bool
     return cx
 
 
-def basis_change_check(n: int, cap: int = 2) -> CheckReportLike:
+def basis_change_check(n: int, cap: int = 2) -> CheckReport:
     """The proof identities behind the thin recursion:
 
     (1) a^{(lambda,1)}_{ij} - a^lambda_{ij} = x'_{n+1} a^lambda_{i-1,j}
@@ -712,7 +713,7 @@ def basis_change_check(n: int, cap: int = 2) -> CheckReportLike:
             lhs = nextfam.get((i, j), Poly.zero()) - lamfam[(i, j)]
             prev = lamfam.get((i - 1, j), Poly.zero()) if i >= 2 else Poly.zero()
             if not (lhs - xp * prev).is_zero():
-                return CheckReportLike(False, f"case identity fails at (i,j)=({i},{j})")
+                return CheckReport(False, f"case identity fails at (i,j)=({i},{j})")
 
     tau_n = tau_complex(n, cap=cap, check=False)
     tau_next = tau_next_on_same_ring(n, cap=cap, check=False)
@@ -727,7 +728,7 @@ def basis_change_check(n: int, cap: int = 2) -> CheckReportLike:
         forward[f"u{i}"] = acc
     transformed = _substitute_u_linear(tau_n, forward)
     if not _terms_match(transformed, tau_next):
-        return CheckReportLike(False, "substitution does not carry tau_n to tau_{n+1}")
+        return CheckReport(False, "substitution does not carry tau_n to tau_{n+1}")
 
     inverse = {}
     for i in range(1, m + 1):
@@ -737,17 +738,8 @@ def basis_change_check(n: int, cap: int = 2) -> CheckReportLike:
         inverse[f"u{i}"] = acc
     back = _substitute_u_linear(transformed, inverse)
     if not _terms_match(back, tau_n):
-        return CheckReportLike(False, "inverse substitution does not round-trip")
-    return CheckReportLike(True, "")
-
-
-@dataclass
-class CheckReportLike:
-    ok: bool
-    details: str = ""
-
-    def __bool__(self):
-        return self.ok
+        return CheckReport(False, "inverse substitution does not round-trip")
+    return CheckReport(True)
 
 
 def _substitute_u_linear(cx: CurvedComplex, table: Mapping[str, list]) -> CurvedComplex:

@@ -1,67 +1,35 @@
 """Acceptance suite: the ten exit criteria, one test each.
 
-Every test prints a PASS/FAIL line (run with -s or check captured output).
-All comparisons are exact rational equalities on explicit windows.
+Each criterion is defined once, in fraylab.criteria, which `fraylab verify`
+runs too; every test here calls its criterion with the ranges, windows and
+seeds below and asserts that every check record passes.  Every test prints
+a PASS/FAIL line (run with -s or check captured output).  All comparisons
+are exact rational equalities on explicit windows.
 
 Criterion 2 compares with the finite row as the program defines it,
 [k]! (1 + t q^{-2})^k x intrinsic: one t-factor per Koszul generator of the
 thin composition.  The printed row carries prod_j (1 + t q^{-2j}) instead,
 which disagrees with the construction from k = 2 on; the evidence (a derived
 argument, a hand count, the Euler characteristic and the one-block
-controls) is in DISCREPANCIES.md in the repository root.  Criteria 2b and
-2c check the k = 2 value without reading the finite row.
+controls) is in DISCREPANCIES.md in the repository root.  The factor-law
+record that criteria 2b and 2c assert checks the k = 2 value without
+reading the finite row.
 """
-
-import random
-from fractions import Fraction
 
 import pytest
 
-from fraylab.hochschild import (
-    BraidStats,
-    hh_bimodule,
-    hh_complex,
-    kr_normalize,
-    trace_check,
-    unknot_invariant,
-)
-from fraylab.homalg import PM_ONE, homology_truncated, gaussian_eliminate
-from fraylab.qseries import Window, f_factor, quantum_factorial, unknot_table
-from fraylab.ssbim import (
-    basis_change_check,
-    build_identity,
-    build_W,
-    cone_iota_eliminate,
-    graded_rank_check,
-    ladder_collapse,
-    projector,
-)
-from fraylab.symfun import (
-    BOTTOM,
-    Composition,
-    compositions,
-    Poly,
-    a_family,
-    a_identity_defect,
-    a_thin_recursive,
-    curvature_transport_defect,
-    e_gen,
-    esp_sym,
-    eval_at_point,
-    expand_to_x,
-    g_polys,
-    psi_rho_roundtrip,
-    rho_psi_roundtrip,
-    vanishing_locus_sampler,
-    x_gen,
-)
+from fraylab import criteria
+from fraylab.qseries import Window
 
 
-def report(name: str, ok: bool, extra: str = "") -> None:
+def report(name: str, records: list, extra: str = "") -> None:
+    """Print the PASS/FAIL line for `records` and assert that they all pass."""
+    ok = bool(records) and all(r["status"] == "pass" for r in records)
     line = f"[{'PASS' if ok else 'FAIL'}] {name}"
     if extra:
         line += f"  ({extra})"
     print(line)
+    assert ok, [r for r in records if r["status"] != "pass"]
 
 
 # -- criterion 1: intrinsic unknot table --------------------------------------------
@@ -69,13 +37,8 @@ def report(name: str, ok: bool, extra: str = "") -> None:
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_criterion_1_intrinsic_table(k):
-    window = Window((0, k), (-2 * k, 2 * k + 12), (0, 0))
-    res = hh_bimodule(build_identity(Composition.of(k)), window)
-    series = kr_normalize(res.series, BraidStats.unknot(k))
-    expected = unknot_table("intrinsic", k).expand(window)
-    ok = series.equal_on(expected, window)
-    report(f"criterion 1: intrinsic table k={k}", ok)
-    assert ok, series.mismatches(expected, window)[:5]
+    # window a 0..k, q -2k..2k+12, t 0
+    report(f"criterion 1: intrinsic table k={k}", criteria.unknot_row(variant="intrinsic", k=k))
 
 
 # -- criterion 2: finite projector table --------------------------------------------
@@ -83,13 +46,13 @@ def test_criterion_1_intrinsic_table(k):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_criterion_2_finite_table(k):
-    rep, computed, expected = unknot_invariant("finite", k)
+    records = criteria.unknot_row(variant="finite", k=k)
+    ok = all(r["status"] == "pass" for r in records)
     report(
         f"criterion 2: finite table k={k}",
-        rep["match"],
-        "" if rep["match"] else "engine and finite row disagree; see DISCREPANCIES.md",
+        records,
+        "" if ok else "engine and finite row disagree; see DISCREPANCIES.md",
     )
-    assert rep["match"], rep["mismatches"][:5]
 
 
 def test_criterion_2_finite_table_k3_low_q():
@@ -97,40 +60,28 @@ def test_criterion_2_finite_table_k3_low_q():
     q <= 0 (DISCREPANCIES.md).  The default window q -6..18 matches too, at
     about ten times the cost, so tier-1 keeps to this one."""
     w = Window((0, 3), (-6, 0), (0, 3))
-    rep, computed, _ = unknot_invariant("finite", 3, window=w)
-    report("criterion 2: finite table k=3, q <= 0", rep["match"])
-    assert computed.coeffs and rep["match"], rep["mismatches"][:5]
+    report("criterion 2: finite table k=3, q <= 0", criteria.unknot_row(variant="finite", k=3, window=w))
 
 
 def test_criterion_2b_finite_factor_law_consistency():
     """The engine's finite k=2 value equals the factor-law prediction
-    [2]! (1 + t q^{-2})^2 x intrinsic exactly, built here from the
-    def_finite row.  The printed row [2]! (1 + t q^{-2})(1 + t q^{-4}) x
-    intrinsic differs from it; DISCREPANCIES.md settles the difference."""
-    k = 2
-    rep, computed, _ = unknot_invariant("finite", k)
-    w = computed.window
-    law = unknot_table("def_finite", k)
-    for _ in range(k):
-        law.numerator.append({(0, 0, 0): Fraction(1), (0, -2, 1): Fraction(1)})
-    law_series = law.expand(w)
-    ok = computed.equal_on(law_series, w)
-    report("criterion 2b: finite k=2 equals its own factor law", ok)
-    assert ok, computed.mismatches(law_series, w)[:5]
+    [2]! (1 + t q^{-2})^2 x intrinsic exactly (the "factor law" record).
+    The printed row [2]! (1 + t q^{-2})(1 + t q^{-4}) x intrinsic differs
+    from it; DISCREPANCIES.md settles the difference."""
+    records = criteria.unknot_row(variant="finite", k=2)
+    assert any("factor law" in r["name"] for r in records)
+    report("criterion 2b: finite k=2 equals its own factor law", records)
 
 
 def test_criterion_2c_finite_power_sum_basis():
     """The generator-basis option reaches the projector path: power sums
-    give the elementary-basis finite k=2 series.  On the thin composition
-    every block has one variable, so p_1 = e_1 and both bases give the same
-    Hochschild operators; this is a consistency check, not a second count
-    (see DISCREPANCIES.md)."""
-    _, elementary, _ = unknot_invariant("finite", 2)
-    _, power_sum, _ = unknot_invariant("finite", 2, generator_basis="power_sum")
-    w = elementary.window
-    ok = bool(elementary.coeffs) and power_sum.equal_on(elementary, w)
-    report("criterion 2c: finite k=2 power-sum basis equals elementary", ok)
-    assert ok, power_sum.mismatches(elementary, w)[:5]
+    give the finite k=2 series that the elementary basis gives in criterion
+    2, since both must equal the same row and factor law.  On the thin
+    composition every block has one variable, so p_1 = e_1 and both bases
+    give the same Hochschild operators; this is a consistency check, not a
+    second count (see DISCREPANCIES.md)."""
+    records = criteria.unknot_row(variant="finite", k=2, generator_basis="power_sum")
+    report("criterion 2c: finite k=2 power-sum basis equals elementary", records)
 
 
 # -- criterion 3: deformed finite table and the factor of Theorem 1.1 ----------------
@@ -138,18 +89,8 @@ def test_criterion_2c_finite_power_sum_basis():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_criterion_3_def_finite_table(k):
-    rep, computed, expected = unknot_invariant("def_finite", k)
-    ok = rep["match"]
-    # and equals f_{k,(1^k)} x criterion-1 series
-    w = computed.window
-    intr_scaled = (
-        unknot_table("intrinsic", k)
-        .times_laurent(f_factor(k, Composition.thin(k)))
-        .expand(w)
-    )
-    ok = ok and computed.equal_on(intr_scaled, w)
-    report(f"criterion 3: deformed finite table k={k}", ok)
-    assert ok
+    # the table row, and f_{k,(1^k)} = [k]! x the intrinsic row
+    report(f"criterion 3: deformed finite table k={k}", criteria.unknot_row(variant="def_finite", k=k))
 
 
 # -- criterion 4: infinite variants -----------------------------------------------
@@ -157,189 +98,81 @@ def test_criterion_3_def_finite_table(k):
 
 @pytest.mark.parametrize("variant", ["infinite", "def_infinite"])
 def test_criterion_4_infinite_k1(variant):
-    rep, computed, expected = unknot_invariant(variant, 1, cap=3)
-    ok = rep["match"] and rep["monomial_defect"] is None
-    report(f"criterion 4: {variant} k=1 exact", ok)
-    assert ok, rep["mismatches"][:5]
+    # at k = 1 the match must be exact: no monomial defect is allowed
+    report(f"criterion 4: {variant} k=1 exact", criteria.unknot_row(variant=variant, k=1, cap=3))
 
 
 @pytest.mark.parametrize("variant", ["infinite", "def_infinite"])
 def test_criterion_4_infinite_k2(variant):
-    rep, computed, expected = unknot_invariant(variant, 2, cap=3)
-    ok = rep["match"]
+    records = criteria.unknot_row(variant=variant, k=2, cap=3)
+    defect = records[0]["details"]["monomial_defect"]
     report(
         f"criterion 4: {variant} k=2 up to one q-monomial",
-        ok,
-        f"monomial defect q^{rep['monomial_defect']}" if rep["monomial_defect"] else "exact",
+        records,
+        f"monomial defect q^{defect}" if defect else "exact",
     )
-    assert ok, rep["mismatches"][:5]
 
 
 # -- criterion 5: a_ijk identities --------------------------------------------------
 
 
 def test_criterion_5_a_identities():
-    ok = True
-    for N in range(1, 6):
-        for parts in compositions(N):
-            b = Composition(parts)
-            fam = a_family(b)
-            for i in range(1, N + 1):
-                if not a_identity_defect(fam, b, i).is_zero():
-                    ok = False
-    # verbatim thin values at n = 3
-    fam3 = a_thin_recursive(3)
-    x = lambda i: Poly.gen(x_gen(i))
-    xp = lambda i: Poly.gen(x_gen(i, BOTTOM))
-    verbatim = {
-        (1, 1): Poly.one(), (1, 2): Poly.one(), (1, 3): Poly.one(),
-        (2, 1): xp(2) + xp(3), (2, 2): x(1) + xp(3), (2, 3): x(1) + x(2),
-        (3, 1): xp(2) * xp(3), (3, 2): x(1) * xp(3), (3, 3): x(1) * x(2),
-    }
-    ok = ok and all(fam3[key] == val for key, val in verbatim.items())
-    report("criterion 5: a_ijk identities (N <= 5) and thin(3) verbatim", ok)
-    assert ok
+    records = criteria.a_identities(max_n=5) + criteria.thin_recursion(max_n=6)
+    assert any("verbatim" in r["name"] for r in records)
+    report("criterion 5: a_ijk identities (N <= 5) and thin(3) verbatim", records)
 
 
 # -- criterion 6: psi/rho dictionary ------------------------------------------------
 
 
 def test_criterion_6_psi_rho():
-    ok = True
-    for a in range(1, 5):
-        comp = Composition.of(a)
-        for d in psi_rho_roundtrip(a):
-            ok = ok and expand_to_x(d, comp).is_zero()
-        for d in rho_psi_roundtrip(a):
-            ok = ok and expand_to_x(d, comp).is_zero()
-        if a <= 3:
-            ok = ok and curvature_transport_defect(a).is_zero()
-    report("criterion 6: psi/rho mutual inversion (a <= 4) and transport", ok)
-    assert ok
+    report("criterion 6: psi/rho mutual inversion (a <= 4) and transport",
+           criteria.psi_rho(max_n=4))
 
 
 # -- criterion 7: g congruences ------------------------------------------------------
 
 
 def test_criterion_7_g_congruences():
-    ok = True
-    for n in range(1, 5):
-        b = Composition.of(n, 1)
-        gs = g_polys(n)
-        pts = vanishing_locus_sampler(b, 100, seed=0)
-        xdiff = Poly.gen(e_gen(2, 1)) - Poly.gen(e_gen(2, 1, BOTTOM))
-        for i in range(1, n + 2):
-            expr = expand_to_x(
-                xdiff * gs[i - 1] + (esp_sym(i, n) - esp_sym(i, n, 1, BOTTOM)), b
-            )
-            for pt in pts:
-                if eval_at_point(expr, pt, b) != 0:
-                    ok = False
-        # the i = n+1 leg vanishes exactly in the quotient
-        top = xdiff * gs[n] + (esp_sym(n + 1, n) - esp_sym(n + 1, n, 1, BOTTOM))
-        from fraylab.ssbim import bimodule_poly, build_W
-
-        W = build_W(b)
-        if not W.ring.reduces_to_zero(bimodule_poly(top, 2)):
-            ok = False
-    report("criterion 7: g_i congruences n <= 4, 100 samples", ok)
-    assert ok
+    # sampled for i <= n + 1, and the i = n + 1 leg exactly in the quotient
+    report("criterion 7: g_i congruences n <= 4, 100 samples",
+           criteria.g_congruences(max_n=4, seed=0))
 
 
 # -- criterion 8: engine properties ---------------------------------------------------
 
 
 def test_criterion_8a_projector_mc():
-    ok = True
-    for N in range(1, 4):
-        for parts in compositions(N):
-            lam = Composition(parts)
-            for variant in ("finite", "def_finite", "infinite", "def_infinite"):
-                try:
-                    proj = projector(lam, variant, cap=2, check=True)
-                    ok = ok and proj.complex.mc_check().ok
-                except ValueError:
-                    ok = False
-    report("criterion 8a: mc_check on all projectors, lambda.total <= 3", ok)
-    assert ok
+    report("criterion 8a: mc_check on all projectors, lambda.total <= 3",
+           criteria.maurer_cartan(max_n=3, cap=2))
 
 
 def test_criterion_8b_gauss_preserves_homology():
-    from fraylab.cli import random_zero_curvature_complex
-
-    rng = random.Random(0)
-    window = Window((0, 0), (-8, 8), (-2, 4))
-    done = 0
-    ok = True
-    while done < 50:
-        cx = random_zero_curvature_complex(rng)
-        units = [
-            ij for ij, e in cx.terms.get(PM_ONE, {}).items()
-            if e.plain_part().constant_value() not in (None, 0)
-        ]
-        if not units:
-            continue
-        before = homology_truncated(cx, window)
-        red, sdr = gaussian_eliminate(cx, units[0])
-        # every emitted SDR satisfies the side conditions exactly
-        ok = ok and bool(sdr.verify())
-        after = homology_truncated(red, window)
-        ok = ok and before.equal_on(after, window)
-        done += 1
-    report("criterion 8b: gaussian elimination preserves homology (50 runs)", ok)
-    assert ok
+    records = criteria.gauss(max_n=50, seed=0)
+    assert len(records) == 50
+    report("criterion 8b: gaussian elimination preserves homology (50 runs)", records)
 
 
 # -- criterion 9: ladder recursion -----------------------------------------------------
 
 
 def test_criterion_9_ladder():
-    ok = True
-    for n in range(1, 6):
-        rep = basis_change_check(n, cap=2)
-        ok = ok and rep.ok
-    for n in range(1, 4):
-        for variant in ("plain", "y", "u", "yu"):
-            try:
-                red = cone_iota_eliminate(n, variant, cap=2)
-                ok = ok and len(red.objects) == 2
-            except (ValueError, AssertionError):
-                ok = False
-        try:
-            ladder_collapse(n, cap=2)
-        except (ValueError, AssertionError):
-            ok = False
-    report("criterion 9: ladder basis change (n <= 5), cone collapses (n <= 3)", ok)
-    assert ok
+    report("criterion 9: ladder basis change (n <= 5), cone collapses (n <= 3)",
+           criteria.ladder(n=5, cap=2))
 
 
 # -- criterion 10: trace and digon ------------------------------------------------------
 
 
 def test_criterion_10_trace_and_digon():
-    ok = True
-    window = Window((0, 3), (-6, 10), (0, 0))
-    for N in range(2, 4):
-        full = Composition.of(N)
-        for parts in compositions(N):
-            a = Composition(parts)
-            if a == full:
-                continue
-            rep = trace_check(build_W(a, full), build_W(full, a), window)
-            ok = ok and rep["ok"]
-    for N in range(1, 5):
-        for parts in compositions(N):
-            ok = ok and graded_rank_check(Composition(parts), 12)
-    report("criterion 10: trace on merge/split pairs (N <= 3), ranks (N <= 4)", ok)
-    assert ok
+    report("criterion 10: trace on merge/split pairs (N <= 3), ranks (N <= 4)",
+           criteria.trace(max_n=3, rank_max_n=4, seed=0))
 
 
 @pytest.mark.parametrize("parts", [(2, 2), (1, 3), (3, 1), (1, 1, 2), (2, 1, 1)])
 def test_criterion_10_trace_n4(parts):
     """The trace property for merge/split pairs through (4), on the window
-    of `fraylab verify trace`.  The pairs (1,2,1) and (1,1,1,1) take longer;
-    `fraylab verify trace --max-n 4` checks them with the rest."""
-    a, full = Composition(parts), Composition.of(4)
-    rep = trace_check(build_W(a, full), build_W(full, a), Window((0, 4), (-8, 12), (0, 0)))
-    report(f"criterion 10: trace on {parts} <-> (4,)", rep["ok"])
-    assert rep["ok"], rep["mismatches"][:5]
+    of `fraylab verify trace --max-n 4`.  The pairs (1,2,1) and (1,1,1,1)
+    take longer; `fraylab verify trace --max-n 4` checks them with the rest."""
+    window = Window((0, 4), (-8, 12), (0, 0))
+    report(f"criterion 10: trace on {parts} <-> (4,)", [criteria.trace_pair(parts, (4,), window)])

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import fraylab
-from fraylab.cli import main
+from fraylab import criteria
+from fraylab.cli import SUITES, main
+from fraylab.homalg import CurvedComplex, ParamSpec
 
 
 def run_cli(args, tmp_path=None):
@@ -50,6 +53,39 @@ def test_verify_gauss_seeded():
     assert code == 0
     rep = json.loads(out)
     assert len(rep["checks"]) == 5
+
+
+def test_verify_gauss_shortfall_fails(monkeypatch):
+    # a generator that never yields a unit entry leaves nothing to eliminate
+    monkeypatch.setattr(criteria, "random_zero_curvature_complex",
+                        lambda rng: CurvedComplex([], ParamSpec.make([]), {}))
+    code, out = run_cli(["verify", "gauss", "--max-n", "3"])
+    assert code == 1
+    assert [c["status"] for c in json.loads(out)["checks"]] == ["fail"]
+
+
+# small parameters for each suite, as CLI flags and as criterion arguments
+SMALL = {
+    "tables": {"k": 1}, "factors": {}, "a-ijk": {"max_n": 3}, "thin-recursion": {"max_n": 3},
+    "psi-rho": {"max_n": 2}, "g-congruence": {"max_n": 2}, "mc": {"max_n": 2, "cap": 2},
+    "gauss": {"max_n": 3}, "ladder": {"n": 2}, "trace": {"max_n": 2},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_suite_runs_its_criterion(suite):
+    params = SMALL[suite]
+    argv = ["verify", suite, "--seed", "5"]
+    for name, value in params.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    code, out = run_cli(argv)
+    assert code == 0
+    criterion = SUITES[suite]
+    if "seed" in inspect.signature(criterion).parameters:
+        params = {**params, "seed": 5}
+    expected = [r["name"] for r in criterion(**params)]
+    assert expected
+    assert [c["name"] for c in json.loads(out)["checks"]] == expected
 
 
 def test_unknot_command_below_natural_degree_zero():
@@ -143,6 +179,7 @@ def test_console_entry_point():
     ["unknot", "--qmin", "5", "--qmax", "1"],
     ["unknot", "--tmax", "-1"],
     ["unknot", "--amax", "-1"],
+    ["verify", "factors", "--k", "3", "--qmin", "99", "--variant", "bogus"],
 ])
 def test_bad_input_is_one_line_on_stderr(args, capsys):
     assert main(args) == 2

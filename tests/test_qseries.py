@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from fraylab.criteria import factor_relations
 from fraylab.qseries import (
     Laurent,
     RationalSeriesExpr,
@@ -13,7 +14,6 @@ from fraylab.qseries import (
     quantum_binomial,
     quantum_factorial,
     quantum_int,
-    theorem1_check,
     unknot_table,
 )
 from fraylab.symfun import Composition
@@ -161,8 +161,9 @@ def test_finite_row_euler_characteristic(k):
 
 
 def test_theorem1_factor_identities():
-    rep = theorem1_check([1, 2, 3], Window((0, 3), (-8, 14), (0, 8)))
-    assert rep["ok"], rep
+    records = factor_relations()
+    assert len(records) == 9
+    assert all(r["status"] == "pass" for r in records), records
 
 
 def test_monomial_quotient_detects_shift():
