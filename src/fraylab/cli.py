@@ -11,10 +11,10 @@ definition of the paper's acceptance criteria: tables checks criteria 1-4,
 factors 2-4, a-ijk and thin-recursion 5, psi-rho 6, g-congruence 7, mc 8a,
 gauss 8b, ladder 9 and trace 10.
 
-A suite takes the flags named like its function's parameters (--k, --cap,
---max-n, --n, --variant, and the window flags for `window`); any other
-flag is an error.  All output is deterministic given --seed; exit code is
-0 iff every check passed.
+Each command takes the flags named like the parameters of the function it
+calls (--k, --cap, --max-n, --n, --variant, the dump flags, and the window
+flags for `window`); any other flag is an error.  All output is
+deterministic given --seed; exit code is 0 iff every check passed.
 """
 
 from __future__ import annotations
@@ -35,10 +35,8 @@ SCHEMA = "fraylab/1"
 WINDOW_FLAGS = ("qmin", "qmax", "tmax", "amax")
 
 
-def _window_from_args(args, k: int = 1) -> Window | None:
-    """The window the q/t/a flags ask for, or None if no window flag is given."""
-    if all(getattr(args, name) is None for name in WINDOW_FLAGS):
-        return None
+def _window_from_args(args, k: int = 1) -> Window:
+    """The window the q/t/a flags ask for."""
     qmin = args.qmin if args.qmin is not None else -2 * k
     qmax = args.qmax if args.qmax is not None else 2 * k + 12
     tmax = args.tmax if args.tmax is not None else 4
@@ -63,27 +61,58 @@ SUITES = {
     "trace": criteria.trace,
 }
 
-# the flags a criterion takes as the parameter of the same name
-CRITERION_FLAGS = ("k", "cap", "max_n", "n", "variant")
+# the flags a command's function takes as the parameter of the same name
+PARAM_FLAGS = ("k", "cap", "max_n", "n", "variant", "lam", "family", "b", "cn")
 
 
-def _criterion_kwargs(criterion, args) -> dict:
+def _kwargs(fn, args, what: str) -> dict:
     """The flags that were given, the window and the seed, as keyword
-    arguments of `criterion`; a given flag it does not take is an error."""
-    takes = inspect.signature(criterion).parameters
-    kwargs = {name: getattr(args, name) for name in CRITERION_FLAGS
-              if getattr(args, name) is not None}
-    unknown = ["--" + name.replace("_", "-") for name in kwargs if name not in takes]
+    arguments of `fn`; a given flag it does not take is an error."""
+    takes = inspect.signature(fn).parameters
+    kwargs = {name: getattr(args, name) for name in PARAM_FLAGS
+              if getattr(args, name, None) is not None}
+    unknown = ["--" + ("lambda" if name == "lam" else name.replace("_", "-"))
+               for name in kwargs if name not in takes]
     window_given = any(getattr(args, name) is not None for name in WINDOW_FLAGS)
     if window_given and "window" not in takes:
         unknown.append("--qmin/--qmax/--tmax/--amax")
     if unknown:
-        raise ValueError(f"suite {args.suite} takes no {', '.join(unknown)}")
+        raise ValueError(f"{what} takes no {', '.join(unknown)}")
     if window_given:
         kwargs["window"] = _window_from_args(args, args.k or 1)
     if "seed" in takes:
         kwargs["seed"] = args.seed
     return kwargs
+
+
+def _composition(text: str) -> Composition:
+    return Composition(tuple(int(x) for x in text.split(",")))
+
+
+def _dump_projector(lam: str = "1", variant: str = "finite", cap: int = 2):
+    return projector(_composition(lam), variant, cap=cap).to_json()
+
+
+def _dump_complex(cn: int | None = None, variant: str = "plain", cap: int = 2):
+    if cn is None:
+        raise ValueError("complex requires --cn N")
+    return cn_family(cn, variant, cap=cap).to_json()
+
+
+def _dump_poly(family: str | None = None, b: str = "1,1", n: int = 2):
+    if family == "g":
+        return {f"g_{i + 1}": g.to_json() for i, g in enumerate(g_polys(n))}
+    if family != "a-ijk":
+        raise ValueError(f"unknown poly family {family!r}")
+    b = _composition(b)
+    if all(p == 1 for p in b.parts):
+        fam = a_thin_recursive(b.total)
+        return {f"a_{i}{j}1": fam[(i, j)].to_json() for (i, j) in sorted(fam)}
+    fam = a_family(b)
+    return {f"a_{i}{j}{k}": fam[(i, j, k)].to_json() for (i, j, k) in sorted(fam)}
+
+
+DUMPS = {"projector": _dump_projector, "complex": _dump_complex, "poly": _dump_poly}
 
 
 # ---------------------------------------------------------------------------
@@ -94,57 +123,22 @@ def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         raise ValueError(f"unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}")
     criterion = SUITES[args.suite]
-    checks = criterion(**_criterion_kwargs(criterion, args))
+    checks = criterion(**_kwargs(criterion, args, f"suite {args.suite}"))
     _emit(args, suite=args.suite, checks=checks)
     return 0 if all(c["status"] == "pass" for c in checks) else 1
 
 
 def cmd_unknot(args) -> int:
-    k = args.k or 1
-    variant = args.variant or "intrinsic"
-    window = _window_from_args(args, k)
-    rep, computed, expected = unknot_invariant(
-        variant, k, cap=args.cap or 3, window=window
-    )
+    kwargs = {"variant": "intrinsic", "k": 1, "cap": 3, **_kwargs(unknot_invariant, args, "unknot")}
+    rep, computed, expected = unknot_invariant(**kwargs)
     _emit(args, **rep, computed=computed.to_json(), expected=expected.to_json())
     return 0 if rep["match"] else 1
 
 
 def cmd_dump(args) -> int:
-    obj = args.object
-    if obj == "projector":
-        lam = Composition(tuple(int(x) for x in args.lam.split(",")))
-        proj = projector(lam, args.variant or "finite", cap=args.cap or 2)
-        payload = proj.to_json()
-    elif obj == "complex":
-        if args.cn is None:
-            print("dump complex requires --cn N", file=sys.stderr)
-            return 2
-        payload = cn_family(args.cn, args.variant or "plain", cap=args.cap or 2).to_json()
-    elif obj == "poly":
-        if args.family == "a-ijk":
-            b = Composition(tuple(int(x) for x in args.b.split(",")))
-            if all(p == 1 for p in b.parts):
-                fam = a_thin_recursive(b.total)
-                payload = {
-                    f"a_{i}{j}1": fam[(i, j)].to_json() for (i, j) in sorted(fam)
-                }
-            else:
-                fam = a_family(b)
-                payload = {
-                    f"a_{i}{j}{k}": fam[(i, j, k)].to_json()
-                    for (i, j, k) in sorted(fam)
-                }
-        elif args.family == "g":
-            n = args.n or 2
-            payload = {f"g_{i + 1}": g.to_json() for i, g in enumerate(g_polys(n))}
-        else:
-            print(f"unknown poly family {args.family!r}", file=sys.stderr)
-            return 2
-    else:
-        print(f"unknown object {obj!r}", file=sys.stderr)
-        return 2
-    _emit(args, object=obj, payload=payload)
+    build = DUMPS[args.object]
+    payload = build(**_kwargs(build, args, args.object))
+    _emit(args, object=args.object, payload=payload)
     return 0
 
 
@@ -195,10 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
     pu.set_defaults(func=cmd_unknot)
 
     pd = sub.add_parser("dump", help="serialize an object")
-    pd.add_argument("object", type=str, choices=("projector", "complex", "poly"))
-    pd.add_argument("--lambda", dest="lam", type=str, default="1")
+    pd.add_argument("object", type=str, choices=tuple(DUMPS))
+    pd.add_argument("--lambda", dest="lam", type=str, default=None)
     pd.add_argument("--family", type=str, default=None)
-    pd.add_argument("--b", type=str, default="1,1")
+    pd.add_argument("--b", type=str, default=None)
     pd.add_argument("--cn", type=int, default=None)
     common(pd)
     pd.set_defaults(func=cmd_dump)

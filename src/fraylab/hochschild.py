@@ -43,7 +43,7 @@ from .homalg import (
     RingSpec,
     unrolled_homology,
 )
-from .linalg import ClassTracker, _exact, rank_of
+from .linalg import ClassTracker, rank_of
 from .qseries import TriSeries, Window, unknot_table
 from .ssbim import MergeSplitBimodule, projector
 from .symfun import Composition, Poly, TOP, e_gen, p_in_e
@@ -171,7 +171,7 @@ class HochschildData:
         src_blocks, ncols = self.layout(i, d)
         tgt_blocks, nrows = self.layout(i - 1, d)
         tgt_off = {E: (off, local) for E, local, off, dim in tgt_blocks}
-        rows: dict[int, dict[int, Fraction]] = {}
+        rows: dict[int, dict] = {}
         for E, local, coff, dim in src_blocks:
             if dim == 0:
                 continue
@@ -185,7 +185,7 @@ class HochschildData:
                 mm = self.ring.mult_matrix(xi, local)
                 for (rr, cc), val in mm.items():
                     row = rows.setdefault(rr + roff, {})
-                    v = row.get(cc + coff, Fraction(0)) + sign * val
+                    v = row.get(cc + coff, 0) + sign * val
                     if v:
                         row[cc + coff] = v
                     else:
@@ -230,14 +230,13 @@ class HochschildData:
         dq = c.degree().q
         tgt = self.tracker(i, d + dq)
         tgt_off = {E: off for E, _, off, _ in self.layout(i, d + dq)[0]}
-        # multiplication by c as {source column: [(target column, value)]},
-        # integral values as ints, so most images stay in integer arithmetic
+        # multiplication by c as {source column: [(target column, value)]}
         act: dict[int, list] = {}
         for E, local, off, dim in self.layout(i, d)[0]:
             if dim:
                 roff = tgt_off[E]
                 for (rr, cc), val in self.ring.mult_matrix(c, local).items():
-                    act.setdefault(cc + off, []).append((rr + roff, _exact(val)))
+                    act.setdefault(cc + off, []).append((rr + roff, val))
         out: dict[tuple[int, int], Fraction] = {}
         for col, rep in enumerate(src.reps):
             img: dict[int, Fraction] = {}

@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .grading import MultiDegree, parity, shift_sign
-from .linalg import rank_of
+from .linalg import _exact, _scaled, rank_of
 from .qseries import TriSeries, Window
 from .symfun import Mono, Poly, eval_at_point
 
@@ -69,7 +69,8 @@ class GroebnerBasis:
     degree by homogeneous Buchberger with the product criterion.
 
     Monomials are exponent tuples over a fixed generator list with positive
-    weights, and polynomials are dicts {monomial: Fraction}.  The order is
+    weights, and polynomials are dicts {monomial: coefficient}, with
+    coefficients as ``linalg._exact`` makes them.  The order is
     weighted grevlex: weight first, then the monomial whose last differing
     exponent is smaller is the larger.  After ``extend(d)`` the basis is
     complete through weight d: there its leading monomials generate the
@@ -183,13 +184,12 @@ class GroebnerBasis:
         li, lj = self.leads[i], self.leads[j]
         lcm = tuple(map(max, li, lj))
         f = _shift(self.polys[i], tuple(map(operator.sub, lcm, li)))
-        _subtract(f, self.polys[j], Fraction(1), tuple(map(operator.sub, lcm, lj)))
+        _subtract(f, self.polys[j], 1, tuple(map(operator.sub, lcm, lj)))
         return f
 
     def _insert(self, h: dict) -> None:
         lead = min(h, key=lambda m: m[::-1])
-        inv = 1 / h[lead]
-        h = {m: c * inv for m, c in h.items()}
+        h = _scaled(h, lead)
         zero = (0,) * len(lead)
         for g in self.polys:  # only elements of the same weight can hold lead
             c = g.get(lead)
@@ -210,19 +210,19 @@ def _shift(f: dict, q: tuple) -> dict:
     return {tuple(map(operator.add, m, q)): c for m, c in f.items()}
 
 
-def _subtract(f: dict, g: dict, c: Fraction, q: tuple) -> list[tuple]:
+def _subtract(f: dict, g: dict, c, q: tuple) -> list[tuple]:
     """f -= c * x^q * g in place; returns the monomials new to f."""
     new = []
     for m, x in g.items():
         mm = tuple(map(operator.add, m, q))
         s = f.get(mm)
         if s is None:
-            f[mm] = -c * x
+            f[mm] = _exact(-c * x)
             new.append(mm)
         else:
             s -= c * x
             if s:
-                f[mm] = s
+                f[mm] = _exact(s)
             else:
                 del f[mm]
     return new
@@ -560,7 +560,8 @@ class Entry:
         return Entry({tag: -p for tag, p in self.parts.items()})
 
     def scale(self, c) -> "Entry":
-        c = Fraction(c)
+        if c == 1:
+            return self
         if not c:
             return Entry()
         return Entry({tag: c * p for tag, p in self.parts.items()})

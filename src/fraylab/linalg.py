@@ -38,12 +38,17 @@ Vec = dict  # {col: int or Fraction}
 
 
 def _exact(x):
-    """x, as an int if it is integral."""
+    """x as an int if it is integral, else as a Fraction: the one form of an
+    exact value, shared by vectors, polynomials and Gröbner bases."""
+    if x.__class__ is int:
+        return x
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 
-def _scaled(row: Vec, p: int) -> Vec:
-    """row divided by its entry at p."""
+def _scaled(row: dict, p) -> dict:
+    """row divided by its entry at key p."""
     x = row[p]
     inv = x if x in (1, -1) else 1 / Fraction(x)
     return {k: _exact(y * inv) for k, y in row.items()}

@@ -1,7 +1,8 @@
 """Exact symmetric-polynomial arithmetic in elementary-symmetric coordinates.
 
-Polynomials are sparse sums of monomials in generator symbols with Fraction
-coefficients.  Three kinds of symbol occur:
+Polynomials are sparse sums of monomials in generator symbols.  A coefficient
+is an int if integral and a Fraction otherwise (``linalg._exact``, the rule
+vectors and Gröbner bases follow too).  Three kinds of symbol occur:
 
     ("e", side, j, k)      e_k of the j-th block alphabet on the given side
                            (side 0 = X, side 1 = X'; higher sides label
@@ -29,6 +30,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .grading import MultiDegree
+from .linalg import _exact
 
 # ---------------------------------------------------------------------------
 # generator symbols
@@ -72,14 +74,27 @@ _ONE_MONO: Mono = ()
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
+    """The product of two monomials, merging their sorted factors."""
     if not m1:
         return m2
     if not m2:
         return m1
-    d = dict(m1)
-    for g, e in m2:
-        d[g] = d.get(g, 0) + e
-    return tuple(sorted((g, e) for g, e in d.items() if e))
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        a, b = m1[i], m2[j]
+        if a[0] == b[0]:
+            out.append((a[0], a[1] + b[1]))
+            i += 1
+            j += 1
+        elif a[0] < b[0]:
+            out.append(a)
+            i += 1
+        else:
+            out.append(b)
+            j += 1
+    return (*out, *m1[i:], *m2[j:])
 
 
 def mono_degree(m: Mono) -> MultiDegree:
@@ -89,8 +104,23 @@ def mono_degree(m: Mono) -> MultiDegree:
     return out
 
 
+def _add_into(out: dict, terms) -> None:
+    """Add the (monomial, coefficient) pairs into out, dropping zeros."""
+    for m, c in terms:
+        s = out.get(m)
+        if s is None:
+            out[m] = c
+        else:
+            s += c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+
+
 class Poly:
-    """Sparse polynomial with Fraction coefficients in generator symbols."""
+    """Sparse polynomial in generator symbols, coefficients by ``linalg._exact``.
+    Only constructors write ``terms``: a Poly never changes once made."""
 
     __slots__ = ("terms",)
 
@@ -98,9 +128,19 @@ class Poly:
         self.terms: dict[Mono, Fraction] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     self.terms[m] = c
+
+    @staticmethod
+    def _of(terms: dict) -> "Poly":
+        """The Poly on terms (all nonzero), integral Fractions made ints."""
+        for m, c in terms.items():
+            if c.__class__ is not int:
+                terms[m] = _exact(c)
+        p = object.__new__(Poly)
+        p.terms = terms
+        return p
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -109,58 +149,47 @@ class Poly:
 
     @staticmethod
     def one() -> "Poly":
-        return Poly({_ONE_MONO: Fraction(1)})
+        return Poly({_ONE_MONO: 1})
 
     @staticmethod
     def const(c) -> "Poly":
-        c = Fraction(c)
-        return Poly({_ONE_MONO: c}) if c else Poly()
+        return Poly({_ONE_MONO: c})
 
     @staticmethod
     def gen(g: tuple, exp: int = 1) -> "Poly":
-        return Poly({((g, exp),): Fraction(1)})
+        return Poly({((g, exp),): 1})
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        p = Poly()
-        p.terms = out
-        return p
+        _add_into(out, other.terms.items())
+        return Poly._of(out)
 
     def __neg__(self) -> "Poly":
-        p = Poly()
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return Poly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            c = Fraction(other)
-            if not c:
-                return Poly()
-            p = Poly()
-            p.terms = {m: c * v for m, v in self.terms.items()}
-            return p
+            c = _exact(other)
+            return self if c == 1 else Poly({m: c * v for m, v in self.terms.items()})
         out: dict[Mono, Fraction] = {}
+        right = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            for m2, c2 in right:
                 m = _mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
+                s = out.get(m)
+                if s is None:
+                    out[m] = c1 * c2
                 else:
-                    out.pop(m, None)
-        p = Poly()
-        p.terms = out
-        return p
+                    s += c1 * c2
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+        return Poly._of(out)
 
     __rmul__ = __mul__
 
@@ -205,27 +234,33 @@ class Poly:
         return out
 
     def constant_value(self):
-        """Fraction value if the polynomial is a constant, else None."""
+        """The value if the polynomial is a constant, else None."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1 and _ONE_MONO in self.terms:
             return self.terms[_ONE_MONO]
         return None
 
     def substitute(self, table: Mapping[tuple, "Poly"]) -> "Poly":
         """Replace each generator appearing in table by a polynomial."""
-        out = Poly()
+        powers: dict[tuple, Poly] = {}  # (generator, exponent) -> its power
+        out: dict[Mono, Fraction] = {}
         for m, c in self.terms.items():
-            piece = Poly.const(c)
+            piece, kept = Poly.const(c), []
             for g, e in m:
-                rep = table.get(g)
-                piece = piece * (rep ** e if rep is not None else Poly.gen(g, e))
-            out = out + piece
-        return out
+                if g not in table:
+                    kept.append((g, e))
+                    continue
+                if (g, e) not in powers:
+                    powers[(g, e)] = table[g] ** e
+                piece = piece * powers[(g, e)]
+            kept = tuple(kept)
+            _add_into(out, ((_mono_mul(pm, kept), pc) for pm, pc in piece.terms.items()))
+        return Poly._of(out)
 
     def evaluate(self, point: Mapping[tuple, Fraction]) -> Fraction:
         """Evaluate at a full assignment of generator values."""
-        total = Fraction(0)
+        total = 0
         for m, c in self.terms.items():
             val = c
             for g, e in m:
@@ -330,7 +365,7 @@ def esp(gens: list[tuple], k: int) -> Poly:
     out = Poly.zero()
     for combo in itertools.combinations(gens, k):
         m = tuple(sorted((g, 1) for g in combo))
-        out = out + Poly({m: Fraction(1)})
+        out = out + Poly({m: 1})
     return out
 
 

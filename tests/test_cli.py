@@ -180,6 +180,8 @@ def test_console_entry_point():
     ["unknot", "--tmax", "-1"],
     ["unknot", "--amax", "-1"],
     ["verify", "factors", "--k", "3", "--qmin", "99", "--variant", "bogus"],
+    ["unknot", "--variant", "intrinsic", "--k", "1", "--max-n", "9", "--n", "3"],
+    ["dump", "complex", "--cn", "1", "--qmin", "5", "--k", "2", "--max-n", "7"],
 ])
 def test_bad_input_is_one_line_on_stderr(args, capsys):
     assert main(args) == 2

@@ -8,6 +8,7 @@ It stays here as the reference that the fast path is compared with.
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -182,3 +183,19 @@ def test_standard_monomial_counts_match_sympy():
                 if not any(all(a <= b for a, b in zip(lead, exps(m))) for lead in leads)
             )
             assert ring.dim(d) == count, (ring.spec.name, d)
+
+
+@given(st.integers(2, 5), st.integers(0, 6), st.integers(0, 3), st.integers(-4, 4).filter(bool))
+def test_normal_forms_are_exact_when_the_leading_coefficient_is_not_one(c, n, b, k):
+    """In Q[x, y]/(c x^2 - y^2), x^n y^b = c^-j x^(n - 2j) y^(b + 2j) with
+    j = n // 2: the relation's lead c must be inverted as a Fraction."""
+    x, y = x_gen(1), x_gen(2)
+    X, Y = Poly.gen(x), Poly.gen(y)
+    ring = GradedRing(RingSpec("lead c", [(x, 2), (y, 2)], [c * X * X - Y * Y]))
+    j = n // 2
+    want = Fraction(k, c ** j)
+    mono = tuple(m for m in ((x, n - 2 * j), (y, b + 2 * j)) if m[1])
+    got = ring.normal_form(k * X ** n * Y ** b)
+    assert got.terms == {mono: want}
+    (coeff,) = got.terms.values()
+    assert type(coeff) is (int if want.denominator == 1 else Fraction)

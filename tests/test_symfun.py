@@ -30,10 +30,13 @@ from fraylab.symfun import (
     rho_change,
     rho_psi_roundtrip,
     u_param,
+    v_gen,
     vanishing_locus_sampler,
     vdot_param,
     x_gen,
+    _mono_mul,
 )
+from fraylab.grading import MultiDegree
 
 
 def x(i, primed=False):
@@ -284,3 +287,81 @@ def test_composition_refine_and_ell():
         b.refine(0, Composition.of(1, 1))
     with pytest.raises(ValueError):
         Composition.of(0, 2)
+
+
+# -- the Poly kernel against naive references -----------------------------------
+# The references build each monomial product through a dict and sorted(), sum
+# in Fractions, and raise to a power by repeated multiplication.
+
+KERNEL_GENS = [e_gen(1, 1), e_gen(1, 2), e_gen(2, 1, BOTTOM), x_gen(1), x_gen(2, BOTTOM),
+               u_param(1), v_gen(("w", 1), MultiDegree(0, 2, 0))]
+
+
+def naive_mono_mul(m1, m2):
+    d = dict(m1)
+    for g, e in m2:
+        d[g] = d.get(g, 0) + e
+    return tuple(sorted(d.items()))
+
+
+def naive_mul(p, q):
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = naive_mono_mul(m1, m2)
+            out[m] = out.get(m, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return Poly(out)
+
+
+def naive_substitute(p, table):
+    out = {}
+    for m, c in p.terms.items():
+        piece = Poly.const(c)
+        for g, e in m:
+            rep = table.get(g, Poly.gen(g))
+            for _ in range(e):
+                piece = naive_mul(piece, rep)
+        for mm, cc in piece.terms.items():
+            out[mm] = out.get(mm, Fraction(0)) + Fraction(cc)
+    return Poly(out)
+
+
+monos = st.dictionaries(st.sampled_from(KERNEL_GENS), st.integers(1, 3), max_size=4).map(
+    lambda d: tuple(sorted(d.items())))
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3) | st.integers(-3, 3)
+polys = st.dictionaries(monos, coeffs, max_size=4).map(Poly)
+
+
+def assert_exact_coefficients(p):
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+@given(monos, monos)
+def test_mono_mul_is_the_sorted_product(m1, m2):
+    assert _mono_mul(m1, m2) == naive_mono_mul(m1, m2)
+
+
+@given(polys, polys, coeffs)
+def test_arithmetic_matches_the_reference_with_exact_coefficients(p, q, c):
+    assert p * q == naive_mul(p, q)
+    results = [p * q, p + q, p - q, -p, p * c, c * p, p ** 2, Poly.const(c)]
+    for r in results:
+        assert_exact_coefficients(r)
+
+
+@given(polys, st.dictionaries(st.sampled_from(KERNEL_GENS), polys, max_size=3))
+def test_substitute_matches_per_monomial_expansion(p, table):
+    got = p.substitute(table)
+    assert got == naive_substitute(p, table)
+    assert_exact_coefficients(got)
+
+
+@given(polys)
+def test_int_and_fraction_copies_are_equal_with_equal_hashes(p):
+    as_fractions = Poly()
+    as_fractions.terms = {m: Fraction(c) for m, c in p.terms.items()}
+    assert as_fractions == p and hash(as_fractions) == hash(p)
+    rebuilt = Poly(as_fractions.terms)
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+    assert [type(c) for c in rebuilt.terms.values()] == [type(c) for c in p.terms.values()]
