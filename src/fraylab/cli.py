@@ -99,12 +99,16 @@ def _dump_complex(cn: int | None = None, variant: str = "plain", cap: int = 2):
     return cn_family(cn, variant, cap=cap).to_json()
 
 
-def _dump_poly(family: str | None = None, b: str = "1,1", n: int = 2):
+def _dump_poly(family: str | None = None, b: str | None = None, n: int | None = None):
     if family == "g":
-        return {f"g_{i + 1}": g.to_json() for i, g in enumerate(g_polys(n))}
+        if b is not None:
+            raise ValueError("poly family g takes no --b")
+        return {f"g_{i + 1}": g.to_json() for i, g in enumerate(g_polys(2 if n is None else n))}
     if family != "a-ijk":
         raise ValueError(f"unknown poly family {family!r}")
-    b = _composition(b)
+    if n is not None:
+        raise ValueError("poly family a-ijk takes no --n")
+    b = _composition("1,1" if b is None else b)
     if all(p == 1 for p in b.parts):
         fam = a_thin_recursive(b.total)
         return {f"a_{i}{j}1": fam[(i, j)].to_json() for (i, j) in sorted(fam)}

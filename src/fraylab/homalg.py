@@ -24,7 +24,10 @@ where <,> is the (a,t) sign form and the entrywise sign factors through
 diagonal sign matrices because ring elements are pure q-degree.  All the
 engine operations -- Maurer-Cartan checks, twists, cones, Gaussian
 elimination with SDR data, deformation transport, SDR lifting, truncated
-homology -- are built on that one composition rule.
+homology -- are built on that one composition rule,
+``CurvedComplex.compose_terms``.  It accumulates each product of
+coefficients straight into its (parameter monomial, component, opaque tag,
+ring monomial) slot and builds every entry once, at the end.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .grading import MultiDegree, parity, shift_sign
 from .linalg import _exact, _scaled, rank_of
 from .qseries import TriSeries, Window
-from .symfun import Mono, Poly, eval_at_point
+from .symfun import Mono, Poly, _mono_mul, eval_at_point
 
 # ---------------------------------------------------------------------------
 # presented rings with graded normal forms
@@ -353,9 +356,11 @@ class GradedRing:
         return self.normal_form(p).is_zero()
 
     def sampled_zero(self, p: Poly, count: int = 20, seed: int = 0) -> bool:
-        """Exact evaluation at vanishing-locus samples.  Without a sampler
-        the ring must have no relations left, and then the normal form
-        decides exactly."""
+        """Exact evaluation at vanishing-locus samples.  p is evaluated as it
+        stands, not expanded into raw variables: each e_k(X_j) takes its
+        value from the point's raw coordinates.  Without a sampler the ring
+        must have no relations left, and then the normal form decides
+        exactly."""
         if self.spec.sampler is None:
             if self.relations:
                 raise ValueError(
@@ -363,13 +368,10 @@ class GradedRing:
                 )
             return self.reduces_to_zero(p)
         p = self._apply_subst(p)
-        from .symfun import expand_to_x
-
-        expanded = expand_to_x(p, self.spec.eval_composition)
-        for pt in self.spec.sampler(count, seed):
-            if eval_at_point(expanded, pt, self.spec.eval_composition) != 0:
-                return False
-        return True
+        return all(
+            eval_at_point(p, pt, self.spec.eval_composition) == 0
+            for pt in self.spec.sampler(count, seed)
+        )
 
     def mult_matrix(self, p: Poly, qdeg: int) -> dict[tuple[int, int], Fraction]:
         """Matrix of multiplication by p: quotient(qdeg) -> quotient(qdeg + deg p),
@@ -578,26 +580,6 @@ class Entry:
     def plain_part(self) -> Poly:
         return self.parts.get(None, Poly.zero())
 
-    def compose(self, other: "Entry", rules: Mapping[tuple, Optional[str]]) -> "Entry":
-        """self after other; opaque tags combine via the declared rules."""
-        out = Entry()
-        for t1, p1 in self.parts.items():
-            for t2, p2 in other.parts.items():
-                if t1 is None and t2 is None:
-                    tag = None
-                elif t1 is None:
-                    tag = t2
-                elif t2 is None:
-                    tag = t1
-                else:
-                    if (t1, t2) not in rules:
-                        raise ValueError(
-                            f"no composition rule for opaque tags {t1!r} o {t2!r}"
-                        )
-                    tag = rules[(t1, t2)]
-                out = out + Entry({tag: p1 * p2})
-        return out
-
     def to_json(self):
         return [
             {"tag": tag, "poly": p.to_json()}
@@ -709,43 +691,66 @@ class CurvedComplex:
 
     # -- composition of term dictionaries ------------------------------------
     def compose_terms(self, t1: Terms, t2: Terms) -> Terms:
-        """(sum of t1) o (sum of t2) as decomposed terms."""
-        out: Terms = {}
+        """(sum of t1) o (sum of t2) as decomposed terms.
+
+        One pass: each product sign * msign * c1 * c2 (interchange sign,
+        parameter sign, ring coefficients) is added straight into its
+        {monomial: {(i, k, tag): {Mono: coeff}}} slot.  Each Poly and Entry
+        is built once at the end, on its slot's dict, and a monomial's slots
+        are released as its entries are built; zero coefficients, entries
+        and monomials are dropped.  Opaque tags combine by opaque_rules, and
+        a composed pair of tags with no rule raises ValueError.  A pair of
+        terms whose parameter products all exceed the cap is not composed."""
+        rules = self.opaque_rules
+        acc: dict = {}
         for s, A in t1.items():
             eps = self._eps(s)
             for r, B in t2.items():
-                monos = pm_mul(self.params, s, r)
-                if not monos:
+                targets = [
+                    (msign, acc.setdefault(mono, {}))
+                    for msign, mono in pm_mul(self.params, s, r)
+                    if self._within_cap(mono)
+                ]
+                if not targets:
                     continue
                 # matrix product with diagonal interchange signs on B
-                prod: TermMatrix = {}
                 by_col: dict[int, list] = {}
                 for (j, k), e in B.items():
                     by_col.setdefault(j, []).append((k, e))
                 for (i, j), a in A.items():
                     for k, b in by_col.get(j, []):
                         sign = eps[j] * eps[k]
-                        piece = a.compose(b, self.opaque_rules).scale(sign)
-                        if piece.is_zero():
-                            continue
-                        prev = prod.get((i, k))
-                        prod[(i, k)] = piece if prev is None else prev + piece
-                for sign, mono in monos:
-                    if not self._within_cap(mono):
-                        continue
-                    tgt = out.setdefault(mono, {})
-                    for ij, e in prod.items():
-                        piece = e.scale(sign)
-                        if piece.is_zero():
-                            continue
-                        prev = tgt.get(ij)
-                        tgt[ij] = piece if prev is None else prev + piece
-        # drop zeros
-        return {
-            m: {ij: e for ij, e in mat.items() if not e.is_zero()}
-            for m, mat in out.items()
-            if any(not e.is_zero() for e in mat.values())
-        }
+                        for tag_a, p_a in a.parts.items():
+                            for tag_b, p_b in b.parts.items():
+                                if tag_a is None or tag_b is None:
+                                    tag = tag_b if tag_a is None else tag_a
+                                elif (tag_a, tag_b) in rules:
+                                    tag = rules[(tag_a, tag_b)]
+                                else:
+                                    raise ValueError(
+                                        f"no composition rule for opaque tags {tag_a!r} o {tag_b!r}"
+                                    )
+                                cells = [
+                                    (sign * msign, mat.setdefault((i, k, tag), {}))
+                                    for msign, mat in targets
+                                ]
+                                right = p_b.terms.items()
+                                for m1, c1 in p_a.terms.items():
+                                    for m2, c2 in right:
+                                        m, c = _mono_mul(m1, m2), c1 * c2
+                                        for sg, cell in cells:
+                                            cell[m] = cell.get(m, 0) + sg * c
+        out: Terms = {}
+        for mono in list(acc):
+            parts: dict = {}
+            for (i, k, tag), cell in acc.pop(mono).items():
+                if not all(cell.values()):
+                    cell = {m: c for m, c in cell.items() if c}
+                if cell:
+                    parts.setdefault((i, k), {})[tag] = Poly._of(cell)
+            if parts:
+                out[mono] = {ik: Entry(p) for ik, p in parts.items()}
+        return out
 
     @staticmethod
     def add_terms(t1: Terms, t2: Terms, c: int = 1) -> Terms:
@@ -790,27 +795,30 @@ class CurvedComplex:
     def mc_check(self, samples: int = 20, seed: int = 0) -> CheckReport:
         """delta^2 = curvature, term by term in parameter monomials, with
         entries compared modulo each target object's relations and
-        double-checked on vanishing-locus samples."""
+        double-checked on vanishing-locus samples.  Only the nonzero
+        components of delta^2 and the curvature diagonal are visited, in
+        (monomial, i, j) order, so the first failure is reported."""
         sq = self.square()
         monos = set(sq) | set(self.curvature)
         for mono in sorted(monos, key=repr):
             mat = sq.get(mono, {})
             fv = self.curvature.get(mono)
-            for i in range(len(self.objects)):
-                for j in range(len(self.objects)):
-                    got = mat.get((i, j), Entry())
-                    want = Entry()
-                    if fv is not None and i == j:
-                        want = Entry.plain(fv)
-                    diff = got + (-want)
-                    if diff.is_zero():
-                        continue
-                    if not self._entry_vanishes(i, j, diff, samples, seed):
-                        return CheckReport(
-                            False,
-                            f"Maurer-Cartan fails at parameter monomial {mono}, "
-                            f"component ({i},{j}): {diff!r}",
-                        )
+            want = None if fv is None else Entry.plain(-fv)
+            cells = set(mat)
+            if want is not None:
+                cells.update((i, i) for i in range(len(self.objects)))
+            for i, j in sorted(cells):
+                diff = mat.get((i, j))
+                if want is not None and i == j:
+                    diff = want if diff is None else diff + want
+                if diff.is_zero():
+                    continue
+                if not self._entry_vanishes(i, j, diff, samples, seed):
+                    return CheckReport(
+                        False,
+                        f"Maurer-Cartan fails at parameter monomial {mono}, "
+                        f"component ({i},{j}): {diff!r}",
+                    )
         return CheckReport(True)
 
     # -- basic constructions ---------------------------------------------------
@@ -1184,31 +1192,22 @@ def gaussian_eliminate(
             tgt[(reindex[i], reindex[j])] = e
     # gamma: components c -> y (out of the source of phi, excluding phi)
     # kappa: components x -> r (into the target of phi)
-    gammas = {}
-    kappas = {}
+    gammas: Terms = {}
+    kappas: Terms = {}
     for mono, mat in C.terms.items():
         for (i, j), e in mat.items():
             if j == c and i not in (r, c):
-                gammas.setdefault(mono, {})[i] = e
+                gammas.setdefault(mono, {})[(i, c)] = e
             if i == r and j not in (r, c):
-                kappas.setdefault(mono, {})[j] = e
-    eps_c = C._eps
-    for m1, gam in gammas.items():
-        e1 = eps_c(m1)
-        for m2, kap in kappas.items():
-            for sign0, mono in pm_mul(C.params, m1, m2):
-                if not C._within_cap(mono):
-                    continue
-                tgt = new_terms.setdefault(mono, {})
-                for i, ge in gam.items():
-                    for j, ke in kap.items():
-                        sgn = sign0 * e1[c] * e1[j]
-                        piece = ge.compose(ke, C.opaque_rules).scale(-inv * sgn)
-                        if piece.is_zero():
-                            continue
-                        ij = (reindex[i], reindex[j])
-                        prev = tgt.get(ij)
-                        tgt[ij] = piece if prev is None else prev + piece
+                kappas.setdefault(mono, {})[(c, j)] = e
+    # - gamma phi^{-1} kappa, composed through the middle object c
+    for mono, mat in C.compose_terms(gammas, kappas).items():
+        tgt = new_terms.setdefault(mono, {})
+        for (i, j), e in mat.items():
+            piece = e.scale(-inv)
+            ij = (reindex[i], reindex[j])
+            prev = tgt.get(ij)
+            tgt[ij] = piece if prev is None else prev + piece
 
     reduced = CurvedComplex(
         [C.objects[i] for i in keep],
@@ -1229,13 +1228,13 @@ def gaussian_eliminate(
         g_terms[PM_ONE][(i, reindex[i])] = Entry.plain(Poly.one())
     for mono, gam in gammas.items():
         tgt = f_terms.setdefault(mono, {})
-        for i, ge in gam.items():
+        for (i, _), ge in gam.items():
             piece = ge.scale(-inv)
             prev = tgt.get((reindex[i], r))
             tgt[(reindex[i], r)] = piece if prev is None else prev + piece
     for mono, kap in kappas.items():
         tgt = g_terms.setdefault(mono, {})
-        for j, ke in kap.items():
+        for (_, j), ke in kap.items():
             piece = ke.scale(-inv)
             prev = tgt.get((c, reindex[j]))
             tgt[(c, reindex[j])] = piece if prev is None else prev + piece
@@ -1427,10 +1426,10 @@ def unrolled_homology(
     for local < 0, where it is 0) and act(p, level, local) the matrix of the
     plain entry p from it; a scalar entry acts as c times the identity.
     `entries` holds the nonzero plain entries per parameter monomial, and
-    t_range the t-span of the cells.  Dimensions, actions and differentials
-    are computed once per call; a differential is ranked when it is built,
-    and only its rank is kept.  Returns {cell: dim} for the cells of
-    nonzero dimension."""
+    t_range the t-span of the cells.  Dimensions, actions, parameter
+    products and differentials are computed once per call; a differential
+    is ranked when it is built, and only its rank is kept.  Returns
+    {cell: dim} for the cells of nonzero dimension."""
     monos = _module_monomials(C.params, C.cap, t_range[0] - 1, t_range[1] + 1)
     bases = [
         (oi, mono, o.degree + mdeg)
@@ -1469,6 +1468,7 @@ def unrolled_homology(
         return out, off
 
     actions: dict = {}
+    products: dict[tuple[PMono, PMono], list] = {}  # pm_mul(s_mono, vmono)
     ranks: dict[tuple[int, int, int], tuple[int, int]] = {}
 
     def differential(g: tuple[int, int, int]) -> tuple[int, int]:
@@ -1484,7 +1484,10 @@ def unrolled_homology(
                     continue
                 # a product with a dual kills the cyclic generator, so it
                 # matches no piece
-                for msign, new_mono in pm_mul(C.params, s_mono, vmono):
+                prods = products.get((s_mono, vmono))
+                if prods is None:
+                    prods = products[(s_mono, vmono)] = pm_mul(C.params, s_mono, vmono)
+                for msign, new_mono in prods:
                     hit = tgt.get((i, new_mono))
                     if hit is None:
                         continue

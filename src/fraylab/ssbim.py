@@ -616,11 +616,12 @@ def extended_thin_family(n: int) -> dict[tuple[int, int], Poly]:
     size n extended by a_{i,n+1} := g_i (expanded to thin variables),
     a_{n+1,j} := 0."""
     thin = a_thin_recursive(n) if n >= 1 else {}
+    gs = g_polys(n)
     out: dict[tuple[int, int], Poly] = {}
     for i in range(1, n + 2):
         for j in range(1, n + 2):
             if j == n + 1:
-                out[(i, j)] = expand_to_x(g_polys(n)[i - 1], Composition.of(n, 1))
+                out[(i, j)] = expand_to_x(gs[i - 1], Composition.of(n, 1))
             elif i == n + 1:
                 out[(i, j)] = Poly.zero()
             else:
@@ -706,17 +707,11 @@ def basis_change_check(n: int, cap: int = 2) -> CheckReport:
     x' a^lam_{m-1,j}, i.e. tau_{n+1}; the (-x')^k sum is the inverse.
     """
     lamfam = extended_thin_family(n)
-    nextfam = a_thin_recursive(n + 1)
-    xp = Poly.gen(x_gen(n + 1, BOTTOM))
-    for i in range(1, n + 2):
-        for j in range(1, n + 2):
-            lhs = nextfam.get((i, j), Poly.zero()) - lamfam[(i, j)]
-            prev = lamfam.get((i - 1, j), Poly.zero()) if i >= 2 else Poly.zero()
-            if not (lhs - xp * prev).is_zero():
-                return CheckReport(False, f"case identity fails at (i,j)=({i},{j})")
+    bad = _case_identity_failure(n, lamfam)
+    if bad is not None:
+        return CheckReport(False, f"case identity fails at (i,j)=({bad[0]},{bad[1]})")
 
-    tau_n = tau_complex(n, cap=cap, check=False)
-    tau_next = tau_next_on_same_ring(n, cap=cap, check=False)
+    tau_n = _tau_like(n, lamfam, cap, False)
     m = n + 1
     xp_ring = Poly.gen(e_gen(2 * m, 1, TOP))  # x'_{n+1} in the W ring
 
@@ -727,7 +722,8 @@ def basis_change_check(n: int, cap: int = 2) -> CheckReport:
             acc.append((f"u{i + 1}", xp_ring))
         forward[f"u{i}"] = acc
     transformed = _substitute_u_linear(tau_n, forward)
-    if not _terms_match(transformed, tau_next):
+    # tau_{n+1} lives only for this comparison, not through the round trip
+    if not _terms_match(transformed, tau_next_on_same_ring(n, cap=cap, check=False)):
         return CheckReport(False, "substitution does not carry tau_n to tau_{n+1}")
 
     inverse = {}
@@ -740,6 +736,23 @@ def basis_change_check(n: int, cap: int = 2) -> CheckReport:
     if not _terms_match(back, tau_n):
         return CheckReport(False, "inverse substitution does not round-trip")
     return CheckReport(True)
+
+
+def _case_identity_failure(
+    n: int, lamfam: Mapping[tuple[int, int], Poly]
+) -> Optional[tuple[int, int]]:
+    """The first (i, j) where identity (1) of basis_change_check fails, if
+    any.  Its own frame, so a^{(lambda,1)} is freed before the complexes
+    are built."""
+    nextfam = a_thin_recursive(n + 1)
+    xp = Poly.gen(x_gen(n + 1, BOTTOM))
+    for i in range(1, n + 2):
+        for j in range(1, n + 2):
+            lhs = nextfam.get((i, j), Poly.zero()) - lamfam[(i, j)]
+            prev = lamfam.get((i - 1, j), Poly.zero()) if i >= 2 else Poly.zero()
+            if not (lhs - xp * prev).is_zero():
+                return (i, j)
+    return None
 
 
 def _substitute_u_linear(cx: CurvedComplex, table: Mapping[str, list]) -> CurvedComplex:

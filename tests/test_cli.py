@@ -182,6 +182,8 @@ def test_console_entry_point():
     ["verify", "factors", "--k", "3", "--qmin", "99", "--variant", "bogus"],
     ["unknot", "--variant", "intrinsic", "--k", "1", "--max-n", "9", "--n", "3"],
     ["dump", "complex", "--cn", "1", "--qmin", "5", "--k", "2", "--max-n", "7"],
+    ["dump", "poly", "--family", "g", "--n", "2", "--b", "1,2"],
+    ["dump", "poly", "--family", "a-ijk", "--b", "1,2", "--n", "5"],
 ])
 def test_bad_input_is_one_line_on_stderr(args, capsys):
     assert main(args) == 2

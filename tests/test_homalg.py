@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fraylab import criteria
 from fraylab.grading import MultiDegree, parity
@@ -28,7 +28,8 @@ from fraylab.homalg import (
     transport_twist,
 )
 from fraylab.qseries import Window
-from fraylab.symfun import Poly, x_gen
+from fraylab.ssbim import build_W, build_identity
+from fraylab.symfun import Composition, Poly, eval_at_point, expand_to_x, x_gen
 
 
 @pytest.fixture
@@ -136,6 +137,198 @@ def test_middle_interchange_sign_law(qx):
             if any(v for v in mat.values())
         }
         assert got == want, (s, r, i, j, k)
+
+
+# -- one-pass composition against the Entry-by-Entry reference -----------------------
+
+TAGS = ("f", "g")
+
+
+def _ref_entry_compose(a: Entry, b: Entry, rules) -> Entry:
+    """a after b, one summand pair at a time, each product a new Entry."""
+    out = Entry()
+    for t1, p1 in a.parts.items():
+        for t2, p2 in b.parts.items():
+            if t1 is None or t2 is None:
+                tag = t2 if t1 is None else t1
+            elif (t1, t2) in rules:
+                tag = rules[(t1, t2)]
+            else:
+                raise ValueError(f"no composition rule for opaque tags {t1!r} o {t2!r}")
+            out = out + Entry({tag: p1 * p2})
+    return out
+
+
+def ref_compose_terms(cx: CurvedComplex, t1, t2):
+    """compose_terms as a sum of Entry products, one per parameter product."""
+    out = {}
+    for s, A in t1.items():
+        eps = cx._eps(s)
+        for r, B in t2.items():
+            for msign, mono in pm_mul(cx.params, s, r):
+                if not cx._within_cap(mono):
+                    continue
+                tgt = out.setdefault(mono, {})
+                for (i, j), a in A.items():
+                    for (jj, k), b in B.items():
+                        if jj == j:
+                            piece = _ref_entry_compose(a, b, cx.opaque_rules)
+                            piece = piece.scale(msign * eps[j] * eps[k])
+                            tgt[(i, k)] = tgt.get((i, k), Entry()) + piece
+    return {
+        m: {ij: e for ij, e in mat.items() if not e.is_zero()}
+        for m, mat in out.items()
+        if any(not e.is_zero() for e in mat.values())
+    }
+
+
+def as_parts(terms):
+    return {m: {ij: dict(e.parts) for ij, e in mat.items()} for m, mat in terms.items()}
+
+
+def _random_poly(rng: random.Random) -> Poly:
+    # few monomials and coefficients, so that sums often cancel
+    monos = [(), ((x_gen(1), 1),), ((x_gen(2), 1),), ((x_gen(1), 1), (x_gen(2), 2))]
+    return Poly({rng.choice(monos): rng.choice([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+                 for _ in range(rng.randint(1, 3))})
+
+
+def _random_entry(rng: random.Random) -> Entry:
+    tags = rng.sample((None,) + TAGS, rng.randint(1, 2))
+    return Entry({tag: _random_poly(rng) for tag in tags})
+
+
+def random_terms(rng: random.Random, n: int) -> dict:
+    """Random terms on n objects over odd t1, t2 and even u, v, with
+    opaque tags."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        mono = pm_from({name: rng.randint(0, 2) for name in ("u", "v")},
+                       rng.sample(["t1", "t2"], rng.randint(0, 2)),
+                       rng.sample(["t1", "t2"], rng.randint(0, 1)))
+        mat = terms.setdefault(mono, {})
+        for _ in range(rng.randint(1, 4)):
+            mat[(rng.randrange(n), rng.randrange(n))] = _random_entry(rng)
+    return terms
+
+
+def random_complex(rng: random.Random, min_objects: int = 1) -> CurvedComplex:
+    """A random (not Maurer-Cartan) multi-object complex with odd and even
+    parameters, opaque tags with a rule for every pair, and maybe a cap."""
+    ring = GradedRing(RingSpec("Qxy", [(x_gen(1), 2), (x_gen(2), 2)], []))
+    objs = [RC_Object(MultiDegree(rng.randint(0, 1), rng.randint(-2, 2), rng.randint(0, 2)), ring)
+            for _ in range(rng.randint(min_objects, 3))]
+    params = ParamSpec.make([
+        ("t1", MultiDegree(rng.randint(0, 1), -2, 1), "odd"),
+        ("t2", MultiDegree(0, -4, rng.randint(0, 1)), "odd"),
+        ("u", MultiDegree(rng.randint(0, 1), -2, 2), "even"),
+        ("v", MultiDegree(1, 0, rng.randint(0, 1)), "even"),
+    ])
+    rules = {(t1, t2): rng.choice((None,) + TAGS) for t1 in TAGS for t2 in TAGS}
+    return CurvedComplex(objs, params, random_terms(rng, len(objs)),
+                         cap=rng.choice([None, 0, 1, 2]), opaque_rules=rules)
+
+
+@settings(max_examples=100)
+@given(st.randoms(use_true_random=False), st.randoms(use_true_random=False))
+def test_compose_terms_matches_entry_by_entry_reference(rng1, rng2):
+    cx = random_complex(rng1)
+    other = random_terms(rng2, len(cx.objects))
+    for t1, t2 in ((cx.terms, cx.terms), (cx.terms, other), (other, cx.terms)):
+        got = cx.compose_terms(t1, t2)
+        assert as_parts(got) == as_parts(ref_compose_terms(cx, t1, t2))
+        # nothing zero is kept, and integral coefficients are ints
+        for mat in got.values():
+            assert mat
+            for e in mat.values():
+                assert e.parts
+                for p in e.parts.values():
+                    assert p.terms
+                    for c in p.terms.values():
+                        assert c and (c.__class__ is int or c.denominator != 1)
+
+
+def test_compose_terms_unknown_tag_pair_raises(qx):
+    cx = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), qx)], ParamSpec.make([]),
+                       opaque_rules={("f", "f"): None})
+    f = {PM_ONE: {(0, 0): Entry.opaque("f")}}
+    g = {PM_ONE: {(0, 0): Entry.opaque("g")}}
+    assert cx.compose_terms(f, f)[PM_ONE][(0, 0)].plain_part() == Poly.one()
+    with pytest.raises(ValueError, match="no composition rule"):
+        cx.compose_terms(f, g)
+
+
+def _ref_gauss_terms(C: CurvedComplex, r: int, c: int):
+    """The corrected differential eps - gamma phi^-1 kappa, by the loop over
+    gamma and kappa components with one Entry product each."""
+    inv = Fraction(1) / C.objects[r].ring.normal_form(
+        C.terms[PM_ONE][(r, c)].plain_part()).constant_value()
+    keep = [i for i in range(len(C.objects)) if i not in (r, c)]
+    reindex = {old: new for new, old in enumerate(keep)}
+    out = {}
+    for mono, mat in C.terms.items():
+        for (i, j), e in mat.items():
+            if i not in (r, c) and j not in (r, c):
+                out.setdefault(mono, {})[(reindex[i], reindex[j])] = e
+    gammas, kappas = {}, {}
+    for mono, mat in C.terms.items():
+        for (i, j), e in mat.items():
+            if j == c and i not in (r, c):
+                gammas.setdefault(mono, {})[i] = e
+            if i == r and j not in (r, c):
+                kappas.setdefault(mono, {})[j] = e
+    for m1, gam in gammas.items():
+        e1 = C._eps(m1)
+        for m2, kap in kappas.items():
+            for sign0, mono in pm_mul(C.params, m1, m2):
+                if not C._within_cap(mono):
+                    continue
+                tgt = out.setdefault(mono, {})
+                for i, ge in gam.items():
+                    for j, ke in kap.items():
+                        piece = _ref_entry_compose(ge, ke, C.opaque_rules)
+                        piece = piece.scale(-inv * sign0 * e1[c] * e1[j])
+                        ij = (reindex[i], reindex[j])
+                        tgt[ij] = tgt.get(ij, Entry()) + piece
+    return CurvedComplex([C.objects[i] for i in keep], C.params, out).terms
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_gaussian_eliminate_matches_reference_loop(seed):
+    rng = random.Random(seed)
+    C = random_complex(rng, min_objects=3)
+    r, c = rng.sample(range(len(C.objects)), 2)
+    C.terms.setdefault(PM_ONE, {})[(r, c)] = Entry.plain(
+        Poly.const(rng.choice([1, -1, 2, Fraction(-1, 3)])))
+    red, sdr = gaussian_eliminate(C, (r, c), verify=False)
+    assert as_parts(red.terms) == as_parts(_ref_gauss_terms(C, r, c))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_W(Composition.of(1, 1)),
+    lambda: build_W(Composition.of(2, 1)),
+    lambda: build_W(Composition.of(2), Composition.of(1, 1)),
+    lambda: build_identity(Composition.of(2, 1)),
+    lambda: build_identity(Composition.of(1, 2)),
+])
+def test_sampled_zero_agrees_with_raw_expansion(build):
+    ring = build().ring
+    spec = ring.spec
+    rng = random.Random(3)
+    gens = [Poly.gen(g) for g, _ in spec.generators]
+    rels = [r for r in spec.relations if not r.is_zero()] or [gens[0] - gens[0]]
+    polys = []
+    for _ in range(12):
+        zero = sum((rng.choice(gens) * rel for rel in rels), Poly.zero())
+        polys += [zero, zero + rng.choice(gens), rng.choice(gens) * rng.choice(gens)]
+    seen = set()
+    for p in polys:
+        raw = expand_to_x(p, spec.eval_composition)
+        want = all(eval_at_point(raw, pt, spec.eval_composition) == 0
+                   for pt in spec.sampler(6, 1))
+        assert ring.sampled_zero(p, 6, 1) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 # -- koszul ---------------------------------------------------------------------
