@@ -28,6 +28,12 @@ homology -- are built on that one composition rule,
 ``CurvedComplex.compose_terms``.  It accumulates each product of
 coefficients straight into its (parameter monomial, component, opaque tag,
 ring monomial) slot and builds every entry once, at the end.
+
+Every identity check -- Maurer-Cartan, closed chain maps, strictness, the
+SDR identities, nilpotence and transport, SDR lifting, vanishing curvature --
+asks one vanishing rule, ``nonvanishing``: an entry must reduce to zero
+modulo the relations and vanish at 20 vanishing-locus sample points
+(seed 0).
 """
 
 from __future__ import annotations
@@ -56,7 +62,8 @@ class RingSpec:
     Polys in those symbols.  qshift records the overall quantum shift of
     the bimodule this ring presents (never baked into generator degrees).
     sampler(count, seed) optionally returns exact points of the vanishing
-    locus of the relations, used as a second route in equality checks.
+    locus of the relations, used as a second route in equality checks:
+    ``nonvanishing``, the one vanishing rule, asks for 20 points at seed 0.
     """
 
     name: str
@@ -131,22 +138,26 @@ class GroebnerBasis:
                 return []
             by_last[support[-1]].append(lead)
         out: list[tuple] = []
-        exps = [0] * n
-
-        def rec(i: int, rest: int) -> None:
+        # depth-first over exponent prefixes, with the weight still to place
+        stack: list[tuple[tuple, int]] = [((), d)]
+        while stack:
+            prefix, rest = stack.pop()
+            i = len(prefix)
             if i == n:
                 if rest == 0:
-                    out.append(tuple(exps))
-                return
-            for e in range(rest // self.weights[i] + 1):
-                exps[i] = e
+                    out.append(prefix)
+                continue
+            w = self.weights[i]
+            if i < n - 1:
+                choices = range(rest // w + 1)
+            else:  # the last exponent is fixed by the weight left
+                choices = [rest // w] if rest % w == 0 else []
+            for e in choices:
+                exps = prefix + (e,)
                 # a lead ending at i that divides now divides every larger e
-                if any(all(map(operator.le, lead[: i + 1], exps)) for lead in by_last[i]):
+                if any(all(map(operator.le, lead, exps)) for lead in by_last[i]):
                     break
-                rec(i + 1, rest - e * self.weights[i])
-            exps[i] = 0
-
-        rec(0, d)
+                stack.append((exps, rest - e * w))
         out.sort(key=lambda m: m[::-1])
         return out
 
@@ -621,6 +632,35 @@ class CheckReport:
         return f"CheckReport(ok={self.ok}, details={self.details!r})"
 
 
+def nonvanishing(
+    terms: Terms, targets: Sequence[RC_Object], sources: Sequence[RC_Object]
+) -> Optional[tuple[PMono, int, int]]:
+    """The first cell (monomial, i, j) of terms whose entry does not act as
+    zero sources[j] -> targets[i], monomials taken by repr and cells in
+    order; None if every entry vanishes.
+
+    This is the one vanishing rule of every identity check.  A plain part
+    must reduce to zero in the target ring and vanish at its 20
+    vanishing-locus sample points (seed 0); an opaque-tagged part must do
+    both in the target ring or in the source ring."""
+    for mono in sorted(terms, key=repr):
+        mat = terms[mono]
+        for i, j in sorted(mat):
+            for tag, p in mat[(i, j)].parts.items():
+                rings = [targets[i].ring]
+                if tag is not None:
+                    rings.append(sources[j].ring)
+                if not any(r.reduces_to_zero(p) and r.sampled_zero(p) for r in rings):
+                    return mono, i, j
+    return None
+
+
+def _at(cell: tuple[PMono, int, int]) -> str:
+    """A cell from ``nonvanishing``, as failure messages name it."""
+    mono, i, j = cell
+    return f"mono {mono} component ({i},{j})"
+
+
 class CurvedComplex:
     """Curved complex in decomposed form; see module docstring."""
 
@@ -770,56 +810,25 @@ class CurvedComplex:
     def square(self) -> Terms:
         return self.compose_terms(self.terms, self.terms)
 
-    # -- reduction helpers ----------------------------------------------------
-    def _entry_vanishes(self, i: int, j: int, entry: Entry, samples: int, seed: int) -> bool:
-        """Does the entry act as zero O_j -> O_i?  Plain parts reduce in the
-        target ring; opaque-tagged parts vanish if their scalar dies in the
-        target or the source ring."""
-        for tag, p in entry.parts.items():
-            ring_i = self.objects[i].ring
-            ring_j = self.objects[j].ring
-            if tag is None:
-                if not ring_i.reduces_to_zero(p):
-                    return False
-                if not ring_i.sampled_zero(p, samples, seed):
-                    return False
-            else:
-                dead = (ring_i.reduces_to_zero(p) and ring_i.sampled_zero(p, samples, seed)) or (
-                    ring_j.reduces_to_zero(p) and ring_j.sampled_zero(p, samples, seed)
-                )
-                if not dead:
-                    return False
-        return True
+    def diagonal(self, polys: Mapping[PMono, Poly]) -> Terms:
+        """p times the identity at each monomial, for {monomial: p}."""
+        n = len(self.objects)
+        return {m: {(i, i): Entry.plain(p) for i in range(n)} for m, p in polys.items()}
 
     # -- Maurer-Cartan --------------------------------------------------------
-    def mc_check(self, samples: int = 20, seed: int = 0) -> CheckReport:
-        """delta^2 = curvature, term by term in parameter monomials, with
-        entries compared modulo each target object's relations and
-        double-checked on vanishing-locus samples.  Only the nonzero
-        components of delta^2 and the curvature diagonal are visited, in
-        (monomial, i, j) order, so the first failure is reported."""
-        sq = self.square()
-        monos = set(sq) | set(self.curvature)
-        for mono in sorted(monos, key=repr):
-            mat = sq.get(mono, {})
-            fv = self.curvature.get(mono)
-            want = None if fv is None else Entry.plain(-fv)
-            cells = set(mat)
-            if want is not None:
-                cells.update((i, i) for i in range(len(self.objects)))
-            for i, j in sorted(cells):
-                diff = mat.get((i, j))
-                if want is not None and i == j:
-                    diff = want if diff is None else diff + want
-                if diff.is_zero():
-                    continue
-                if not self._entry_vanishes(i, j, diff, samples, seed):
-                    return CheckReport(
-                        False,
-                        f"Maurer-Cartan fails at parameter monomial {mono}, "
-                        f"component ({i},{j}): {diff!r}",
-                    )
-        return CheckReport(True)
+    def mc_check(self) -> CheckReport:
+        """delta^2 = curvature, term by term in parameter monomials, by
+        ``nonvanishing``: the first failing (monomial, i, j) is reported."""
+        diff = self.add_terms(self.square(), self.diagonal(self.curvature), -1)
+        bad = nonvanishing(diff, self.objects, self.objects)
+        if bad is None:
+            return CheckReport(True)
+        mono, i, j = bad
+        return CheckReport(
+            False,
+            f"Maurer-Cartan fails at parameter monomial {mono}, "
+            f"component ({i},{j}): {diff[mono][(i, j)]!r}",
+        )
 
     # -- basic constructions ---------------------------------------------------
     def copy(self) -> "CurvedComplex":
@@ -852,7 +861,6 @@ class CurvedComplex:
         alpha: Terms,
         add_curvature: Mapping[PMono, Poly],
         check: bool = True,
-        samples: int = 12,
     ) -> "CurvedComplex":
         """Add a Maurer-Cartan element to the connection."""
         new_curv: dict[PMono, Poly] = dict(self.curvature)
@@ -868,7 +876,7 @@ class CurvedComplex:
             self.opaque_degrees,
         )
         if check:
-            rep = out.mc_check(samples=samples)
+            rep = out.mc_check()
             if not rep:
                 raise ValueError(f"twist violates Maurer-Cartan: {rep.details}")
         return out
@@ -936,28 +944,24 @@ class ChainMap:
     target: CurvedComplex
     terms: Terms
 
-    def is_closed(self, samples: int = 12, seed: int = 0) -> bool:
+    def is_closed(self) -> CheckReport:
         """d_Y f - f d_X = 0 (degree-0 maps commute strictly)."""
         tgt, src = self.target, self.source
         left = tgt.compose_terms(tgt.terms, self.terms)
         right = tgt.compose_terms(self.terms, src.terms)
-        diff = CurvedComplex.add_terms(left, right, -1)
-        for mono, mat in diff.items():
-            for (i, j), e in mat.items():
-                probe = CurvedComplex(
-                    [tgt.objects[i], src.objects[j]], tgt.params,
-                    opaque_rules=tgt.opaque_rules, opaque_degrees=tgt.opaque_degrees,
-                )
-                if not probe._entry_vanishes(0, 1, e, samples, seed):
-                    return False
-        return True
+        bad = nonvanishing(CurvedComplex.add_terms(left, right, -1), tgt.objects, src.objects)
+        if bad is None:
+            return CheckReport(True)
+        return CheckReport(False, f"d f - f d fails at {_at(bad)}")
 
 
 def cone(f: ChainMap, check: bool = True) -> CurvedComplex:
     """Cone(f) = tw_f(t^{-1} X (+) Y) for a closed degree-0 map f."""
     X, Y = f.source, f.target
-    if check and not f.is_closed():
-        raise ValueError("cone of a non-closed map")
+    if check:
+        rep = f.is_closed()
+        if not rep:
+            raise ValueError(f"cone of a non-closed map: {rep.details}")
     shifted = X.shifted(MultiDegree(0, 0, -1))
     nx = len(shifted.objects)
     objects = list(shifted.objects) + list(Y.objects)
@@ -1018,7 +1022,6 @@ def strict_deformation(
     phi_list: Sequence[Poly],
     params: ParamSpec,
     check: bool = True,
-    samples: int = 12,
 ) -> CurvedComplex:
     """tw_{sum xi_i (x) u_i}(C (x) R[params]) with curvature sum phi_i (x) u_i.
 
@@ -1037,19 +1040,12 @@ def strict_deformation(
             left = big.compose_terms(big.terms, xi)
             right = big.compose_terms(xi, big.terms)
             comm = CurvedComplex.add_terms(left, right, -sign)
-            expected: Terms = {
-                PM_ONE: {
-                    (i, i): Entry.plain(phi) for i in range(len(big.objects))
-                }
-            } if not phi.is_zero() else {}
-            diff = CurvedComplex.add_terms(comm, expected, -1)
-            for mono, mat in diff.items():
-                for (i, j), e in mat.items():
-                    if not big._entry_vanishes(i, j, e, samples, 0):
-                        raise ValueError(
-                            f"strictness condition (1) fails for xi_{idx + 1} "
-                            f"at mono {mono}, component ({i},{j})"
-                        )
+            diff = CurvedComplex.add_terms(comm, big.diagonal({PM_ONE: phi}), -1)
+            bad = nonvanishing(diff, big.objects, big.objects)
+            if bad is not None:
+                raise ValueError(
+                    f"strictness condition (1) fails for xi_{idx + 1} at {_at(bad)}"
+                )
         for idx1 in range(len(xi_list)):
             for idx2 in range(idx1 + 1, len(xi_list)):
                 d1 = MultiDegree(0, 0, 1) - params.degree(names[idx1])
@@ -1058,13 +1054,12 @@ def strict_deformation(
                 left = big.compose_terms(xi_list[idx1], xi_list[idx2])
                 right = big.compose_terms(xi_list[idx2], xi_list[idx1])
                 comm = CurvedComplex.add_terms(left, right, -sign)
-                for mono, mat in comm.items():
-                    for (i, j), e in mat.items():
-                        if not big._entry_vanishes(i, j, e, samples, 0):
-                            raise ValueError(
-                                f"strictness condition (2) fails for pair "
-                                f"({idx1 + 1},{idx2 + 1}) at ({i},{j})"
-                            )
+                bad = nonvanishing(comm, big.objects, big.objects)
+                if bad is not None:
+                    raise ValueError(
+                        f"strictness condition (2) fails for pair "
+                        f"({idx1 + 1},{idx2 + 1}) at {_at(bad)}"
+                    )
     alpha: Terms = {}
     curv: dict[PMono, Poly] = {}
     for name, xi, phi in zip(names, xi_list, phi_list):
@@ -1078,7 +1073,7 @@ def strict_deformation(
             alpha.setdefault(mono, {})[(i, j)] = e
         if not phi.is_zero():
             curv[mono] = curv.get(mono, Poly.zero()) + phi
-    return big.twist(alpha, curv, check=check, samples=samples)
+    return big.twist(alpha, curv, check=check)
 
 
 # ---------------------------------------------------------------------------
@@ -1097,62 +1092,32 @@ class SdrData:
     g: Terms  # small -> big
     h: Terms  # big -> big, degree -t
 
-    def verify(self, samples: int = 10) -> CheckReport:
+    def verify(self) -> CheckReport:
+        """The seven identities, each by ``nonvanishing``; the first failing
+        one is reported with its cell."""
         big, small = self.big, self.small
+        comp, add = big.compose_terms, CurvedComplex.add_terms
+        one = {PM_ONE: Poly.one()}
 
-        def vanishes(terms: Terms, src: CurvedComplex, tgt: CurvedComplex) -> Optional[str]:
-            for mono, mat in terms.items():
-                for (i, j), e in mat.items():
-                    probe = CurvedComplex(
-                        [tgt.objects[i], src.objects[j]], big.params,
-                        opaque_rules=big.opaque_rules, opaque_degrees=big.opaque_degrees,
-                    )
-                    if not probe._entry_vanishes(0, 1, e, samples, 0):
-                        return f"mono {mono} component ({i},{j})"
-            return None
+        def identities():
+            # (name, terms that must vanish, their targets, their sources)
+            yield "fg != id", add(comp(self.f, self.g), small.diagonal(one), -1), small, small
+            # [d, h] = dh + hd (h has odd degree) = id - gf
+            dh_hd = add(comp(big.terms, self.h), comp(self.h, big.terms))
+            id_gf = add(big.diagonal(one), comp(self.g, self.f), -1)
+            yield "[d,h] != id - gf", add(dh_hd, id_gf, -1), big, big
+            yield "side condition h^2 fails", comp(self.h, self.h), big, big
+            yield "side condition fh fails", comp(self.f, self.h), small, big
+            yield "side condition hg fails", comp(self.h, self.g), big, small
+            df = add(comp(small.terms, self.f), comp(self.f, big.terms), -1)
+            yield "f not closed", df, small, big
+            dg = add(comp(big.terms, self.g), comp(self.g, small.terms), -1)
+            yield "g not closed", dg, big, small
 
-        idm_small: Terms = {
-            PM_ONE: {(i, i): Entry.plain(Poly.one()) for i in range(len(small.objects))}
-        }
-        idm_big: Terms = {
-            PM_ONE: {(i, i): Entry.plain(Poly.one()) for i in range(len(big.objects))}
-        }
-        # f g = id_small
-        fg = big.compose_terms(self.f, self.g)
-        bad = vanishes(CurvedComplex.add_terms(fg, idm_small, -1), small, small)
-        if bad:
-            return CheckReport(False, f"fg != id at {bad}")
-        # [d, h] = dh + hd (h has odd degree) = id - gf
-        dh = big.compose_terms(big.terms, self.h)
-        hd = big.compose_terms(self.h, big.terms)
-        gf = big.compose_terms(self.g, self.f)
-        lhs = CurvedComplex.add_terms(dh, hd)
-        rhs = CurvedComplex.add_terms(idm_big, gf, -1)
-        bad = vanishes(CurvedComplex.add_terms(lhs, rhs, -1), big, big)
-        if bad:
-            return CheckReport(False, f"[d,h] != id - gf at {bad}")
-        # side conditions
-        for name, terms, src, tgt in (
-            ("h^2", big.compose_terms(self.h, self.h), big, big),
-            ("fh", big.compose_terms(self.f, self.h), big, small),
-            ("hg", big.compose_terms(self.h, self.g), small, big),
-        ):
-            bad = vanishes(terms, src, tgt)
-            if bad:
-                return CheckReport(False, f"side condition {name} fails at {bad}")
-        # closedness of f and g
-        df = CurvedComplex.add_terms(
-            big.compose_terms(small.terms, self.f), big.compose_terms(self.f, big.terms), -1
-        )
-        bad = vanishes(df, big, small)
-        if bad:
-            return CheckReport(False, f"f not closed at {bad}")
-        dg = CurvedComplex.add_terms(
-            big.compose_terms(big.terms, self.g), big.compose_terms(self.g, small.terms), -1
-        )
-        bad = vanishes(dg, small, big)
-        if bad:
-            return CheckReport(False, f"g not closed at {bad}")
+        for name, terms, tgt, src in identities():
+            bad = nonvanishing(terms, tgt.objects, src.objects)
+            if bad is not None:
+                return CheckReport(False, f"{name} at {_at(bad)}")
         return CheckReport(True)
 
 
@@ -1201,13 +1166,11 @@ def gaussian_eliminate(
             if i == r and j not in (r, c):
                 kappas.setdefault(mono, {})[(c, j)] = e
     # - gamma phi^{-1} kappa, composed through the middle object c
-    for mono, mat in C.compose_terms(gammas, kappas).items():
-        tgt = new_terms.setdefault(mono, {})
-        for (i, j), e in mat.items():
-            piece = e.scale(-inv)
-            ij = (reindex[i], reindex[j])
-            prev = tgt.get(ij)
-            tgt[ij] = piece if prev is None else prev + piece
+    correction = {
+        mono: {(reindex[i], reindex[j]): e for (i, j), e in mat.items()}
+        for mono, mat in C.compose_terms(gammas, kappas).items()
+    }
+    new_terms = CurvedComplex.add_terms(new_terms, correction, -inv)
 
     reduced = CurvedComplex(
         [C.objects[i] for i in keep],
@@ -1229,15 +1192,11 @@ def gaussian_eliminate(
     for mono, gam in gammas.items():
         tgt = f_terms.setdefault(mono, {})
         for (i, _), ge in gam.items():
-            piece = ge.scale(-inv)
-            prev = tgt.get((reindex[i], r))
-            tgt[(reindex[i], r)] = piece if prev is None else prev + piece
+            tgt[(reindex[i], r)] = ge.scale(-inv)
     for mono, kap in kappas.items():
         tgt = g_terms.setdefault(mono, {})
         for (_, j), ke in kap.items():
-            piece = ke.scale(-inv)
-            prev = tgt.get((c, reindex[j]))
-            tgt[(c, reindex[j])] = piece if prev is None else prev + piece
+            tgt[(c, reindex[j])] = ke.scale(-inv)
     h_terms: Terms = {PM_ONE: {(c, r): Entry.plain(Poly.const(inv))}}
 
     sdr = SdrData(C, reduced, f_terms, g_terms, h_terms)
@@ -1265,17 +1224,13 @@ def transport_twist(
     between the strict deformations by xi_old and xi_new when
     [d, h] = xi_old - xi_new, h nilpotent, and everything commutes."""
     # verify nilpotence: h^N = 0 modulo each target ring
-    power: Terms = {PM_ONE: {
-        (i, i): Entry.plain(Poly.one()) for i in range(len(C.objects))
-    }}
-    powers = [power]
+    ident = C.diagonal({PM_ONE: Poly.one()})
+    powers = [ident]
     for _ in range(nilpotence):
-        power = C.compose_terms(power, h)
-        powers.append(power)
-    for mono, mat in powers[-1].items():
-        for (i, j), e in mat.items():
-            if not C._entry_vanishes(i, j, e, 8, 0):
-                raise ValueError(f"h^{nilpotence} does not vanish at ({i},{j})")
+        powers.append(C.compose_terms(powers[-1], h))
+    bad = nonvanishing(powers[-1], C.objects, C.objects)
+    if bad is not None:
+        raise ValueError(f"h^{nilpotence} does not vanish at {_at(bad)}")
 
     def series(sign: int) -> Terms:
         out: Terms = {}
@@ -1285,31 +1240,20 @@ def transport_twist(
                 fact *= k
             coeff = Fraction(sign ** k, 1) / fact
             mono = PMono(((u_name, k),), (), ()) if k else PM_ONE
-            if not C._within_cap(mono):
-                continue
-            mat = powers[k]
-            tgt = out.setdefault(mono, {})
-            for ij, e in mat.get(PM_ONE, {}).items():
-                piece = e.scale(coeff)
-                prev = tgt.get(ij)
-                tgt[ij] = piece if prev is None else prev + piece
+            if C._within_cap(mono):
+                out[mono] = {ij: e.scale(coeff) for ij, e in powers[k].get(PM_ONE, {}).items()}
         return out
 
     psi, psi_inv = series(1), series(-1)
     if check:
-        comp = C.compose_terms(psi, psi_inv)
-        idm: Terms = {PM_ONE: {
-            (i, i): Entry.plain(Poly.one()) for i in range(len(C.objects))
-        }}
-        diff = CurvedComplex.add_terms(comp, idm, -1)
-        for mono, mat in diff.items():
-            if mono.total_even_weight() >= nilpotence:
-                continue  # truncation artifacts beyond the nilpotence bound
-            for (i, j), e in mat.items():
-                if not C._entry_vanishes(i, j, e, 8, 0):
-                    raise ValueError(
-                        f"Psi Psi^-1 != id at mono {mono}, ({i},{j})"
-                    )
+        diff = CurvedComplex.add_terms(C.compose_terms(psi, psi_inv), ident, -1)
+        # monomials of weight >= nilpotence are truncation artifacts
+        bad = nonvanishing(
+            {m: mat for m, mat in diff.items() if m.total_even_weight() < nilpotence},
+            C.objects, C.objects,
+        )
+        if bad is not None:
+            raise ValueError(f"Psi Psi^-1 != id at {_at(bad)}")
     return psi, psi_inv
 
 
@@ -1352,20 +1296,15 @@ def sdr_lift(
         } if not phi.is_zero() else {}
         xi_p = CurvedComplex.add_terms(gxf, phih)
         lifted.append(xi_p)
-        for name, comp in (
-            ("h xi'", big.compose_terms(sdr.h, xi_p)),
-            ("xi' h", big.compose_terms(xi_p, sdr.h)),
-        ):
-            for mono, mat in comp.items():
-                for (i, j), e in mat.items():
-                    if not big._entry_vanishes(i, j, e, 8, 0):
-                        raise ValueError(f"lifting identity {name} = 0 fails at ({i},{j})")
         fxg = big.compose_terms(sdr.f, big.compose_terms(xi_p, sdr.g))
-        diff = CurvedComplex.add_terms(fxg, xi, -1)
-        for mono, mat in diff.items():
-            for (i, j), e in mat.items():
-                if not big._entry_vanishes(i, j, e, 8, 0):
-                    raise ValueError(f"lifting identity f xi' g = xi fails at ({i},{j})")
+        for name, terms, objects in (
+            ("h xi' = 0", big.compose_terms(sdr.h, xi_p), big.objects),
+            ("xi' h = 0", big.compose_terms(xi_p, sdr.h), big.objects),
+            ("f xi' g = xi", CurvedComplex.add_terms(fxg, xi, -1), small.objects),
+        ):
+            bad = nonvanishing(terms, objects, objects)
+            if bad is not None:
+                raise ValueError(f"lifting identity {name} fails at {_at(bad)}")
 
     big_def = strict_deformation(big, lifted, list(phi_list), params, check=True)
     small_def = strict_deformation(small, list(xi_list), list(phi_list), params, check=True)
@@ -1522,17 +1461,13 @@ def unrolled_homology(
     return out
 
 
-def homology_truncated(C: CurvedComplex, window: Window, samples: int = 8) -> TriSeries:
+def homology_truncated(C: CurvedComplex, window: Window) -> TriSeries:
     """Graded dimensions of ker/im of the unrolled connection, per
-    multidegree in the window.  Requires curvature that reduces to zero in
-    every object's ring."""
-    for mono, p in C.curvature.items():
-        for o in C.objects:
-            if not (o.ring.reduces_to_zero(p) and o.ring.sampled_zero(p, samples)):
-                raise ValueError(
-                    "homology of a complex with non-vanishing curvature "
-                    f"(monomial {mono})"
-                )
+    multidegree in the window.  Requires curvature that vanishes in every
+    object's ring."""
+    bad = nonvanishing(C.diagonal(C.curvature), C.objects, C.objects)
+    if bad is not None:
+        raise ValueError(f"homology of a complex with non-vanishing curvature at {_at(bad)}")
     # entries must be plain to act on monomial bases
     entries: dict[PMono, dict[tuple[int, int], Poly]] = {}
     for mono, mat in C.terms.items():

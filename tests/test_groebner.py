@@ -6,6 +6,7 @@ every monomial multiple of every relation, written over the monomial basis.
 It stays here as the reference that the fast path is compared with.
 """
 
+import gc
 import random
 import re
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hypothesis import given, strategies as st
 
 from fraylab.grading import MultiDegree
 from fraylab.hochschild import compose_bimodules
-from fraylab.homalg import GradedRing, RingSpec
+from fraylab.homalg import GradedRing, GroebnerBasis, RingSpec
 from fraylab.ssbim import build_identity, build_W
 from fraylab.symfun import Composition, Poly, compositions, mono_degree, v_gen, x_gen
 
@@ -131,6 +132,19 @@ def test_dim_needs_the_s_pair_of_xy_and_x2_minus_y2():
     assert [ring.dim(d) for d in range(0, 10, 2)] == [1, 2, 1, 0, 0]
     fresh = GradedRing(spec)
     assert fresh.normal_form(y ** 3 + x).terms == {((x_gen(1), 1),): 1}
+
+
+def test_standard_leaves_no_reference_cycle():
+    # Q[x, y]/(x^2 - y) with weights (2, 4); the first call extends the basis
+    gb = GroebnerBasis((2, 4), [{(2, 0): 1, (0, 1): -1}])
+    assert gb.standard(10) == [(1, 2)]
+    gc.disable()
+    try:
+        gc.collect()
+        assert gb.standard(10) == [(1, 2)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_sampled_zero_without_sampler_or_relations_is_exact():

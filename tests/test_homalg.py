@@ -16,10 +16,12 @@ from fraylab.homalg import (
     ParamSpec,
     RC_Object,
     RingSpec,
+    SdrData,
     cone,
     gaussian_eliminate,
     homology_truncated,
     koszul_build,
+    nonvanishing,
     pm_degree,
     pm_from,
     pm_mul,
@@ -583,3 +585,192 @@ def test_shift_complex_function(qx):
     assert shifted.objects[0].degree == MD(0, 0, 1)
     again = shifted.shifted(MD(0, 0, -1))
     assert again.terms[PM_ONE][(1, 0)].plain_part() == x
+
+
+# -- the one vanishing rule --------------------------------------------------------------
+
+def _plain_terms(cells, mono=PM_ONE):
+    """{mono: {cell: plain entry}} from {cell: Poly or number}, zeros left out."""
+    return {mono: {ij: Entry.plain(v if isinstance(v, Poly) else Poly.const(v))
+                   for ij, v in cells.items() if v}}
+
+
+def _sdr(ring, **changes):
+    """A strong deformation retraction of S0 (+) (P1 -> P2) (+) S1 onto
+    S0 (+) S1, every object over ring, with the cells of the maps d_big,
+    d_small, f, g, h updated from changes (a 0 deletes a cell)."""
+    maps = dict(d_big={(2, 1): 1}, d_small={}, f={(0, 0): 1, (1, 3): 1},
+                g={(0, 0): 1, (3, 1): 1}, h={(1, 2): 1})
+    for name, cells in changes.items():
+        maps[name].update(cells)
+    objs = [RC_Object(MultiDegree(0, 0, t), ring) for t in (0, 0, 1, 0)]
+    big = CurvedComplex(objs, ParamSpec.make([]), _plain_terms(maps["d_big"]))
+    small = CurvedComplex([objs[0], objs[3]], ParamSpec.make([]), _plain_terms(maps["d_small"]))
+    return SdrData(big, small, *(_plain_terms(maps[k]) for k in "fgh"))
+
+
+def _dead_ring():
+    """Q[x]/(x): x dies here."""
+    return GradedRing(RingSpec("Qx/x", [(x_gen(1), 2)], [Poly.gen(x_gen(1))]))
+
+
+def _sdr_hg_fails(ring):
+    """An extra h-component P0 -> P2 carrying an opaque x: h h kills it in
+    its source, big's S0 put over Q[x]/(x), but h g does not, in small's S0."""
+    sdr = _sdr(ring)
+    sdr.big.objects[0] = RC_Object(MultiDegree(0, 0, 0), _dead_ring())
+    sdr.h[PM_ONE][(2, 0)] = Entry.opaque("z", Poly.gen(x_gen(1)))
+    return sdr
+
+
+def _not_closed(ring):
+    point = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), ring)], ParamSpec.make([]))
+    f = ChainMap(point, two_term(ring, Poly.gen(x_gen(1))), _plain_terms({(0, 0): 1}))
+    cone(f)
+
+
+U1 = ParamSpec.make([("u1", MultiDegree(0, -2, 2), "even")])
+U12 = ParamSpec.make([("u1", MultiDegree(0, -2, 2), "even"),
+                      ("u2", MultiDegree(0, -2, 2), "even")])
+
+
+def _strict_wrong_curvature(ring):
+    strict_deformation(two_term(ring, Poly.gen(x_gen(1))), [_plain_terms({(0, 1): 1})],
+                       [Poly.zero()], U1)
+
+
+def _strict_not_commuting(ring):
+    # zero differential, so condition (1) holds; xi_1 xi_2 + xi_2 xi_1 = id
+    strict_deformation(two_term(ring, Poly.zero()),
+                       [_plain_terms({(0, 1): 1}), _plain_terms({(1, 0): 1})],
+                       [Poly.zero(), Poly.zero()], U12)
+
+
+def _transport_not_nilpotent(ring):
+    x = Poly.gen(x_gen(1))
+    xi = _plain_terms({(0, 1): 1})
+    D = strict_deformation(two_term(ring, x), [xi], [x], U1)
+    transport_twist(D, _plain_terms({(0, 0): 1}), "u1", 2, xi, xi)
+
+
+def _lift_along_bad_sdr(ring):
+    sdr = _sdr(ring, h={(0, 3): -1})  # f h != 0, h g != 0
+    ident = _plain_terms({(0, 0): 1, (1, 1): 1})
+    sdr_lift(sdr, [ident], [Poly.zero()], U1)
+
+
+def _curved_homology(ring):
+    cx = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), ring)], ParamSpec.make([]),
+                       curvature={PM_ONE: Poly.gen(x_gen(1))})
+    homology_truncated(cx, Window((0, 0), (0, 2), (0, 1)))
+
+
+ONE = "PMono(evens=(), thetas=(), duals=())"
+
+
+@pytest.mark.parametrize("run, want", [
+    (_not_closed, f"cone of a non-closed map: d f - f d fails at mono {ONE} component (1,0)"),
+    (lambda r: _sdr(r, f={(0, 0): 2}).verify().details, f"fg != id at mono {ONE} component (0,0)"),
+    (lambda r: _sdr(r, h={(1, 2): 0}).verify().details,
+     f"[d,h] != id - gf at mono {ONE} component (1,1)"),
+    (lambda r: _sdr(r, h={(2, 3): 1}).verify().details,
+     f"side condition h^2 fails at mono {ONE} component (1,3)"),
+    (lambda r: _sdr(r, h={(0, 3): -1}).verify().details,
+     f"side condition fh fails at mono {ONE} component (0,3)"),
+    (lambda r: _sdr_hg_fails(r).verify().details,
+     f"side condition hg fails at mono {ONE} component (2,0)"),
+    (lambda r: _sdr(r, d_small={(1, 0): 1}).verify().details,
+     f"f not closed at mono {ONE} component (1,0)"),
+    (lambda r: _sdr(r, d_big={(1, 3): 1}).verify().details,
+     f"g not closed at mono {ONE} component (1,1)"),
+    (_strict_wrong_curvature, f"strictness condition (1) fails for xi_1 at mono {ONE} component (0,0)"),
+    (_strict_not_commuting, f"strictness condition (2) fails for pair (1,2) at mono {ONE} component (0,0)"),
+    (_transport_not_nilpotent, f"h^2 does not vanish at mono {ONE} component (0,0)"),
+    (_lift_along_bad_sdr, f"lifting identity h xi' = 0 fails at mono {ONE} component (0,3)"),
+    (_curved_homology, f"non-vanishing curvature at mono {ONE} component (0,0)"),
+], ids=["cone", "verify-fg", "verify-dh", "verify-h2", "verify-fh", "verify-hg",
+        "verify-df", "verify-dg", "strict-1", "strict-2", "transport", "sdr_lift", "homology"])
+def test_each_identity_check_names_its_failing_cell(qx, run, want):
+    try:
+        details = run(qx)
+    except ValueError as err:
+        details = str(err)
+    assert want in details
+
+
+def test_nonvanishing_opaque_part_dies_in_target_or_source_ring(qx):
+    x = Poly.gen(x_gen(1))
+    live, dead = RC_Object(MultiDegree(0, 0, 0), qx), RC_Object(MultiDegree(0, 0, 0), _dead_ring())
+    opaque = {PM_ONE: {(0, 0): Entry.opaque("f", x)}}
+    assert nonvanishing(opaque, [live], [dead]) is None  # dies only in the source ring
+    assert nonvanishing(opaque, [dead], [live]) is None  # dies only in the target ring
+    assert nonvanishing(opaque, [live], [live]) == (PM_ONE, 0, 0)  # dies in neither
+    # a plain part answers to the target ring alone
+    plain = {PM_ONE: {(0, 0): Entry.plain(x)}}
+    assert nonvanishing(plain, [live], [dead]) == (PM_ONE, 0, 0)
+    assert nonvanishing(plain, [dead], [live]) is None
+
+
+def test_nonvanishing_reports_the_first_cell_in_order(qx):
+    x = Poly.gen(x_gen(1))
+    u = pm_from(evens={"u": 1})
+    terms = {PM_ONE: {(1, 1): Entry.plain(x), (0, 1): Entry.plain(x), (0, 0): Entry()},
+             u: {(1, 0): Entry.plain(x), (0, 1): Entry.plain(x - x)}}
+    objs = [RC_Object(MultiDegree(0, 0, 0), qx)] * 2
+    first = min(terms, key=repr)
+    want = (first, 0, 1) if first == PM_ONE else (first, 1, 0)
+    assert nonvanishing(terms, objs, objs) == want
+    assert nonvanishing({}, objs, objs) is None
+
+
+def _recording_ring(counts: list) -> GradedRing:
+    """Q[x]/(x^2), whose sampler records every point count asked of it."""
+    def sampler(count, seed):
+        counts.append(count)
+        return [{x_gen(1): Fraction(0)}] * count
+    return GradedRing(RingSpec("Qx/x2", [(x_gen(1), 2)], [Poly.gen(x_gen(1), 2)], sampler=sampler))
+
+
+def _x2_complex(ring) -> CurvedComplex:
+    """A -> B (unit), A -> C -> D (x, x) over Q[x]/(x^2): delta^2 = x^2 at
+    (D, A) is zero only modulo the relation."""
+    x = Poly.gen(x_gen(1))
+    objs = [RC_Object(MultiDegree(0, q, t), ring) for q, t in ((0, 0), (0, 1), (-2, 1), (-4, 2))]
+    cx = CurvedComplex(objs, ParamSpec.make([]), _plain_terms({(1, 0): 1, (2, 0): x, (3, 2): x}))
+    cx.check_homogeneous()
+    return cx
+
+
+# xi: D -> C as x, with [d, xi] = x^2 id on the two-term complex C -> D
+XI_U = ParamSpec.make([("u1", MultiDegree(0, -4, 2), "even")])
+
+
+def _xi():
+    return _plain_terms({(0, 1): Poly.gen(x_gen(1))})
+
+
+def _x2_strict(ring):
+    return strict_deformation(two_term(ring, Poly.gen(x_gen(1))), [_xi()], [Poly.zero()], XI_U)
+
+
+@pytest.mark.parametrize("run", [
+    lambda ring: _x2_complex(ring).mc_check().ok,
+    lambda ring: ChainMap(
+        CurvedComplex([RC_Object(MultiDegree(0, 0, 1), ring)], ParamSpec.make([])),
+        _x2_complex(ring), _plain_terms({(2, 0): Poly.gen(x_gen(1))})).is_closed().ok,
+    lambda ring: gaussian_eliminate(_x2_complex(ring), (1, 0))[1].verify().ok,
+    lambda ring: _x2_strict(ring).mc_check().ok,
+    lambda ring: bool(transport_twist(_x2_strict(ring), _plain_terms({(0, 0): Poly.gen(x_gen(1))}),
+                                      "u1", 2, _xi(), _xi())),
+    lambda ring: bool(sdr_lift(gaussian_eliminate(_x2_complex(ring), (1, 0))[1],
+                               [_xi()], [Poly.zero()], XI_U)),
+    lambda ring: bool(homology_truncated(
+        CurvedComplex([RC_Object(MultiDegree(0, 0, 0), ring)], ParamSpec.make([]),
+                      curvature={PM_ONE: Poly.gen(x_gen(1), 2)}),
+        Window((0, 0), (0, 4), (0, 1)))),
+], ids=["mc_check", "is_closed", "verify", "strict_deformation", "transport_twist",
+        "sdr_lift", "homology_truncated"])
+def test_every_check_asks_for_twenty_sample_points(run):
+    counts: list = []
+    assert run(_recording_ring(counts))
+    assert counts and set(counts) == {20}
