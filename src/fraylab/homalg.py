@@ -27,7 +27,11 @@ elimination with SDR data, deformation transport, SDR lifting, truncated
 homology -- are built on that one composition rule,
 ``CurvedComplex.compose_terms``.  It accumulates each product of
 coefficients straight into its (parameter monomial, component, opaque tag,
-ring monomial) slot and builds every entry once, at the end.
+ring monomial) slot and builds every entry once, at the end.  The square of
+a one-object connection with plain entries -- every frayed projector --
+sums first: its entries commute and its interchange sign is 1, so
+``CurvedComplex.square`` multiplies each unordered pair of terms once, by
+the supercommutator s r + r s of their parameter monomials.
 
 Every identity check -- Maurer-Cartan, closed chain maps, strictness, the
 SDR identities, nilpotence and transport, SDR lifting, vanishing curvature --
@@ -472,58 +476,62 @@ def pm_degree(spec: ParamSpec, m: PMono) -> MultiDegree:
     return out
 
 
-def _word_normal_order(word: tuple) -> list[tuple[int, tuple]]:
-    """Normal-order a word of ('t', name) / ('d', name) odd letters.
-    Returns [(sign, word)] with words sorted thetas-then-duals ascending."""
-    # find the first violation
-    for i in range(len(word) - 1):
-        (k1, n1), (k2, n2) = word[i], word[i + 1]
-        if k1 == "t" and k2 == "t":
-            if n1 == n2:
-                return []
-            if n1 > n2:
-                swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2:]
-                return [(-s, w) for s, w in _word_normal_order(swapped)]
-        elif k1 == "d" and k2 == "d":
-            if n1 == n2:
-                return []
-            if n1 > n2:
-                swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2:]
-                return [(-s, w) for s, w in _word_normal_order(swapped)]
-        elif k1 == "d" and k2 == "t":
-            rest_pre, rest_post = word[:i], word[i + 2:]
-            if n1 == n2:
-                # d t = 1 - t d
-                out = []
-                for s, w in _word_normal_order(rest_pre + rest_post):
-                    out.append((s, w))
-                for s, w in _word_normal_order(
-                    rest_pre + (word[i + 1], word[i]) + rest_post
-                ):
-                    out.append((-s, w))
-                return out
-            swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2:]
-            return [(-s, w) for s, w in _word_normal_order(swapped)]
-    return [(1, word)]
+def _shuffle(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[int, tuple[str, ...]]:
+    """The sorted union of two sorted tuples of odd letters of one kind, and
+    the sign of the shuffle that sorts the word a b: -1 per pair x in a, y in
+    b with x > y.  Sign 0 if a letter is in both (its square is zero)."""
+    if not a or not b:
+        return 1, a or b
+    if a[-1] < b[0]:
+        return 1, a + b
+    flips = 0
+    for y in b:
+        for x in a:
+            if x == y:
+                return 0, ()
+            if x > y:
+                flips += 1
+    return -1 if flips & 1 else 1, tuple(sorted(a + b))
 
 
 def pm_mul(spec: ParamSpec, s: PMono, r: PMono) -> list[tuple[int, PMono]]:
-    """Normal-ordered product s o r (s composed after r, word s then r)."""
-    evens: dict[str, int] = {}
-    for n, e in s.evens + r.evens:
-        evens[n] = evens.get(n, 0) + e
-    ev = tuple(sorted(evens.items()))
-    word = (
-        tuple(("t", n) for n in s.thetas)
-        + tuple(("d", n) for n in s.duals)
-        + tuple(("t", n) for n in r.thetas)
-        + tuple(("d", n) for n in r.duals)
-    )
+    """Normal-ordered product s o r (s composed after r, word s then r).
+
+    Closed form on the word s.thetas s.duals r.thetas r.duals.  The evens
+    add.  Moving r's thetas left past s's duals flips the sign once per
+    crossing, (-1)^{|s.duals| |r.thetas|}, except where a name meets its own
+    dual: each name n in s.duals & r.thetas is either kept (d_n t_n = -t_n d_n,
+    a crossing like any other) or contracted (the 1 of d_n t_n = 1 - t_n d_n;
+    both letters go).  Then s's thetas shuffle with the kept r thetas and the
+    kept s duals with r's duals, each with the sign of its shuffle; a letter
+    on both sides gives zero.  One term per kept subset of s.duals & r.thetas,
+    in binary order with the first name most significant (all contracted
+    first), which is the order a left-to-right rewrite of the word emits."""
+    if s.evens and r.evens:
+        evens = dict(s.evens)
+        for n, e in r.evens:
+            evens[n] = evens.get(n, 0) + e
+        ev = tuple(sorted(evens.items()))
+    else:
+        ev = s.evens or r.evens
+    sd, rt = s.duals, r.thetas
+    meet = [n for n in sd if n in rt]
     out = []
-    for sign, w in _word_normal_order(word):
-        thetas = tuple(n for k, n in w if k == "t")
-        duals = tuple(n for k, n in w if k == "d")
-        out.append((sign, PMono(ev, thetas, duals)))
+    for kept in itertools.product((False, True), repeat=len(meet)):
+        gone = [n for n, k in zip(meet, kept) if not k]
+        if gone:
+            # sd rt -> (d_n t_n for n in gone, by name) tk dk, then each d_n t_n -> 1
+            dk = tuple(n for n in sd if n not in gone)
+            tk = tuple(n for n in rt if n not in gone)
+            flips = len(dk) * len(rt) + len(gone) * (len(gone) - 1) // 2
+            flips += sum(m < n for n in gone for m in dk + tk)
+        else:
+            dk, tk, flips = sd, rt, len(sd) * len(rt)
+        st, thetas = _shuffle(s.thetas, tk)
+        if st:
+            sg, duals = _shuffle(dk, r.duals)
+            if sg:
+                out.append((-st * sg if flips & 1 else st * sg, PMono(ev, thetas, duals)))
     return out
 
 
@@ -721,17 +729,32 @@ class CurvedComplex:
                         f"connection term at mono={mono}, ({i},{j}) has degree {total}, not t"
                     )
 
-    def _eps(self, mono: PMono) -> list[int]:
-        """Diagonal interchange signs (-1)^{<deg mono, obj degree>}."""
+    def _eps(self, mono: PMono, objects: Sequence[RC_Object] | None = None) -> list[int]:
+        """Diagonal interchange signs (-1)^{<deg mono, obj degree>} on
+        objects, self's by default."""
         pdeg = pm_degree(self.params, mono)
-        return [(-1) ** parity(pdeg, o.degree) for o in self.objects]
+        objects = self.objects if objects is None else objects
+        return [(-1) ** parity(pdeg, o.degree) for o in objects]
 
     def _within_cap(self, mono: PMono) -> bool:
         return self.cap is None or mono.total_even_weight() <= self.cap
 
     # -- composition of term dictionaries ------------------------------------
-    def compose_terms(self, t1: Terms, t2: Terms) -> Terms:
+    def compose_terms(
+        self,
+        t1: Terms,
+        t2: Terms,
+        middle: Sequence[RC_Object] | None = None,
+        source: Sequence[RC_Object] | None = None,
+    ) -> Terms:
         """(sum of t1) o (sum of t2) as decomposed terms.
+
+        The interchange sign of (A (x) s) o (B (x) r) is (-1)^{<deg s, deg B>}
+        with deg B = deg O_j - deg O_k on B's component O_k -> O_j, that is
+        eps_s(O_j) eps_s(O_k).  t2's rows j name objects of `middle` and its
+        columns k objects of `source`, both self's objects by default: a
+        composite of maps between two complexes passes the objects its
+        indices name.
 
         One pass: each product sign * msign * c1 * c2 (interchange sign,
         parameter sign, ring coefficients) is added straight into its
@@ -739,27 +762,34 @@ class CurvedComplex:
         is built once at the end, on its slot's dict, and a monomial's slots
         are released as its entries are built; zero coefficients, entries
         and monomials are dropped.  Opaque tags combine by opaque_rules, and
-        a composed pair of tags with no rule raises ValueError.  A pair of
-        terms whose parameter products all exceed the cap is not composed."""
+        a composed pair of tags with no rule raises ValueError.  pm_mul adds
+        even exponents, so every product of s and r has even weight
+        w(s) + w(r): a pair past the cap is skipped before pm_mul.  B's
+        by-column index is built once per term of t2."""
         rules = self.opaque_rules
+        indexed = []
+        for r, B in t2.items():
+            by_col: dict[int, list] = {}
+            for (j, k), e in B.items():
+                by_col.setdefault(j, []).append((k, e))
+            indexed.append((r, r.total_even_weight(), by_col))
         acc: dict = {}
         for s, A in t1.items():
-            eps = self._eps(s)
-            for r, B in t2.items():
+            eps_mid, eps_src = self._eps(s, middle), self._eps(s, source)
+            room = None if self.cap is None else self.cap - s.total_even_weight()
+            for r, weight, by_col in indexed:
+                if room is not None and weight > room:
+                    continue
                 targets = [
                     (msign, acc.setdefault(mono, {}))
                     for msign, mono in pm_mul(self.params, s, r)
-                    if self._within_cap(mono)
                 ]
                 if not targets:
                     continue
                 # matrix product with diagonal interchange signs on B
-                by_col: dict[int, list] = {}
-                for (j, k), e in B.items():
-                    by_col.setdefault(j, []).append((k, e))
                 for (i, j), a in A.items():
                     for k, b in by_col.get(j, []):
-                        sign = eps[j] * eps[k]
+                        sign = eps_mid[j] * eps_src[k]
                         for tag_a, p_a in a.parts.items():
                             for tag_b, p_b in b.parts.items():
                                 if tag_a is None or tag_b is None:
@@ -808,7 +838,57 @@ class CurvedComplex:
         }
 
     def square(self) -> Terms:
-        return self.compose_terms(self.terms, self.terms)
+        """The connection composed with itself: compose_terms(terms, terms).
+
+        On one object with plain entries, the interchange sign is
+        eps(O_0)^2 = 1 and ring entries commute, so the pair {s, r} adds
+        p_s p_r (x) (s r + r s).  Each unordered pair (s = r: s s alone) sums
+        the coefficients of pm_mul(s, r) and pm_mul(r, s) per monomial, and
+        multiplies p_s p_r once, only if some coefficient is nonzero.  If
+        neither order meets a dual with its own theta, r s = (-1)^{|s| |r|} s r
+        (|.| the number of odd letters): two odd monomials cancel with no
+        pm_mul, and any other pair is s r twice.  A pair past the cap is
+        skipped: its products have even weight w(s) + w(r).  Every other
+        complex -- several objects, whose matrix entries do not commute, or
+        opaque tags, which compose by rules -- goes through compose_terms."""
+        if len(self.objects) != 1 or not all(
+            e.is_plain() for mat in self.terms.values() for e in mat.values()
+        ):
+            return self.compose_terms(self.terms, self.terms)
+        items = [
+            (s, mat[(0, 0)].plain_part(), s.total_even_weight(), (len(s.thetas) + len(s.duals)) % 2)
+            for s, mat in self.terms.items()
+        ]
+        acc: dict[PMono, dict] = {}
+        for a, (s, p_s, w_s, odd_s) in enumerate(items):
+            for r, p_r, w_r, odd_r in items[a:]:
+                if self.cap is not None and w_s + w_r > self.cap:
+                    continue
+                if r is s:
+                    products = pm_mul(self.params, s, s)
+                elif any(n in r.thetas for n in s.duals) or any(n in s.thetas for n in r.duals):
+                    products = pm_mul(self.params, s, r) + pm_mul(self.params, r, s)
+                elif odd_s and odd_r:
+                    continue
+                else:
+                    products = [(2 * c, m) for c, m in pm_mul(self.params, s, r)]
+                coeffs: dict[PMono, int] = {}
+                for c, m in products:
+                    coeffs[m] = coeffs.get(m, 0) + c
+                coeffs = {m: c for m, c in coeffs.items() if c}
+                if not coeffs:
+                    continue
+                prod = (p_s * p_r).terms.items()
+                for m, c in coeffs.items():
+                    cell = acc.setdefault(m, {})
+                    for mono, v in prod:
+                        cell[mono] = cell.get(mono, 0) + c * v
+        out: Terms = {}
+        for m, cell in acc.items():
+            cell = {mono: v for mono, v in cell.items() if v}
+            if cell:
+                out[m] = {(0, 0): Entry({None: Poly._of(cell)})}
+        return out
 
     def diagonal(self, polys: Mapping[PMono, Poly]) -> Terms:
         """p times the identity at each monomial, for {monomial: p}."""
@@ -947,8 +1027,8 @@ class ChainMap:
     def is_closed(self) -> CheckReport:
         """d_Y f - f d_X = 0 (degree-0 maps commute strictly)."""
         tgt, src = self.target, self.source
-        left = tgt.compose_terms(tgt.terms, self.terms)
-        right = tgt.compose_terms(self.terms, src.terms)
+        left = tgt.compose_terms(tgt.terms, self.terms, tgt.objects, src.objects)
+        right = tgt.compose_terms(self.terms, src.terms, src.objects, src.objects)
         bad = nonvanishing(CurvedComplex.add_terms(left, right, -1), tgt.objects, src.objects)
         if bad is None:
             return CheckReport(True)
@@ -1096,22 +1176,27 @@ class SdrData:
         """The seven identities, each by ``nonvanishing``; the first failing
         one is reported with its cell."""
         big, small = self.big, self.small
-        comp, add = big.compose_terms, CurvedComplex.add_terms
+        add = CurvedComplex.add_terms
         one = {PM_ONE: Poly.one()}
+        B, S = big.objects, small.objects
+
+        def comp(t1: Terms, t2: Terms, middle=B, source=B) -> Terms:
+            # t2's rows index middle, its columns source
+            return big.compose_terms(t1, t2, middle, source)
 
         def identities():
             # (name, terms that must vanish, their targets, their sources)
-            yield "fg != id", add(comp(self.f, self.g), small.diagonal(one), -1), small, small
+            yield "fg != id", add(comp(self.f, self.g, B, S), small.diagonal(one), -1), small, small
             # [d, h] = dh + hd (h has odd degree) = id - gf
             dh_hd = add(comp(big.terms, self.h), comp(self.h, big.terms))
-            id_gf = add(big.diagonal(one), comp(self.g, self.f), -1)
+            id_gf = add(big.diagonal(one), comp(self.g, self.f, S, B), -1)
             yield "[d,h] != id - gf", add(dh_hd, id_gf, -1), big, big
             yield "side condition h^2 fails", comp(self.h, self.h), big, big
             yield "side condition fh fails", comp(self.f, self.h), small, big
-            yield "side condition hg fails", comp(self.h, self.g), big, small
-            df = add(comp(small.terms, self.f), comp(self.f, big.terms), -1)
+            yield "side condition hg fails", comp(self.h, self.g, B, S), big, small
+            df = add(comp(small.terms, self.f, S, B), comp(self.f, big.terms), -1)
             yield "f not closed", df, small, big
-            dg = add(comp(big.terms, self.g), comp(self.g, small.terms), -1)
+            dg = add(comp(big.terms, self.g, B, S), comp(self.g, small.terms, S, S), -1)
             yield "g not closed", dg, big, small
 
         for name, terms, tgt, src in identities():
@@ -1273,7 +1358,8 @@ def hpt_conjugate(
     """Transport a Maurer-Cartan element along an isomorphism (f, g):
     tw_alpha(X) ~ tw_{f alpha g}(Y); Maurer-Cartan of f alpha g is verified
     by the twist constructor."""
-    falphag = target.compose_terms(f, target.compose_terms(alpha, g))
+    X, Y = source.objects, target.objects
+    falphag = target.compose_terms(f, target.compose_terms(alpha, g, X, Y), X, Y)
     return target.twist(falphag, add_curvature)
 
 
@@ -1287,16 +1373,17 @@ def sdr_lift(
     the big complex; assert h xi' = xi' h = 0 and f xi' g = xi_i; return
     the lifted family and the SDR between the strict deformations."""
     big, small = sdr.big, sdr.small
+    B, S = big.objects, small.objects
     lifted: list[Terms] = []
     for xi, phi in zip(xi_list, phi_list):
-        gxf = big.compose_terms(sdr.g, big.compose_terms(xi, sdr.f))
+        gxf = big.compose_terms(sdr.g, big.compose_terms(xi, sdr.f, S, B), S, B)
         phih = {
             mono: {ij: e.times_poly(phi) for ij, e in mat.items()}
             for mono, mat in sdr.h.items()
         } if not phi.is_zero() else {}
         xi_p = CurvedComplex.add_terms(gxf, phih)
         lifted.append(xi_p)
-        fxg = big.compose_terms(sdr.f, big.compose_terms(xi_p, sdr.g))
+        fxg = big.compose_terms(sdr.f, big.compose_terms(xi_p, sdr.g, B, S), B, S)
         for name, terms, objects in (
             ("h xi' = 0", big.compose_terms(sdr.h, xi_p), big.objects),
             ("xi' h = 0", big.compose_terms(xi_p, sdr.h), big.objects),

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraylab import criteria
+from fraylab import homalg as homalg_module
+from fraylab import symfun as symfun_module
 from fraylab.grading import MultiDegree, parity
 from fraylab.homalg import (
     ChainMap,
@@ -20,6 +23,7 @@ from fraylab.homalg import (
     cone,
     gaussian_eliminate,
     homology_truncated,
+    hpt_conjugate,
     koszul_build,
     nonvanishing,
     pm_degree,
@@ -30,7 +34,7 @@ from fraylab.homalg import (
     transport_twist,
 )
 from fraylab.qseries import Window
-from fraylab.ssbim import build_W, build_identity
+from fraylab.ssbim import build_W, build_identity, projector
 from fraylab.symfun import Composition, Poly, eval_at_point, expand_to_x, x_gen
 
 
@@ -92,6 +96,62 @@ def test_odd_anticommute_even_central():
     u = pm_from(evens={"u": 1})
     assert pm_mul(spec, u, t1) == [(1, PMono((("u", 1),), ("t1",), ()))]
     assert pm_mul(spec, t1, u) == [(1, PMono((("u", 1),), ("t1",), ()))]
+
+
+def _word_normal_order(word: tuple) -> list[tuple[int, tuple]]:
+    """Normal-order a word of ('t', name) / ('d', name) odd letters by
+    rewriting its first violation, left to right.  Returns [(sign, word)]
+    with words sorted thetas-then-duals ascending."""
+    for i in range(len(word) - 1):
+        (k1, n1), (k2, n2) = word[i], word[i + 1]
+        swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2:]
+        if k1 == k2:
+            if n1 == n2:
+                return []
+            if n1 > n2:
+                return [(-s, w) for s, w in _word_normal_order(swapped)]
+        elif k1 == "d":
+            if n1 == n2:
+                # d t = 1 - t d
+                return _word_normal_order(word[:i] + word[i + 2:]) + [
+                    (-s, w) for s, w in _word_normal_order(swapped)
+                ]
+            return [(-s, w) for s, w in _word_normal_order(swapped)]
+    return [(1, word)]
+
+
+def ref_pm_mul(s: PMono, r: PMono) -> list[tuple[int, PMono]]:
+    """s o r by rewriting the word s.thetas s.duals r.thetas r.duals."""
+    evens = dict(s.evens)
+    for n, e in r.evens:
+        evens[n] = evens.get(n, 0) + e
+    word = (tuple(("t", n) for n in s.thetas) + tuple(("d", n) for n in s.duals)
+            + tuple(("t", n) for n in r.thetas) + tuple(("d", n) for n in r.duals))
+    return [
+        (sign, PMono(tuple(sorted(evens.items())),
+                     tuple(n for k, n in w if k == "t"), tuple(n for k, n in w if k == "d")))
+        for sign, w in _word_normal_order(word)
+    ]
+
+
+def _all_pmonos(odd_names, even_parts):
+    subsets = [c for k in range(len(odd_names) + 1)
+               for c in itertools.combinations(odd_names, k)]
+    return [PMono(ev, th, du) for ev in even_parts for th in subsets for du in subsets]
+
+
+def test_pm_mul_matches_word_rewrite_oracle():
+    """The closed form gives the rewrite's terms in the rewrite's order, on
+    every pair over three odd names with evens (), u and u y^2."""
+    monos = _all_pmonos(("t1", "t2", "t3"), [(), (("u", 1),), (("u", 1), ("y", 2))])
+    assert len(monos) ** 2 == 36864
+    spec = theta_spec()
+    contracting = 0
+    for s in monos:
+        for r in monos:
+            assert pm_mul(spec, s, r) == ref_pm_mul(s, r), (s, r)
+            contracting += bool(set(s.duals) & set(r.thetas))
+    assert contracting > 20000
 
 
 def test_pm_degree():
@@ -258,6 +318,106 @@ def test_compose_terms_unknown_tag_pair_raises(qx):
     assert cx.compose_terms(f, f)[PM_ONE][(0, 0)].plain_part() == Poly.one()
     with pytest.raises(ValueError, match="no composition rule"):
         cx.compose_terms(f, g)
+
+
+def random_plain_one_object(rng: random.Random) -> CurvedComplex:
+    """A random (not Maurer-Cartan) one-object complex with plain entries
+    over odd t1, t2, t3 and even u, v, with thetas meeting their duals, and
+    maybe a cap."""
+    ring = GradedRing(RingSpec("Qxy", [(x_gen(1), 2), (x_gen(2), 2)], []))
+    params = ParamSpec.make([
+        ("t1", MultiDegree(rng.randint(0, 1), -2, 1), "odd"),
+        ("t2", MultiDegree(0, -4, rng.randint(0, 1)), "odd"),
+        ("t3", MultiDegree(1, 0, 1), "odd"),
+        ("u", MultiDegree(0, -2, 2), "even"),
+        ("v", MultiDegree(1, 0, rng.randint(0, 1)), "even"),
+    ])
+    odd = ["t1", "t2", "t3"]
+    terms = {}
+    for _ in range(rng.randint(1, 7)):
+        mono = pm_from({name: rng.randint(0, 2) for name in ("u", "v")},
+                       rng.sample(odd, rng.randint(0, 2)), rng.sample(odd, rng.randint(0, 2)))
+        terms[mono] = {(0, 0): Entry.plain(_random_poly(rng))}
+    obj = RC_Object(MultiDegree(rng.randint(0, 1), 0, rng.randint(0, 2)), ring)
+    return CurvedComplex([obj], params, terms, cap=rng.choice([None, 0, 1, 2, 3]))
+
+
+@settings(max_examples=150)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_square_equals_compose_terms(rng, one_object):
+    """square() is compose_terms(terms, terms): one-object plain complexes
+    by the pair rule, multi-object and opaque ones by the general path."""
+    cx = random_plain_one_object(rng) if one_object else random_complex(rng)
+    assert as_parts(cx.square()) == as_parts(cx.compose_terms(cx.terms, cx.terms))
+
+
+def _one_object(ring, params, terms):
+    return CurvedComplex([RC_Object(MultiDegree(0, 0, 0), ring)], params, terms)
+
+
+def test_square_cancels_anticommuting_odd_pairs_without_products(qxy, monkeypatch):
+    """Two odd monomials that meet no dual of each other anticommute: their
+    pair cancels with no parameter or ring product, and s s = 0."""
+    x, y = Poly.gen(x_gen(1)), Poly.gen(x_gen(2))
+    th1, th2d = pm_from(thetas=["t1"]), pm_from(thetas=["t2"], duals=["t1", "t3"])
+    spec = ParamSpec.make([("t1", MultiDegree(0, -2, 1), "odd"),
+                           ("t2", MultiDegree(0, -2, 1), "odd"),
+                           ("t3", MultiDegree(0, -2, 1), "odd")])
+    cx = _one_object(qxy, spec, {pm_from(thetas=["t2"]): {(0, 0): Entry.plain(x)},
+                                 pm_from(thetas=["t3"]): {(0, 0): Entry.plain(y)}})
+    calls = []
+    monkeypatch.setattr(homalg_module, "pm_mul",
+                        lambda spec, s, r: calls.append((s, r)) or pm_mul(spec, s, r))
+    monkeypatch.setattr(Poly, "__mul__", lambda *a: pytest.fail("ring product"))
+    assert cx.square() == {}
+    assert all(s == r for s, r in calls)
+    # an odd pair that contracts in one order is multiplied out
+    cx = _one_object(qxy, spec, {th1: {(0, 0): Entry.plain(x)}, th2d: {(0, 0): Entry.plain(y)}})
+    monkeypatch.undo()
+    assert as_parts(cx.square()) == as_parts(cx.compose_terms(cx.terms, cx.terms))
+    # t1 (t2 d1 d3) + (t2 d1 d3) t1 = -t2 d3: the contraction of d1 against t1
+    assert as_parts(cx.square()) == {pm_from(thetas=["t2"], duals=["t3"]): {(0, 0): {None: -x * y}}}
+
+
+def test_square_multiplies_each_cancelling_free_pair_once(monkeypatch):
+    """On the def_infinite (1,1,1) projector, square() makes at most one ring
+    product per unordered pair of terms whose parameter coefficients do not
+    all cancel: its monomial products are at most sum |p_s| |p_r| over
+    those pairs."""
+    cx = projector(Composition.of(1, 1, 1), "def_infinite", cap=3, check=False).complex
+    assert len(cx.objects) == 1
+    items = [(s, mat[(0, 0)].plain_part()) for s, mat in cx.terms.items()]
+    pairs = bound = 0
+    for a, (s, p) in enumerate(items):
+        for r, q in items[a:]:
+            prods = ref_pm_mul(s, s) if r is s else ref_pm_mul(s, r) + ref_pm_mul(r, s)
+            coeffs = {}
+            for c, m in prods:
+                if cx._within_cap(m):
+                    coeffs[m] = coeffs.get(m, 0) + c
+            if any(coeffs.values()):
+                pairs += 1
+                bound += len(p.terms) * len(q.terms)
+    assert 0 < pairs < len(items) * (len(items) + 1) // 2
+    counts = {"poly": 0, "mono": 0}
+    poly_mul, mono_mul = Poly.__mul__, symfun_module._mono_mul
+
+    def counting_poly_mul(self, other):
+        counts["poly"] += isinstance(other, Poly)
+        return poly_mul(self, other)
+
+    def counting_mono_mul(m1, m2):
+        counts["mono"] += 1
+        return mono_mul(m1, m2)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_poly_mul)
+    monkeypatch.setattr(symfun_module, "_mono_mul", counting_mono_mul)
+    monkeypatch.setattr(homalg_module, "_mono_mul", counting_mono_mul)
+    sq = cx.square()
+    monkeypatch.undo()
+    assert counts["poly"] <= pairs
+    assert 0 < counts["mono"] <= bound
+    assert as_parts(sq) == as_parts(cx.compose_terms(cx.terms, cx.terms))
 
 
 def _ref_gauss_terms(C: CurvedComplex, r: int, c: int):
@@ -550,6 +710,50 @@ def test_hpt_conjugate_permutation(qxy):
     mat = out.terms[PMono((), ("th",), ())]
     assert mat[(0, 0)].plain_part() == y
     assert mat[(1, 1)].plain_part() == x
+
+
+# -- interchange signs on maps between complexes ------------------------------------------
+
+def _swapped_koszul_pair(qx, sign=1):
+    """X on objects (t^0, t^1) and Y on the same objects in the other order,
+    each with d = theta x on the diagonal (Y's second entry times sign),
+    theta odd of t-degree 1.  For sign 1 the swap X -> Y is an isomorphism
+    of complexes; for sign -1 it is not a chain map."""
+    x = Poly.gen(x_gen(1))
+    th = ParamSpec.make([("th", MultiDegree(0, -2, 1), "odd")])
+    t0, t1 = RC_Object(MultiDegree(0, 0, 0), qx), RC_Object(MultiDegree(0, 0, 1), qx)
+    dx = {pm_from(thetas=["th"]): {(0, 0): Entry.plain(x), (1, 1): Entry.plain(x)}}
+    dy = {pm_from(thetas=["th"]): {(0, 0): Entry.plain(x), (1, 1): Entry.plain(sign * x)}}
+    X, Y = CurvedComplex([t0, t1], th, dx), CurvedComplex([t1, t0], th, dy)
+    for cx in (X, Y):
+        cx.check_homogeneous()
+        assert cx.mc_check().ok
+    swap = {PM_ONE: {(1, 0): Entry.plain(Poly.one()), (0, 1): Entry.plain(Poly.one())}}
+    return X, Y, swap
+
+
+def test_chain_map_signed_by_its_own_objects(qx):
+    """d_Y f = f d_X for the swap: d_Y f composes theta after f, whose
+    component X_0 -> Y_1 joins objects of t-degree 0, not Y_1 -> Y_0."""
+    X, Y, swap = _swapped_koszul_pair(qx)
+    assert ChainMap(X, Y, swap).is_closed().ok
+    X, Y, swap = _swapped_koszul_pair(qx, -1)
+    assert not ChainMap(X, Y, swap).is_closed().ok
+
+
+def test_sdr_signed_by_its_own_objects(qx):
+    """The swap and its inverse, with h = 0, are an SDR from X onto Y: f and
+    g are closed, fg = id and gf = id.  Transport along them moves theta x
+    on X_0 to Y_1."""
+    X, Y, swap = _swapped_koszul_pair(qx)
+    assert SdrData(X, Y, swap, swap, {}).verify().ok
+    assert not SdrData(*_swapped_koszul_pair(qx, -1), swap, {}).verify().ok
+    x = Poly.gen(x_gen(1))
+    alpha = {pm_from(thetas=["th"]): {(0, 0): Entry.plain(x)}}
+    bare = CurvedComplex(X.objects, X.params)
+    # theta x on X_0 transports to theta x on Y_1, X_0's place in Y
+    out = hpt_conjugate(swap, swap, bare, CurvedComplex(Y.objects, Y.params), alpha, {})
+    assert as_parts(out.terms) == {pm_from(thetas=["th"]): {(1, 1): {None: x}}}
 
 
 # -- shifts ------------------------------------------------------------------------------
