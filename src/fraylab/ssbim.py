@@ -102,26 +102,13 @@ def build_W(top: Composition, bottom: Composition | None = None) -> MergeSplitBi
     ]
     qshift = N * (N - 1) // 2 - bottom.ell()
 
-    mixed = top.concat(bottom)
-
-    def sampler(count, seed):
-        pts = vanishing_locus_sampler(top, count, seed)
-        out = []
-        for pt in pts:
-            full = {}
-            for i in range(1, N + 1):
-                full[x_gen(i, TOP)] = pt[x_gen(i, TOP)]
-                full[x_gen(N + i, TOP)] = pt[x_gen(i, BOTTOM)]
-            out.append(full)
-        return out
-
     spec = RingSpec(
         name=f"W[{'.'.join(map(str, top.parts))}^{'.'.join(map(str, bottom.parts))}]",
         generators=_ring_generators(top, bottom),
         relations=relations,
         qshift=qshift,
-        sampler=sampler,
-        eval_composition=mixed,
+        sampler=_concatenated_sampler(top, block_preserving=False),
+        eval_composition=top.concat(bottom),
     )
     # relation polys use side-1 gens for the bottom; rewrite them to the
     # concatenated-alphabet convention used by the sampler
@@ -130,6 +117,24 @@ def build_W(top: Composition, bottom: Composition | None = None) -> MergeSplitBi
     out = MergeSplitBimodule(top, bottom, GradedRing(spec))
     _BIMODULE_CACHE[key] = out
     return out
+
+
+def _concatenated_sampler(b: Composition, block_preserving: bool):
+    """``vanishing_locus_sampler``'s points on b, re-keyed onto the
+    concatenated alphabet of the ring: x'_i becomes x_{N+i}."""
+    N = b.total
+    keys = [(x_gen(i, TOP), x_gen(i, BOTTOM), x_gen(N + i, TOP)) for i in range(1, N + 1)]
+
+    def sampler(count, seed):
+        out = []
+        for pt in vanishing_locus_sampler(b, count, seed, block_preserving):
+            full = {}
+            for x, xp, x_moved in keys:
+                full[x], full[x_moved] = pt[x], pt[xp]
+            out.append(full)
+        return out
+
+    return sampler
 
 
 def _reside_gen(g: tuple, top_blocks: int) -> tuple:
@@ -160,27 +165,14 @@ def build_identity(a: Composition) -> MergeSplitBimodule:
             relations.append(
                 Poly.gen(e_gen(j, k, TOP)) - Poly.gen(e_gen(j, k, BOTTOM))
             )
-    mixed = a.concat(a)
-
-    def sampler(count, seed):
-        pts = vanishing_locus_sampler(a, count, seed, block_preserving=True)
-        out = []
-        N = a.total
-        for pt in pts:
-            full = {}
-            for i in range(1, N + 1):
-                full[x_gen(i, TOP)] = pt[x_gen(i, TOP)]
-                full[x_gen(N + i, TOP)] = pt[x_gen(i, BOTTOM)]
-            out.append(full)
-        return out
 
     spec = RingSpec(
         name=f"1[{'.'.join(map(str, a.parts))}]",
         generators=_ring_generators(a, a),
         relations=relations,
         qshift=0,
-        sampler=sampler,
-        eval_composition=mixed,
+        sampler=_concatenated_sampler(a, block_preserving=True),
+        eval_composition=a.concat(a),
     )
     spec.relations = [_reside(r, len(a)) for r in spec.relations]
     spec.generators = [(_reside_gen(g, len(a)), d) for g, d in spec.generators]

@@ -24,6 +24,7 @@ psi/rho change of deformation variables.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,17 +53,6 @@ def x_gen(i: int, side: int = TOP) -> tuple:
 
 def v_gen(name, degree: MultiDegree) -> tuple:
     return ("v", name, degree.as_tuple())
-
-
-def gen_degree(gen: tuple) -> MultiDegree:
-    kind = gen[0]
-    if kind == "e":
-        return MultiDegree(0, 2 * gen[3], 0)
-    if kind == "x":
-        return MultiDegree(0, 2, 0)
-    if kind == "v":
-        return MultiDegree(*gen[2])
-    raise ValueError(f"unknown generator {gen!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +88,8 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
 
 
 def mono_degree(m: Mono) -> MultiDegree:
-    out = MultiDegree(0, 0, 0)
-    for g, e in m:
-        out = out + gen_degree(g).scaled(e)
-    return out
+    """The multidegree of a monomial, by the rule of ``Poly.degree``."""
+    return Poly._of({m: 1}).degree()
 
 
 def _add_into(out: dict, terms) -> None:
@@ -196,14 +184,16 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.one()
-        base = self
-        while n:
+        if n == 0:
+            return Poly.one()
+        out, base = None, self
+        while True:  # floor(log2 n) squarings, popcount(n) - 1 products
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -218,8 +208,22 @@ class Poly:
 
     # -- structure ----------------------------------------------------------
     def degree(self) -> MultiDegree:
-        """The common multidegree of all terms; raises on inhomogeneity."""
-        degs = {mono_degree(m).as_tuple() for m in self.terms}
+        """The common multidegree of all terms; raises on inhomogeneity.
+        An e_k has degree q^{2k}, an x q^2, and a v symbol the one it names."""
+        degs = set()
+        for m in self.terms:
+            a = q = t = 0
+            for g, e in m:
+                kind = g[0]
+                if kind == "e":
+                    q += 2 * g[3] * e
+                elif kind == "x":
+                    q += 2 * e
+                elif kind == "v":
+                    a, q, t = a + g[2][0] * e, q + g[2][1] * e, t + g[2][2] * e
+                else:
+                    raise ValueError(f"unknown generator {g!r}")
+            degs.add((a, q, t))
         if not degs:
             return MultiDegree(0, 0, 0)
         if len(degs) > 1:
@@ -243,19 +247,26 @@ class Poly:
 
     def substitute(self, table: Mapping[tuple, "Poly"]) -> "Poly":
         """Replace each generator appearing in table by a polynomial."""
-        powers: dict[tuple, Poly] = {}  # (generator, exponent) -> its power
+        powers: dict[tuple, list] = {}  # (generator, exponent) -> its power's terms
         out: dict[Mono, Fraction] = {}
         for m, c in self.terms.items():
-            piece, kept = Poly.const(c), []
+            # the terms of the image of m's factors in table, repeats summed
+            # only in out
+            piece, kept = None, []
             for g, e in m:
                 if g not in table:
                     kept.append((g, e))
                     continue
-                if (g, e) not in powers:
-                    powers[(g, e)] = table[g] ** e
-                piece = piece * powers[(g, e)]
+                power = powers.get((g, e))
+                if power is None:
+                    power = powers[(g, e)] = list((table[g] ** e).terms.items())
+                piece = power if piece is None else [
+                    (_mono_mul(pm, m2), pc * c2) for pm, pc in piece for m2, c2 in power]
+            if piece is None:
+                _add_into(out, ((m, c),))
+                continue
             kept = tuple(kept)
-            _add_into(out, ((_mono_mul(pm, kept), pc) for pm, pc in piece.terms.items()))
+            _add_into(out, ((_mono_mul(pm, kept), pc * c) for pm, pc in piece))
         return Poly._of(out)
 
     def evaluate(self, point: Mapping[tuple, Fraction]) -> Fraction:
@@ -362,22 +373,36 @@ def esp(gens: list[tuple], k: int) -> Poly:
         return Poly.zero()
     if k == 0:
         return Poly.one()
-    out = Poly.zero()
-    for combo in itertools.combinations(gens, k):
-        m = tuple(sorted((g, 1) for g in combo))
-        out = out + Poly({m: 1})
-    return out
+    return Poly._of({tuple([(g, 1) for g in sorted(combo)]): 1
+                     for combo in itertools.combinations(gens, k)})
 
 
 def _weak_compositions(total: int, caps: tuple[int, ...]):
-    """All (k_1..k_m) with 0 <= k_j <= caps[j] and sum = total."""
-    if not caps:
-        if total == 0:
-            yield ()
+    """All (k_1..k_m) with 0 <= k_j <= caps[j] and sum = total, in
+    lexicographic order."""
+    m = len(caps)
+    room = [0] * (m + 1)  # room[j] = caps[j] + ... + caps[m-1]
+    for j in range(m - 1, -1, -1):
+        room[j] = room[j + 1] + caps[j]
+    if not 0 <= total <= room[0]:
         return
-    for k in range(min(caps[0], total) + 1):
-        for rest in _weak_compositions(total - k, caps[1:]):
-            yield (k,) + rest
+    ks, left = [0] * m, total
+    start = 0
+    while True:
+        for j in range(start, m):  # the least fill of positions start..m-1
+            ks[j] = max(0, left - room[j + 1])
+            left -= ks[j]
+        yield tuple(ks)
+        # the last position that can take one unit from those after it
+        for start in range(m - 1, -1, -1):
+            if left and ks[start] < caps[start]:
+                break
+            left += ks[start]
+        else:
+            return
+        ks[start] += 1
+        left -= 1
+        start += 1
 
 
 def elementary_of_total(i: int, b: Composition, side: int = TOP) -> Poly:
@@ -385,16 +410,10 @@ def elementary_of_total(i: int, b: Composition, side: int = TOP) -> Poly:
     sum over k_1+..+k_m = i of prod_j e_{k_j}(X_j)."""
     if i < 0 or i > b.total:
         raise ValueError(f"e_{i} of an alphabet of size {b.total} is out of range")
-    if i == 0:
-        return Poly.one()
-    out = Poly.zero()
-    for ks in _weak_compositions(i, b.parts):
-        p = Poly.one()
-        for j, k in enumerate(ks):
-            if k:
-                p = p * Poly.gen(e_gen(j + 1, k, side))
-        out = out + p
-    return out
+    return Poly._of({
+        tuple([(e_gen(j, k, side), 1) for j, k in enumerate(ks, start=1) if k]): 1
+        for ks in _weak_compositions(i, b.parts)
+    })
 
 
 def block_x_gens(b: Composition, j: int, side: int = TOP) -> list[tuple]:
@@ -733,63 +752,80 @@ def vanishing_locus_sampler(
     values a random permutation of the unprimed ones.  Every total
     difference e_i(X) - e_i(X') vanishes at such a point; with
     block_preserving=True the permutation respects blocks, so blockwise
-    differences e_k(X_j) - e_k(X'_j) vanish as well."""
+    differences e_k(X_j) - e_k(X'_j) vanish as well.  The values of a point
+    are distinct integers (``rng.sample``) over one shared denominator,
+    which lets ``eval_at_point`` work over the integers."""
     if count < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
     N = b.total
+    top = [x_gen(i, TOP) for i in range(1, N + 1)]
+    bottom = [x_gen(i, BOTTOM) for i in range(1, N + 1)]
     points = []
     for _ in range(count):
         denom = rng.randint(1, 5)
-        pool = rng.sample(range(-6 * N, 6 * N + 1), N)
-        vals = [Fraction(v, denom) for v in pool]  # common denominator keeps them distinct
+        vals = [Fraction(v, denom) for v in rng.sample(range(-6 * N, 6 * N + 1), N)]
+        primed = list(vals)
         if block_preserving:
-            primed = list(vals)
-            for j, off in enumerate(b.block_offsets()):
-                size = b.parts[j]
+            for off, size in zip(b.block_offsets(), b.parts):
                 chunk = primed[off:off + size]
                 rng.shuffle(chunk)
                 primed[off:off + size] = chunk
         else:
-            primed = list(vals)
             rng.shuffle(primed)
         point = {}
-        for i in range(N):
-            point[x_gen(i + 1, TOP)] = vals[i]
-            point[x_gen(i + 1, BOTTOM)] = primed[i]
+        for x, v, xp, vp in zip(top, vals, bottom, primed):
+            point[x], point[xp] = v, vp
         points.append(point)
     return points
 
 
 def eval_at_point(p: Poly, point: Mapping[tuple, Fraction], b: Composition) -> Fraction:
-    """Evaluate a Poly (possibly in block e-coordinates) at a raw point."""
-    full = dict(point)
-    cache: dict[tuple, Fraction] = {}
+    """Evaluate a Poly (possibly in block e-coordinates) at a raw point, exactly.
+
+    The work is done over the integers.  With D the common denominator of
+    the point's values, a generator of raw degree w (w = 1 for a value the
+    point gives, w = k for e_k(X_j)) takes D^w times its value, an integer.
+    A term of raw degree w is scaled by D^(top - w), so the terms sum to
+    D^top p(point)."""
+    if not p.terms:
+        return 0
+    D = math.lcm(*(v.denominator for v in point.values()))
+
+    def scaled(v):
+        return v.numerator * (D // v.denominator)
+
+    ints, weight, blocks = {}, {}, {}
     for g in p.gens():
-        if g in full:
-            continue
-        if g[0] == "e":
+        if g in point:
+            ints[g], weight[g] = scaled(point[g]), 1
+        elif g[0] == "e":
             _, side, j, k = g
-            key = ("eval", side, j, k)
-            if key not in cache:
-                vals = [point[x] for x in block_x_gens(b, j, side)]
-                cache[key] = _esp_value(vals, k)
-            full[g] = cache[key]
+            es = blocks.get((side, j))
+            if es is None:
+                es = blocks[(side, j)] = _esp_values(
+                    [scaled(point[x]) for x in block_x_gens(b, j, side)])
+            ints[g], weight[g] = (es[k] if k < len(es) else 0), k
         elif g[0] == "x":
             raise KeyError(f"point does not cover raw variable {g}")
         else:
             raise KeyError(f"cannot evaluate symbol {g} at a locus point")
-    return p.evaluate(full)
+    terms = []
+    for m, c in p.terms.items():
+        w = 0
+        for g, e in m:
+            c *= ints[g] ** e
+            w += weight[g] * e
+        terms.append((w, c))
+    top = max(w for w, _ in terms)
+    total = sum(c * D ** (top - w) for w, c in terms)
+    return total if D == 1 else Fraction(total, D ** top)
 
 
-def _esp_value(vals: list[Fraction], k: int) -> Fraction:
-    if k == 0:
-        return Fraction(1)
-    if k > len(vals):
-        return Fraction(0)
-    partial = [Fraction(0)] * (k + 1)
-    partial[0] = Fraction(1)
-    for v in vals:
-        for j in range(min(k, len(vals)), 0, -1):
-            partial[j] += v * partial[j - 1]
-    return partial[k]
+def _esp_values(vals: list) -> list:
+    """[e_0, e_1, ..., e_n] of the n values; ints on int input."""
+    out = [1] + [0] * len(vals)
+    for n, v in enumerate(vals, start=1):
+        for j in range(n, 0, -1):
+            out[j] += v * out[j - 1]
+    return out

@@ -756,6 +756,44 @@ def test_sdr_signed_by_its_own_objects(qx):
     assert as_parts(out.terms) == {pm_from(thetas=["th"]): {(1, 1): {None: x}}}
 
 
+def test_sdr_identities_sign_by_the_objects_their_factors_join(qx):
+    """Two SDRs whose theta components meet a factor at an index where big's
+    and small's objects differ in t-parity, so each of fg, gf and hg holds
+    only when its product is signed by the objects its second factor joins.
+
+    (1) X = (t^0, t^1) and Y = (t^1, t^0) with d = 0; f and g are the swap
+    plus theta x on X_0 -> Y_0 and -theta x on Y_1 -> X_1, h = 0.
+    (2) big = (Q, Z, P) of degrees q^-2 t, 1, q^-2 with d = 1: P -> Q,
+    small = (Z) with d = 0; g = incl + theta: Z -> Q, h = 1: Q -> P plus
+    -theta: Z -> P, f = proj.  Then [d, h] = id - gf and hg = 0 hold by a
+    cancellation of theta terms."""
+    x = Poly.gen(x_gen(1))
+    th = ParamSpec.make([("th", MultiDegree(0, -2, 1), "odd")])
+    theta = pm_from(thetas=["th"])
+
+    def plain(mat):
+        return {ij: Entry.plain(p) for ij, p in mat.items()}
+
+    t0, t1 = RC_Object(MultiDegree(0, 0, 0), qx), RC_Object(MultiDegree(0, 0, 1), qx)
+    X, Y = CurvedComplex([t0, t1], th), CurvedComplex([t1, t0], th)
+    for sign, ok in ((-1, True), (1, False)):
+        f = {PM_ONE: plain({(1, 0): Poly.one(), (0, 1): Poly.one()}), theta: plain({(0, 0): x})}
+        g = {PM_ONE: plain({(0, 1): Poly.one(), (1, 0): Poly.one()}),
+             theta: plain({(1, 1): sign * x})}
+        assert SdrData(X, Y, f, g, {}).verify().ok == ok
+
+    Q, Z, P = (RC_Object(MultiDegree(0, q, t), qx) for q, t in ((-2, 1), (0, 0), (-2, 0)))
+    big = CurvedComplex([Q, Z, P], th, {PM_ONE: plain({(0, 2): Poly.one()})})
+    small = CurvedComplex([Z], th)
+    for cx in (big, small):
+        cx.check_homogeneous()
+    for sign, ok in ((-1, True), (1, False)):
+        f = {PM_ONE: plain({(0, 1): Poly.one()})}
+        g = {PM_ONE: plain({(1, 0): Poly.one()}), theta: plain({(0, 0): Poly.one()})}
+        h = {PM_ONE: plain({(2, 0): Poly.one()}), theta: plain({(2, 1): Poly.const(sign)})}
+        assert SdrData(big, small, f, g, h).verify().ok == ok
+
+
 # -- shifts ------------------------------------------------------------------------------
 
 def test_shift_involution_and_sign(qx):

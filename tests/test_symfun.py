@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from fraylab.symfun import (
     a_family,
     a_identity_defect,
     a_thin_recursive,
+    block_x_gens,
     curvature_transport_defect,
     difference_symmetric,
     e_gen,
@@ -35,6 +37,7 @@ from fraylab.symfun import (
     vdot_param,
     x_gen,
     _mono_mul,
+    _weak_compositions,
 )
 from fraylab.grading import MultiDegree
 
@@ -365,3 +368,98 @@ def test_int_and_fraction_copies_are_equal_with_equal_hashes(p):
     rebuilt = Poly(as_fractions.terms)
     assert rebuilt == p and hash(rebuilt) == hash(p)
     assert [type(c) for c in rebuilt.terms.values()] == [type(c) for c in p.terms.values()]
+
+
+# -- powers, symmetric functions and evaluation against naive references --------
+
+@given(polys, st.integers(0, 6))
+def test_power_is_the_repeated_product_with_few_products(p, n):
+    products = []
+    mul = Poly.__mul__
+
+    def counting_mul(a, b):
+        products.append(isinstance(b, Poly))
+        return mul(a, b)
+
+    Poly.__mul__ = counting_mul
+    try:
+        got = p ** n
+    finally:
+        Poly.__mul__ = mul
+    want = Poly.one()
+    for _ in range(n):
+        want = naive_mul(want, p)
+    assert got == want
+    assert_exact_coefficients(got)
+    # floor(log2 n) squarings and popcount(n) - 1 products
+    bound = n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0
+    assert sum(products) <= bound
+
+
+@given(st.lists(st.sampled_from(KERNEL_GENS), unique=True, max_size=5), st.integers(-1, 6))
+def test_esp_is_the_sum_over_subsets(gens, k):
+    want = Poly.zero()
+    for combo in (itertools.combinations(gens, k) if k >= 0 else ()):
+        term = Poly.one()
+        for g in combo:
+            term = naive_mul(term, Poly.gen(g))
+        want = want + term
+    assert esp(gens, k) == want
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4), st.data())
+def test_elementary_of_total_is_the_sum_of_block_products(parts, data):
+    b = Composition(tuple(parts))
+    i = data.draw(st.integers(0, b.total))
+    side = data.draw(st.sampled_from([0, BOTTOM]))
+    ranges = [range(p + 1) for p in parts]
+    comps = [ks for ks in itertools.product(*ranges) if sum(ks) == i]
+    assert list(_weak_compositions(i, b.parts)) == comps  # lexicographic order
+    want = Poly.zero()
+    for ks in comps:
+        term = Poly.one()
+        for j, k in enumerate(ks, start=1):
+            term = naive_mul(term, esp_sym(k, b.parts[j - 1], j, side))
+        want = want + term
+    assert elementary_of_total(i, b, side) == want
+
+
+renames = st.dictionaries(
+    st.sampled_from(KERNEL_GENS),
+    st.tuples(monos, coeffs.filter(bool)).map(lambda mc: Poly({mc[0]: mc[1]})), max_size=4)
+# images like (a + b) and (a - b), whose products and sums cancel terms
+cancelling = st.dictionaries(
+    st.sampled_from(KERNEL_GENS),
+    st.tuples(st.sampled_from(KERNEL_GENS[:3]), st.sampled_from(KERNEL_GENS[3:]),
+              st.sampled_from([1, -1])).map(
+        lambda abs_: Poly.gen(abs_[0]) + abs_[2] * Poly.gen(abs_[1])),
+    max_size=4)
+
+
+@given(polys, renames | cancelling)
+def test_substitute_renames_and_cancelling_images(p, table):
+    got = p.substitute(table)
+    assert got == naive_substitute(p, table)
+    assert_exact_coefficients(got)
+
+
+EVAL_B = Composition.of(2, 1)
+EVAL_GENS = [x_gen(i, side) for side in (0, BOTTOM) for i in (1, 2, 3)] + [
+    e_gen(j, k, side) for side in (0, BOTTOM) for j, size in ((1, 2), (2, 1))
+    for k in range(1, size + 1)]
+eval_polys = st.dictionaries(
+    st.dictionaries(st.sampled_from(EVAL_GENS), st.integers(1, 3), max_size=3).map(
+        lambda d: tuple(sorted(d.items()))),
+    coeffs, max_size=5).map(Poly)
+eval_points = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=7), min_size=6, max_size=6).map(
+    lambda vals: dict(zip(EVAL_GENS[:6], vals)))
+
+
+@given(eval_polys, eval_points)
+def test_eval_at_point_is_the_fraction_evaluation(p, point):
+    full = dict(point)
+    for g in EVAL_GENS[6:]:
+        _, side, j, k = g
+        full[g] = esp(block_x_gens(EVAL_B, j, side), k).evaluate(point)
+    assert eval_at_point(p, point, EVAL_B) == p.evaluate(full)
