@@ -397,11 +397,8 @@ def hh_complex(
         for d in d_range
     ]
     dims = unrolled_homology(C, transported, cells, window.t, class_dim, data.induced)
-    coeffs: dict[tuple[int, int, int], Fraction] = {}
-    for (i, d, t), dim in dims.items():
-        deg = orient_degree(i, d, t, N, qshift, orientation)
-        if window.contains(deg):
-            coeffs[deg] = Fraction(dim)
+    coeffs = {orient_degree(i, d, t, N, qshift, orientation): dim
+              for (i, d, t), dim in dims.items()}
     return HHResult(TriSeries(window, coeffs), window, generator_basis, N, qshift)
 
 

@@ -1457,11 +1457,11 @@ def unrolled_homology(
     is ranked when it is built, and only its rank is kept.  Returns
     {cell: dim} for the cells of nonzero dimension."""
     monos = _module_monomials(C.params, C.cap, t_range[0] - 1, t_range[1] + 1)
-    bases = [
-        (oi, mono, o.degree + mdeg)
-        for oi, o in enumerate(C.objects)
-        for mono, mdeg in monos
-    ]
+    bases: dict[int, list] = {}  # t -> [(obj, mono, base)]
+    for oi, o in enumerate(C.objects):
+        for mono, mdeg in monos:
+            base = o.degree + mdeg
+            bases.setdefault(base.t, []).append((oi, mono, base))
     terms = []
     for s_mono, mat in entries.items():
         eps = C._eps(s_mono)
@@ -1479,17 +1479,15 @@ def unrolled_homology(
         return dims[(level, local)]
 
     def layout(g: tuple[int, int, int]):
-        """{(obj, mono): (offset, level, local, dim)} of the nonzero pieces
+        """{obj: {mono: (offset, level, local, dim)}} of the nonzero pieces
         at g, and their total dimension."""
         a, q, t = g
         out, off = {}, 0
-        for oi, mono, base in bases:
-            if base.t != t:
-                continue
+        for oi, mono, base in bases.get(t, ()):
             level, local = a - base.a, q - base.q
             d = dim(level, local)
             if d:
-                out[(oi, mono)] = (off, level, local, d)
+                out.setdefault(oi, {})[mono] = (off, level, local, d)
                 off += d
         return out, off
 
@@ -1502,37 +1500,39 @@ def unrolled_homology(
         if g in ranks:
             return ranks[g]
         src, ncols = layout(g)
-        tgt, _ = layout((g[0], g[1], g[2] + 1))
+        tgt, nrows = layout((g[0], g[1], g[2] + 1)) if ncols else ({}, 0)
+        if not nrows:
+            ranks[g] = (0, ncols)
+            return ranks[g]
         rows: dict[int, dict[int, Fraction]] = {}
         for s_mono, i, j, sgn, p, c, key in terms:
-            for (oj, vmono), (coff, level, local, d) in src.items():
-                if oj != j:
-                    continue
+            if j not in src or i not in tgt:
+                continue
+            into = tgt[i]
+            for vmono, (coff, level, local, d) in src[j].items():
                 # a product with a dual kills the cyclic generator, so it
                 # matches no piece
                 prods = products.get((s_mono, vmono))
                 if prods is None:
                     prods = products[(s_mono, vmono)] = pm_mul(C.params, s_mono, vmono)
                 for msign, new_mono in prods:
-                    hit = tgt.get((i, new_mono))
+                    hit = into.get(new_mono)
                     if hit is None:
                         continue
-                    if c is not None:
-                        mat = {(r, r): c for r in range(d)}
-                    elif (key, level, local) in actions:
-                        mat = actions[(key, level, local)]
-                    else:
-                        mat = actions[(key, level, local)] = act(p, level, local)
                     roff = hit[0]
+                    if c is not None:
+                        val = c * msign * sgn
+                        for r in range(d):
+                            row = rows.setdefault(r + roff, {})
+                            row[r + coff] = row.get(r + coff, 0) + val
+                        continue
+                    mat = actions.get((key, level, local))
+                    if mat is None:
+                        mat = actions[(key, level, local)] = act(p, level, local)
                     for (rr, cc), val in mat.items():
                         row = rows.setdefault(rr + roff, {})
                         row[cc + coff] = row.get(cc + coff, 0) + val * msign * sgn
-        clean = []
-        for row in rows.values():
-            row = {col: v for col, v in row.items() if v}
-            if row:
-                clean.append(row)
-        ranks[g] = (rank_of(clean) if clean else 0, ncols)
+        ranks[g] = (rank_of(rows.values()) if rows else 0, ncols)
         return ranks[g]
 
     out: dict[tuple[int, int, int], int] = {}
@@ -1578,4 +1578,4 @@ def homology_truncated(C: CurvedComplex, window: Window) -> TriSeries:
         lambda level, local: ring.dim(local) if level == 0 else 0,
         lambda p, level, local: ring.mult_matrix(p, local),
     )
-    return TriSeries(window, {g: Fraction(d) for g, d in dims.items()})
+    return TriSeries(window, dims)

@@ -9,15 +9,19 @@ linear elimination: they are division by a Gröbner basis
 (``homalg.GroebnerBasis``).
 
 There is one elimination loop, ``_eliminate``: right-looking Gaussian
-elimination of a whole matrix.  Its pivot rule is Markowitz's: take the
-column with the fewest entries among the live rows, then the shortest live
-row in that column, and clear the column from the other rows holding it.
-Fill-in, not the arithmetic of one entry, is what exact elimination costs
-on these matrices, and this order keeps it low.  A bucket queue on column
-counts finds the column; its buckets move only for the pivot row's
-columns, the only columns whose counts a step changes.  Ties go to the
-smallest column, then to the row whose sorted entries are smallest, so the
-result depends on the rows as a multiset, not on their order.
+elimination of a whole matrix.  Fill-in, not the arithmetic of one entry,
+is what exact elimination costs on these matrices, and its pivot rule
+keeps it low.  First every one-entry row is a pivot: it costs nothing in
+Markowitz's (r - 1)(c - 1) measure, its row is {c: 1}, and clearing c from
+the other rows only deletes entries.  This goes in rounds, each taking its
+columns in increasing order; rows left with one entry make the next round.
+Then the rule is Markowitz's: take the column with the fewest entries among
+the live rows, then the shortest live row in that column, and clear the
+column from the other rows holding it.  A bucket queue on column counts
+finds the column; its buckets move only for the pivot row's columns, the
+only columns whose counts a step changes.  Ties go to the smallest column,
+then to the row whose sorted entries are smallest, so the result depends on
+the rows as a multiset, not on their order.
 
 ``rank_of`` counts the pivots.  ``rref`` back-substitutes the pivot rows
 into reduced row-echelon form on those pivot columns (not the leading
@@ -55,17 +59,33 @@ def _scaled(row: dict, p) -> dict:
 
 
 def _eliminate(rows: Iterable[Vec]) -> list[tuple[int, Vec]]:
-    """Markowitz elimination of the rows.  Returns (pivot column, row scaled
-    to 1 there) per pivot, in elimination order; no row holds the pivot of
-    an earlier one."""
+    """Singleton pivots, then Markowitz elimination of the rest.  Returns
+    (pivot column, row scaled to 1 there) per pivot, in elimination order;
+    no row holds the pivot of an earlier one."""
     live: dict[int, Vec] = {}
     where: dict[int, set[int]] = {}  # column -> live rows holding it
     for i, r in enumerate(rows):
-        r = {c: _exact(x) for c, x in r.items() if x}
+        r = {c: x if x.__class__ is int else _exact(x) for c, x in r.items() if x}
         if r:
             live[i] = r
             for c in r:
                 where.setdefault(c, set()).add(i)
+    out = []
+    # one-entry rows first, in rounds: each is {c: 1}, and clearing c from
+    # the other rows only deletes entries
+    single = [i for i, r in live.items() if len(r) == 1]
+    while single:
+        nxt = []
+        for c in sorted({next(iter(live[i])) for i in single if i in live}):
+            for j in where.pop(c):
+                row = live[j]
+                del row[c]
+                if not row:
+                    del live[j]
+                elif len(row) == 1:
+                    nxt.append(j)
+            out.append((c, {c: 1}))
+        single = nxt
     # count -> heap of columns; an entry is stale once its column's count moved
     bucket: list[list[int]] = [[] for _ in range(len(live) + 1)]
     for c, holders in where.items():
@@ -73,7 +93,6 @@ def _eliminate(rows: Iterable[Vec]) -> list[tuple[int, Vec]]:
     for b in bucket:
         heapq.heapify(b)
     low = 1
-    out = []
     while live:
         while True:
             while not bucket[low]:
@@ -83,10 +102,15 @@ def _eliminate(rows: Iterable[Vec]) -> list[tuple[int, Vec]]:
                 break
         holders = where.pop(c)
         short = min(len(live[j]) for j in holders)
-        i = min((j for j in holders if len(live[j]) == short),
-                key=lambda j: sorted(live[j].items()))
+        tied = [j for j in holders if len(live[j]) == short]
+        i = tied[0] if len(tied) == 1 else min(tied, key=lambda j: sorted(live[j].items()))
         holders.discard(i)
-        prow = _scaled(live.pop(i), c)
+        prow = live.pop(i)
+        x = prow[c]
+        if x == -1:
+            prow = {k: -y for k, y in prow.items()}
+        elif x != 1:
+            prow = _scaled(prow, c)
         del prow[c]
         counts = {}
         for col in prow:

@@ -1,11 +1,12 @@
 """Quantum integers and truncated Laurent series in a, q, t.
 
-Series are exact: coefficients are Fractions, windows are explicit, and
-equality is coefficientwise on the window intersection.  Rational
-expressions (products of monomial numerator factors over factors 1 - M)
-are expanded geometrically in a declared direction; every denominator
-factor used here has positive weight in q or in t, so truncation to a
-window needs finitely many terms.
+Series are exact: Laurent coefficients are Fractions, TriSeries
+coefficients follow ``linalg._exact`` (an int when integral, else a
+Fraction), windows are explicit, and equality is coefficientwise on the
+window intersection.  Rational expressions (products of monomial numerator
+factors over factors 1 - M) are expanded geometrically in a declared
+direction; every denominator factor used here has positive weight in q or
+in t, so truncation to a window needs finitely many terms.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from .linalg import _exact
 from .symfun import Composition
 
 # ---------------------------------------------------------------------------
@@ -201,18 +203,22 @@ class Window:
 
 
 class TriSeries:
-    """Exact truncated Laurent series in a, q, t on an explicit window."""
+    """Exact truncated Laurent series in a, q, t on an explicit window.
+
+    ``coeffs`` holds only the nonzero coefficients inside the window, each
+    under the one rule of ``linalg._exact``: an int when integral, else a
+    Fraction.  Every constructor goes through ``__init__``, which applies
+    it; the unknot series are integral, so their arithmetic stays in ints."""
 
     __slots__ = ("window", "coeffs")
 
     def __init__(self, window: Window, coeffs: Mapping[tuple, Fraction] | None = None):
         self.window = window
-        self.coeffs: dict[tuple[int, int, int], Fraction] = {}
+        self.coeffs: dict[tuple[int, int, int], int | Fraction] = {}
         if coeffs:
             for d, c in coeffs.items():
-                c = Fraction(c)
                 if c and window.contains(d):
-                    self.coeffs[d] = c
+                    self.coeffs[d] = _exact(c)
 
     @staticmethod
     def zero(window: Window) -> "TriSeries":
@@ -220,28 +226,21 @@ class TriSeries:
 
     @staticmethod
     def one(window: Window) -> "TriSeries":
-        return TriSeries(window, {(0, 0, 0): Fraction(1)})
+        return TriSeries(window, {(0, 0, 0): 1})
 
     @staticmethod
     def monomial(window: Window, d: tuple[int, int, int], c=1) -> "TriSeries":
-        return TriSeries(window, {d: Fraction(c)})
+        return TriSeries(window, {d: c})
 
     @staticmethod
     def from_laurent(window: Window, l: Laurent) -> "TriSeries":
         return TriSeries(window, {(0, k, 0): v for k, v in l.c.items()})
 
     def __add__(self, other: "TriSeries") -> "TriSeries":
-        w = self.window
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
-            if not w.contains(d):
-                continue
-            s = out.get(d, Fraction(0)) + c
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        return TriSeries(w, out)
+            out[d] = out.get(d, 0) + c
+        return TriSeries(self.window, out)
 
     def __neg__(self) -> "TriSeries":
         return TriSeries(self.window, {d: -c for d, c in self.coeffs.items()})
@@ -253,33 +252,27 @@ class TriSeries:
         if isinstance(other, Laurent):
             other = TriSeries.from_laurent(self.window, other)
         if not isinstance(other, TriSeries):
-            return TriSeries(
-                self.window, {d: c * Fraction(other) for d, c in self.coeffs.items()}
-            )
+            k = _exact(other)
+            return TriSeries(self.window, {d: c * k for d, c in self.coeffs.items()})
         w = self.window
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = (d1[0] + d2[0], d1[1] + d2[1], d1[2] + d2[2])
-                if not w.contains(d):
-                    continue
-                s = out.get(d, Fraction(0)) + c1 * c2
-                if s:
-                    out[d] = s
-                else:
-                    out.pop(d, None)
+        (a0, a1), (q0, q1), (t0, t1) = w.a, w.q, w.t
+        out: dict[tuple[int, int, int], int | Fraction] = {}
+        for (a, q, t), c1 in self.coeffs.items():
+            for (da, dq, dt), c2 in other.coeffs.items():
+                if a0 <= a + da <= a1 and q0 <= q + dq <= q1 and t0 <= t + dt <= t1:
+                    d = (a + da, q + dq, t + dt)
+                    out[d] = out.get(d, 0) + c1 * c2
         return TriSeries(w, out)
 
     __rmul__ = __mul__
 
     def shift(self, d: tuple[int, int, int], c=1) -> "TriSeries":
         """Multiply by c * a^d0 q^d1 t^d2 (window kept fixed)."""
-        out = {}
-        for dd, cc in self.coeffs.items():
-            nd = (dd[0] + d[0], dd[1] + d[1], dd[2] + d[2])
-            if self.window.contains(nd):
-                out[nd] = cc * Fraction(c)
-        return TriSeries(self.window, out)
+        c = _exact(c)
+        return TriSeries(self.window, {
+            (dd[0] + d[0], dd[1] + d[1], dd[2] + d[2]): cc * c
+            for dd, cc in self.coeffs.items()
+        })
 
     def restrict(self, window: Window) -> "TriSeries":
         return TriSeries(window, self.coeffs)
@@ -292,7 +285,7 @@ class TriSeries:
         for d in degs:
             if not w.contains(d):
                 continue
-            if self.coeffs.get(d, Fraction(0)) != other.coeffs.get(d, Fraction(0)):
+            if self.coeffs.get(d, 0) != other.coeffs.get(d, 0):
                 return False
         return True
 
@@ -304,8 +297,8 @@ class TriSeries:
         for d in sorted(set(self.coeffs) | set(other.coeffs)):
             if not w.contains(d):
                 continue
-            got = self.coeffs.get(d, Fraction(0))
-            exp = other.coeffs.get(d, Fraction(0))
+            got = self.coeffs.get(d, 0)
+            exp = other.coeffs.get(d, 0)
             if got != exp:
                 out.append({"degree": list(d), "got": str(got), "expected": str(exp)})
         return out
@@ -414,7 +407,7 @@ def _geometric(window: Window, m: tuple[int, int, int]) -> TriSeries:
     for n in range(steps + 2):
         d = (n * m[0], n * m[1], n * m[2])
         if window.contains(d) or n == 0:
-            coeffs[d] = Fraction(1)
+            coeffs[d] = 1
     return TriSeries(window, coeffs)
 
 

@@ -42,6 +42,18 @@ wide_matrices = st.lists(
     max_size=18,
 )
 
+# tall matrices whose rows are mostly single-entry, as in the t-differentials
+# of the unknot series: singleton pivots clear columns from longer rows, and
+# the rows they leave with one entry pivot in later rounds
+TALL = 7
+entries = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 2))
+tall_matrices = st.tuples(
+    st.lists(st.dictionaries(st.integers(0, TALL - 1), entries, min_size=1, max_size=1),
+             min_size=4, max_size=14),
+    st.lists(st.dictionaries(st.integers(0, TALL - 1), entries, min_size=2, max_size=4),
+             max_size=6),
+).map(lambda parts: parts[0] + parts[1])
+
 
 def dense_rank(rows: list[dict], ncols: int = NCOLS) -> int:
     """Textbook Gaussian elimination on a dense copy of the rows."""
@@ -90,6 +102,30 @@ def test_rref_does_not_depend_on_row_order(data, rows):
     assert rref(data.draw(st.permutations(rows))) == form
     assert form == dense_gauss_jordan(rows, form, NCOLS)
     assert len(form) == dense_rank(rows)
+
+
+@given(st.data(), tall_matrices)
+def test_single_entry_rows_on_tall_matrices(data, rows):
+    assert rank_of(rows) == dense_rank(rows, TALL)
+    form = rref(rows)
+    assert rref(data.draw(st.permutations(rows))) == form
+    assert form == dense_gauss_jordan(rows, form, TALL)
+
+
+def test_single_entry_rows_pivot_in_rounds():
+    """Clearing column 4 leaves {3: 3}, clearing column 3 then leaves
+    {2: -1} (and {2: 1}, which column 2 clears to nothing): three rounds of
+    one singleton pivot each, so the pivots come in the order 4, 3, 2 before
+    the Markowitz loop takes the rows left on columns 0 and 1.  Markowitz's
+    rule alone would start at column 0."""
+    rows = [{4: 2}, {3: 3, 4: 1}, {2: -1, 3: 1}, {0: 1, 1: 1, 2: 1}, {0: 1, 1: 2},
+            {2: 1, 3: 3, 4: 1}, {0: 2, 1: 4, 3: Fraction(1, 2)}]
+    for perm in itertools.permutations(rows):
+        steps = linalg._eliminate([dict(r) for r in perm])
+        assert steps[:3] == [(4, {4: 1}), (3, {3: 1}), (2, {2: 1})]
+        assert sorted(p for p, _ in steps[3:]) == [0, 1]
+    assert rank_of(rows) == dense_rank(rows, 5) == 5
+    assert rref(rows) == {c: {c: 1} for c in range(5)}
 
 
 def test_rref_of_tied_rows_does_not_depend_on_row_order():

@@ -179,3 +179,98 @@ def test_triseries_json_sorted():
     data = s.to_json()
     assert data["terms"][0]["a"] == 0
     assert data["terms"][-1]["coeff"] == "2"
+
+
+# -- the coefficient rule -------------------------------------------------------
+
+def assert_exact_coeffs(s: TriSeries) -> None:
+    """Stored coefficients are ints when integral, else Fractions, never
+    zero, and inside the window."""
+    for d, c in s.coeffs.items():
+        assert c and s.window.contains(d)
+        assert c.__class__ is int or (c.__class__ is Fraction and c.denominator != 1), (d, c)
+
+
+degrees = st.tuples(st.integers(0, 2), st.integers(-3, 3), st.integers(0, 2))
+# zeros, integral Fractions and ints among the coefficients
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+)
+raw_series = st.dictionaries(degrees, coefficients, max_size=8)
+
+
+@st.composite
+def windows(draw):
+    def span(lo, hi):
+        a, b = draw(st.integers(lo, hi)), draw(st.integers(lo, hi))
+        return (min(a, b), max(a, b))
+    return Window(span(0, 4), span(-6, 6), span(0, 4))
+
+
+def naive_product(x: dict, y: dict, w: Window) -> dict:
+    out: dict = {}
+    for d1, c1 in x.items():
+        for d2, c2 in y.items():
+            d = (d1[0] + d2[0], d1[1] + d2[1], d1[2] + d2[2])
+            if w.contains(d):
+                out[d] = out.get(d, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return {d: c for d, c in out.items() if c}
+
+
+def clipped(x: dict, w: Window) -> dict:
+    return {d: c for d, c in x.items() if c and w.contains(d)}
+
+
+def test_coefficients_are_ints_when_integral():
+    w = Window((0, 1), (-2, 2), (0, 1))
+    s = TriSeries(w, {(0, 0, 0): Fraction(4, 2), (0, 1, 0): Fraction(1, 2),
+                      (1, 0, 0): 0, (0, 2, 1): Fraction(0), (0, 9, 0): 5, (1, 1, 1): -3})
+    assert s.coeffs == {(0, 0, 0): 2, (0, 1, 0): Fraction(1, 2), (1, 1, 1): -3}
+    assert_exact_coeffs(s)
+    # (1 + q/2)(1 - q/2) = 1 - q^2/4: the q terms cancel
+    half = TriSeries(w, {(0, 0, 0): 1, (0, 1, 0): Fraction(1, 2)})
+    prod = half * TriSeries(w, {(0, 0, 0): 1, (0, 1, 0): Fraction(-1, 2)})
+    assert prod.coeffs == {(0, 0, 0): 1, (0, 2, 0): Fraction(-1, 4)}
+    assert_exact_coeffs(prod)
+    assert_exact_coeffs(half * 2)
+    assert (half * 2).coeffs == {(0, 0, 0): 2, (0, 1, 0): 1}
+    assert_exact_coeffs(half.shift((0, 1, 0), Fraction(2)))
+    assert half.shift((0, 1, 0), Fraction(2)).coeffs == {(0, 1, 0): 2, (0, 2, 0): 1}
+    assert_exact_coeffs(half + half)
+
+
+@given(raw_series, raw_series, windows(), windows())
+def test_products_match_a_naive_fraction_product(x, y, w1, w2):
+    """Windows clip both factors and the product; terms may cancel."""
+    prod = TriSeries(w1, x) * TriSeries(w2, y)
+    assert prod.window == w1
+    assert prod.coeffs == naive_product(clipped(x, w1), clipped(y, w2), w1)
+    assert_exact_coeffs(prod)
+
+
+@given(raw_series, raw_series, windows(), degrees, coefficients)
+def test_sums_shifts_and_scalars_keep_the_rule(x, y, w, d, c):
+    s, t = TriSeries(w, x), TriSeries(w, y)
+    assert_exact_coeffs(s)
+    total = s + t
+    assert_exact_coeffs(total)
+    naive_sum = {k: Fraction(x.get(k, 0)) + Fraction(y.get(k, 0)) for k in set(x) | set(y)}
+    assert total.coeffs == clipped(naive_sum, w)
+    shifted = s.shift(d, c)
+    assert_exact_coeffs(shifted)
+    assert shifted.coeffs == naive_product(clipped(x, w), {d: c}, w)
+    assert_exact_coeffs(s * c)
+    assert (s * c).coeffs == naive_product(clipped(x, w), {(0, 0, 0): c}, w)
+
+
+@pytest.mark.parametrize("variant", ["intrinsic", "finite", "infinite", "def_finite", "def_infinite"])
+def test_expanded_rows_keep_the_rule(variant):
+    w = Window((0, 2), (-8, 8), (0, 3))
+    s = unknot_table(variant, 2).expand(w)
+    assert s.coeffs
+    assert_exact_coeffs(s)
+    half = RationalSeriesExpr([{(0, 0, 0): Fraction(1, 2), (0, 2, 0): Fraction(3, 2)}],
+                              [(0, 2, 0)]).expand(w)
+    assert_exact_coeffs(half)
+    assert any(c.__class__ is Fraction for c in half.coeffs.values())
