@@ -49,10 +49,6 @@ class MultiDegree:
         return f"a^{self.a} q^{self.q} t^{self.t}"
 
 
-ZERO = MultiDegree(0, 0, 0)
-T = MultiDegree(0, 0, 1)
-
-
 def deg(a: int = 0, q: int = 0, t: int = 0) -> MultiDegree:
     return MultiDegree(a, q, t)
 

@@ -407,10 +407,6 @@ class GradedRing:
         self._mult_cache[key] = out
         return out
 
-    def series(self, qmin: int, qmax: int) -> dict[int, int]:
-        """Graded dimensions of the quotient, natural grading."""
-        return {d: self.dim(d) for d in range(max(qmin, 0), qmax + 1)}
-
 
 # ---------------------------------------------------------------------------
 # deformation parameters and Clifford monomials
@@ -911,17 +907,6 @@ class CurvedComplex:
         )
 
     # -- basic constructions ---------------------------------------------------
-    def copy(self) -> "CurvedComplex":
-        return CurvedComplex(
-            self.objects,
-            self.params,
-            {m: dict(mat) for m, mat in self.terms.items()},
-            dict(self.curvature),
-            self.cap,
-            self.opaque_rules,
-            self.opaque_degrees,
-        )
-
     def shifted(self, delta: MultiDegree) -> "CurvedComplex":
         sign = shift_sign(delta)
         objects = [

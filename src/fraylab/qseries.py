@@ -229,10 +229,6 @@ class TriSeries:
         return TriSeries(window, {(0, 0, 0): 1})
 
     @staticmethod
-    def monomial(window: Window, d: tuple[int, int, int], c=1) -> "TriSeries":
-        return TriSeries(window, {d: c})
-
-    @staticmethod
     def from_laurent(window: Window, l: Laurent) -> "TriSeries":
         return TriSeries(window, {(0, k, 0): v for k, v in l.c.items()})
 

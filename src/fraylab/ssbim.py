@@ -9,12 +9,20 @@ qshift on the ring, never baked into generator degrees.
 
 Frayed projectors are curved complexes on W_lambda: the Koszul twist over
 the odd alphabet Theta (finite), plus theta-dual y-twists (deformed
-finite), plus bulk u-twists built from an a_ijk family (infinite).
+finite), plus bulk u-twists built from an a_ijk family (infinite).  One
+builder, _twisted_koszul, writes all four, and the thin tau_n complex of
+the ladder (the u-twist over the extended thin family), as one connection
+and one curvature, and checks Maurer-Cartan once.  One check covers every
+stage: the Koszul legs carry no even parameter, the u-legs only u and the
+y-legs only y, so the square's part at monomials free of y (of u, of both)
+is the square of the complex without the y-legs (the u-legs, both).
 
 The C_n family is the three-term complex q^n W -> tq^{n-2} W -> t^2q^{-2} 1
 on the (n,1)-strands with the 'unzip' arrow kept opaque; its variants add
-the y/u backward twists and the ladder collapse packages the semi-infinite
-u_{n+1}-ladder into tw_{tau_n} on W_{(1^{n+1})}.
+the y/u backward twists.  Cone-iota elimination and the ladder collapse
+are one routine (_collapse): the ladder's semi-infinite u_{n+1}-ladder is
+the u-variant's cone with one more leg, packaged into tw_{tau_n} on
+W_{(1^{n+1})}.
 """
 
 from __future__ import annotations
@@ -243,148 +251,86 @@ class FrayedProjector:
         return out
 
 
-def _theta_params(lam: Composition) -> list[tuple[str, MultiDegree, str]]:
-    out = []
-    for j, size in enumerate(lam.parts, start=1):
-        for k in range(1, size + 1):
-            out.append((f"th{j}_{k}", MultiDegree(0, -2 * k, 1), "odd"))
-    return out
-
-
-def _y_params(lam: Composition) -> list[tuple[str, MultiDegree, str]]:
-    out = []
-    for j, size in enumerate(lam.parts, start=1):
-        for k in range(1, size + 1):
-            out.append((f"y{j}_{k}", MultiDegree(0, -2 * k, 2), "even"))
-    return out
-
-
 def _u_params(n: int) -> list[tuple[str, MultiDegree, str]]:
     return [(f"u{i}", MultiDegree(0, -2 * i, 2), "even") for i in range(1, n + 1)]
 
 
-def _block_diffs(lam: Composition) -> list[tuple[int, int, Poly]]:
-    """(j, k, e_k(X_j) - e_k(X'_j)) in the concatenated coordinates."""
-    m = len(lam)
-    out = []
-    for j, size in enumerate(lam.parts, start=1):
-        for k in range(1, size + 1):
-            diff = Poly.gen(e_gen(j, k, TOP)) - Poly.gen(e_gen(j + m, k, TOP))
-            out.append((j, k, diff))
+def _thin_legs(fam: Mapping[tuple[int, int], Poly], m: int) -> dict[tuple[int, int, int], Poly]:
+    """A thin family a_ij in the x-variables, as a_ij1 in the concatenated
+    coordinates of W_{(1^m)}: x_j is e_1 of block j, x'_j of block m + j."""
+    out = {}
+    for (i, j), p in fam.items():
+        table = {g: Poly.gen(e_gen(g[2] if g[1] == TOP else g[2] + m, 1, TOP))
+                 for g in p.gens() if g[0] == "x"}
+        out[(i, j, 1)] = p.substitute(table)
     return out
-
-
-def finite_projector(lam: Composition, check: bool = True) -> FrayedProjector:
-    """Koszul twist sum (e_k(X_j) - e_k(X'_j)) (x) theta_jk on W_lambda."""
-    W = build_W(lam)
-    params = ParamSpec.make(_theta_params(lam))
-    obj = RC_Object(MultiDegree(0, 0, 0), W.ring, "W")
-    cx = CurvedComplex([obj], params)
-    alpha: Terms = {}
-    for j, k, diff in _block_diffs(lam):
-        alpha[PMono((), (f"th{j}_{k}",), ())] = {(0, 0): Entry.plain(diff)}
-    cx = cx.twist(alpha, {}, check=check)
-    return FrayedProjector(lam, "finite", cx, None)
-
-
-def deformed_finite_projector(lam: Composition, cap: int = 3, check: bool = True) -> FrayedProjector:
-    """Finite projector twisted by delta = sum theta-dual_jk y_jk; curvature
-    F_y = sum (e_k(X_j) - e_k(X'_j)) (x) y_jk."""
-    base = finite_projector(lam, check=check)
-    params = base.complex.params.merge(ParamSpec.make(_y_params(lam)))
-    cx = base.complex.with_params(params, cap=cap)
-    delta: Terms = {}
-    curv: dict[PMono, Poly] = {}
-    for j, k, diff in _block_diffs(lam):
-        mono = PMono(((f"y{j}_{k}", 1),), (), (f"th{j}_{k}",))
-        delta[mono] = {(0, 0): Entry.plain(Poly.one())}
-        curv[PMono(((f"y{j}_{k}", 1),), (), ())] = diff
-    cx = cx.twist(delta, curv, check=check)
-    return FrayedProjector(lam, "def_finite", cx, cap)
 
 
 def _a_coefficients(lam: Composition) -> dict[tuple[int, int, int], Poly]:
     """a_ijk in concatenated coordinates; the thin recursion for (1^n),
     the telescoping family otherwise (any valid family is acceptable)."""
-    n = lam.total
-    m = len(lam)
     if all(p == 1 for p in lam.parts):
-        thin = a_thin_recursive(n)
-        out = {}
-        for (i, j), p in thin.items():
-            table = {}
-            for g in p.gens():
-                if g[0] == "x":
-                    _, side, idx = g
-                    blk = idx if side == TOP else idx + m
-                    table[g] = Poly.gen(e_gen(blk, 1, TOP))
-            out[(i, j, 1)] = p.substitute(table)
-        return out
-    fam = a_family(lam)
-    return {ijk: bimodule_poly(p, m) for ijk, p in fam.items()}
+        return _thin_legs(a_thin_recursive(lam.total), lam.total)
+    return {ijk: bimodule_poly(p, len(lam)) for ijk, p in a_family(lam).items()}
 
 
-def infinite_projector(
-    lam: Composition, cap: int = 3, check: bool = True, family: str = "auto"
-) -> FrayedProjector:
-    """Finite projector twisted by -gamma, gamma = sum_i eta_i (x) u_i with
-    eta_i = sum_{jk} a_ijk (x) theta-dual_jk; declared curvature -F_u."""
-    base = finite_projector(lam, check=check)
-    n = lam.total
-    params = base.complex.params.merge(ParamSpec.make(_u_params(n)))
-    cx = base.complex.with_params(params, cap=cap)
-    if family == "telescope":
-        fam = {ijk: bimodule_poly(p, len(lam)) for ijk, p in a_family(lam).items()}
-    else:
-        fam = _a_coefficients(lam)
-    gamma: Terms = {}
+def _twisted_koszul(
+    lam: Composition,
+    a: Optional[Mapping[tuple[int, int, int], Poly]] = None,
+    deformed: bool = False,
+    cap: Optional[int] = None,
+    check: bool = True,
+) -> CurvedComplex:
+    """The Koszul complex on W_lambda twisted by the legs asked for, with
+    parameters in the order theta, u, y:
+
+        Koszul legs  (e_k(X_j) - e_k(X'_j)) theta_jk            always;
+        u-legs       -a_ijk theta-dual_jk u_i, curvature -F_u   if a is given;
+        y-legs       theta-dual_jk y_jk, curvature F_y          if deformed;
+
+    F_u = sum_i (e_i(X) - e_i(X')) u_i and F_y = sum_jk (e_k(X_j) - e_k(X'_j)) y_jk.
+    check runs one Maurer-Cartan check (see the module docstring)."""
+    m = len(lam)
+    legs = [(j, k, Poly.gen(e_gen(j, k, TOP)) - Poly.gen(e_gen(j + m, k, TOP)))
+            for j, size in enumerate(lam.parts, start=1) for k in range(1, size + 1)]
+    entries = [(f"th{j}_{k}", MultiDegree(0, -2 * k, 1), "odd") for j, k, _ in legs]
+    terms: Terms = {PMono((), (f"th{j}_{k}",), ()): {(0, 0): Entry.plain(d)} for j, k, d in legs}
     curv: dict[PMono, Poly] = {}
-    for i in range(1, n + 1):
-        for j, size in enumerate(lam.parts, start=1):
-            for k in range(1, size + 1):
-                a_ijk = fam.get((i, j, k), Poly.zero())
-                if a_ijk.is_zero():
-                    continue
-                mono = PMono(((f"u{i}", 1),), (), (f"th{j}_{k}",))
-                prev = gamma.get(mono, {}).get((0, 0))
-                entry = Entry.plain(-1 * a_ijk)
-                gamma.setdefault(mono, {})[(0, 0)] = (
-                    entry if prev is None else prev + entry
-                )
-        top = elementary_of_total(i, lam, TOP)
-        bot = bimodule_poly(elementary_of_total(i, lam, BOTTOM), len(lam))
-        curv[PMono(((f"u{i}", 1),), (), ())] = -1 * (top - bot)
-    cx = cx.twist(gamma, curv, check=check)
-    return FrayedProjector(lam, "infinite", cx, cap)
-
-
-def deformed_infinite_projector(
-    lam: Composition, cap: int = 3, check: bool = True
-) -> FrayedProjector:
-    """Twist by delta - gamma; curvature F_y - F_u."""
-    base = infinite_projector(lam, cap=cap, check=check)
-    params = base.complex.params.merge(ParamSpec.make(_y_params(lam)))
-    cx = base.complex.with_params(params, cap=cap)
-    delta: Terms = {}
-    curv: dict[PMono, Poly] = {}
-    for j, k, diff in _block_diffs(lam):
-        mono = PMono(((f"y{j}_{k}", 1),), (), (f"th{j}_{k}",))
-        delta[mono] = {(0, 0): Entry.plain(Poly.one())}
-        curv[PMono(((f"y{j}_{k}", 1),), (), ())] = diff
-    cx = cx.twist(delta, curv, check=check)
-    return FrayedProjector(lam, "def_infinite", cx, cap)
+    if a is not None:
+        entries += _u_params(lam.total)
+        for (i, j, k), p in a.items():
+            terms[PMono(((f"u{i}", 1),), (), (f"th{j}_{k}",))] = {(0, 0): Entry.plain(-1 * p)}
+        for i in range(1, lam.total + 1):
+            top = elementary_of_total(i, lam, TOP)
+            bot = bimodule_poly(elementary_of_total(i, lam, BOTTOM), m)
+            curv[PMono(((f"u{i}", 1),), (), ())] = -1 * (top - bot)
+    if deformed:
+        entries += [(f"y{j}_{k}", MultiDegree(0, -2 * k, 2), "even") for j, k, _ in legs]
+        for j, k, d in legs:
+            terms[PMono(((f"y{j}_{k}", 1),), (), (f"th{j}_{k}",))] = {(0, 0): Entry.plain(Poly.one())}
+            curv[PMono(((f"y{j}_{k}", 1),), (), ())] = d
+    obj = RC_Object(MultiDegree(0, 0, 0), build_W(lam).ring, "W")
+    cx = CurvedComplex([obj], ParamSpec.make(entries), terms, curv, cap=cap)
+    cx.check_homogeneous()
+    if check:
+        rep = cx.mc_check()
+        if not rep:
+            raise ValueError(f"twist on W{lam.parts} violates Maurer-Cartan: {rep.details}")
+    return cx
 
 
 def projector(lam: Composition, variant: str, cap: int = 3, check: bool = True) -> FrayedProjector:
+    """The frayed projector on W_lambda: the Koszul twist (finite), plus
+    delta = sum theta-dual_jk y_jk (def_), plus -gamma = -sum a_ijk
+    theta-dual_jk u_i (infinite).  The finite projector has no even
+    parameters and so no cap."""
+    if variant not in ("finite", "def_finite", "infinite", "def_infinite"):
+        raise ValueError(f"unknown projector variant {variant!r}")
     if variant == "finite":
-        return finite_projector(lam, check=check)
-    if variant == "def_finite":
-        return deformed_finite_projector(lam, cap=cap, check=check)
-    if variant == "infinite":
-        return infinite_projector(lam, cap=cap, check=check)
-    if variant == "def_infinite":
-        return deformed_infinite_projector(lam, cap=cap, check=check)
-    raise ValueError(f"unknown projector variant {variant!r}")
+        cap = None
+    a = _a_coefficients(lam) if "infinite" in variant else None
+    cx = _twisted_koszul(lam, a, variant.startswith("def_"), cap, check)
+    return FrayedProjector(lam, variant, cx, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +338,6 @@ def projector(lam: Composition, variant: str, cap: int = 3, check: bool = True) 
 
 
 UNZIP_RULES = {("unit", "unzip"): None}
-
-
-def _cn_rings(n: int):
-    a = Composition.of(n, 1)
-    W = build_W(a)
-    ident = build_identity(a)
-    return a, W, ident
 
 
 def _xdiff(n: int) -> Poly:
@@ -409,10 +348,7 @@ def _xdiff(n: int) -> Poly:
 def _g_concat(n: int) -> list[Poly]:
     """g_1..g_{n+1} rewritten to concatenated coordinates: block 1 = X_n,
     block 2 = x_{n+1}, block 3 = X'_n, block 4 = x'_{n+1}."""
-    out = []
-    for g in g_polys(n):
-        out.append(bimodule_poly(g, 2))
-    return out
+    return [bimodule_poly(g, 2) for g in g_polys(n)]
 
 
 def cn_family(n: int, variant: str = "plain", cap: int = 3, check: bool = True) -> CurvedComplex:
@@ -428,37 +364,25 @@ def cn_family(n: int, variant: str = "plain", cap: int = 3, check: bool = True) 
     """
     if n < 1:
         raise ValueError("C_n needs n >= 1")
-    a, W, ident = _cn_rings(n)
+    W, ident = build_W(Composition.of(n, 1)), build_identity(Composition.of(n, 1))
     objects = [
         RC_Object(MultiDegree(0, n, 0), W.ring, "qnW", offset=0),
         RC_Object(MultiDegree(0, n - 2, 1), W.ring, "tqn2W", offset=0),
         RC_Object(MultiDegree(0, -2, 2), ident.ring, "t2q21"),
     ]
     entries: list[tuple[str, MultiDegree, str]] = []
+    curv: dict[PMono, Poly] = {}
     if variant in ("y", "yu"):
         entries.append((f"y{n + 1}", MultiDegree(0, -2, 2), "even"))
+        curv[PMono(((f"y{n + 1}", 1),), (), ())] = _xdiff(n)
     if variant in ("u", "yu"):
         entries.extend(_u_params(n))
-    params = ParamSpec.make(entries)
-
-    terms: Terms = {
-        PM_ONE: {
-            (1, 0): Entry.plain(_xdiff(n)),
-            (2, 1): Entry.opaque("unzip"),
-        }
-    }
-    curv: dict[PMono, Poly] = {}
-    gs = _g_concat(n)
-    if variant in ("y", "yu"):
-        mono = PMono(((f"y{n + 1}", 1),), (), ())
-        terms.setdefault(mono, {})[(0, 1)] = Entry.plain(Poly.one())
-        curv[mono] = _xdiff(n)
-    if variant in ("u", "yu"):
         for i in range(1, n + 1):
-            mono = PMono(((f"u{i}", 1),), (), ())
-            terms.setdefault(mono, {})[(0, 1)] = Entry.plain(-1 * gs[i - 1])
             diff = Poly.gen(e_gen(1, i, TOP)) - Poly.gen(e_gen(3, i, TOP))
-            curv[mono] = curv.get(mono, Poly.zero()) + diff
+            curv[PMono(((f"u{i}", 1),), (), ())] = diff
+    params = ParamSpec.make(entries)
+    terms = _two_term(n, variant, n)
+    terms[PM_ONE][(2, 1)] = Entry.opaque("unzip")
 
     cx = CurvedComplex(
         objects,
@@ -477,52 +401,43 @@ def cn_family(n: int, variant: str = "plain", cap: int = 3, check: bool = True) 
     return cx
 
 
-def cone_iota_eliminate(n: int, variant: str = "plain", cap: int = 3) -> CurvedComplex:
-    """Cone of the inclusion of the last term of C_n^variant, Gaussian
-    elimination of the identity rung, and comparison with the displayed
-    two-term complex q^n W <-> tq^{n-2} W."""
-    cx = cn_family(n, variant, cap=cap)
-    ident_obj = cx.objects[2]
+def _two_term(n: int, variant: str, legs: int) -> Terms:
+    """The connection of the two-term complex q^n W <-> tq^{n-2} W: forward
+    x_{n+1} - x'_{n+1}, backward y_{n+1} (variants y, yu) and -g_i u_i for
+    i <= legs (variants u, yu)."""
+    terms: Terms = {PM_ONE: {(1, 0): Entry.plain(_xdiff(n))}}
+    if variant in ("y", "yu"):
+        terms[PMono(((f"y{n + 1}", 1),), (), ())] = {(0, 1): Entry.plain(Poly.one())}
+    if variant in ("u", "yu"):
+        gs = _g_concat(n)
+        for i in range(1, legs + 1):
+            terms[PMono(((f"u{i}", 1),), (), ())] = {(0, 1): Entry.plain(-1 * gs[i - 1])}
+    return terms
+
+
+def _collapse(cx: CurvedComplex, psi: Terms, want: Terms) -> CurvedComplex:
+    """Cone of iota + psi from a copy of C_n's last object (with cx's
+    curvature) into cx, Gaussian elimination of the identity rung (which
+    verifies its SDR and raises on failure), and comparison with the
+    two-term connection want."""
+    last = cx.objects[2]
     source = CurvedComplex(
-        [RC_Object(ident_obj.degree, ident_obj.ring, "src", ident_obj.offset)],
-        cx.params,
-        {},
-        dict(cx.curvature),
-        cap=cx.cap,
-        opaque_rules=cx.opaque_rules,
-        opaque_degrees=cx.opaque_degrees,
+        [RC_Object(last.degree, last.ring, "src", last.offset)], cx.params, {},
+        cx.curvature, cx.cap, cx.opaque_rules, cx.opaque_degrees,
     )
-    iota = ChainMap(source, cx, {PM_ONE: {(2, 0): Entry.plain(Poly.one())}})
-    total = cone(iota)
-    reduced, sdr = gaussian_eliminate(total, (3, 0))
-    rep = sdr.verify()
-    if not rep:
-        raise ValueError(f"cone-iota SDR fails: {rep.details}")
-    bad = _terms_mismatch(reduced, _expected_two_term(n, variant, cap, cx))
+    phi = ChainMap(source, cx, {PM_ONE: {(2, 0): Entry.plain(Poly.one())}, **psi})
+    reduced, _ = gaussian_eliminate(cone(phi), (3, 0))
+    bad = _terms_mismatch(reduced, CurvedComplex(cx.objects[:2], cx.params, want))
     if bad:
         raise AssertionError(f"two-term complex after elimination: {bad}")
     return reduced
 
 
-def _expected_two_term(n, variant, cap, model: CurvedComplex) -> CurvedComplex:
-    a, W, ident = _cn_rings(n)
-    objects = [
-        RC_Object(MultiDegree(0, n, 0), W.ring, "qnW"),
-        RC_Object(MultiDegree(0, n - 2, 1), W.ring, "tqn2W"),
-    ]
-    terms: Terms = {PM_ONE: {(1, 0): Entry.plain(_xdiff(n))}}
-    gs = _g_concat(n)
-    if variant in ("y", "yu"):
-        mono = PMono(((f"y{n + 1}", 1),), (), ())
-        terms.setdefault(mono, {})[(0, 1)] = Entry.plain(Poly.one())
-    if variant in ("u", "yu"):
-        for i in range(1, n + 1):
-            mono = PMono(((f"u{i}", 1),), (), ())
-            terms.setdefault(mono, {})[(0, 1)] = Entry.plain(-1 * gs[i - 1])
-    return CurvedComplex(
-        objects, model.params, terms, dict(model.curvature), cap,
-        model.opaque_rules, model.opaque_degrees,
-    )
+def cone_iota_eliminate(n: int, variant: str = "plain", cap: int = 3) -> CurvedComplex:
+    """Cone of the inclusion of the last term of C_n^variant, Gaussian
+    elimination of the identity rung, and comparison with the displayed
+    two-term complex q^n W <-> tq^{n-2} W."""
+    return _collapse(cn_family(n, variant, cap=cap), {}, _two_term(n, variant, n))
 
 
 def _terms_mismatch(got: CurvedComplex, want: CurvedComplex) -> Optional[str]:
@@ -546,60 +461,13 @@ def _terms_mismatch(got: CurvedComplex, want: CurvedComplex) -> Optional[str]:
 # ladder collapse and the thin recursion's change of basis
 
 
-def ladder_collapse(n: int, cap: int = 2, check: bool = True):
+def ladder_collapse(n: int, cap: int = 2):
     """Build Cone(Phi), Phi = iota (x) 1 + psi (x) u_{n+1}, eliminate the
     identity rung, verify the two-term answer with backward
     -sum_{i<=n+1} g_i u_i, and return tw_{tau_n} on W_{(1^{n+1})}."""
-    cx = cn_family(n, "u", cap=cap)
-    params = cx.params.merge(
-        ParamSpec.make([(f"u{n + 1}", MultiDegree(0, -2 * (n + 1), 2), "even")])
-    )
-    cx = cx.with_params(params, cap=cap)
-    ident_obj = cx.objects[2]
-    source = CurvedComplex(
-        [RC_Object(ident_obj.degree, ident_obj.ring, "src", ident_obj.offset)],
-        params,
-        {},
-        dict(cx.curvature),
-        cap=cap,
-        opaque_rules=cx.opaque_rules,
-        opaque_degrees=cx.opaque_degrees,
-    )
-    gs = _g_concat(n)
-    phi_terms: Terms = {
-        PM_ONE: {(2, 0): Entry.plain(Poly.one())},
-        PMono(((f"u{n + 1}", 1),), (), ()): {
-            (0, 0): Entry.opaque("unit", gs[n])
-        },
-    }
-    Phi = ChainMap(source, cx, phi_terms)
-    total = cone(Phi)
-    reduced, sdr = gaussian_eliminate(total, (3, 0))
-    if check:
-        rep = sdr.verify()
-        if not rep:
-            raise ValueError(f"ladder SDR fails: {rep.details}")
-        bad = _terms_mismatch(reduced, _expected_ladder_two_term(n, cap, cx))
-        if bad:
-            raise AssertionError(f"two-term complex after elimination: {bad}")
-    return reduced, tau_complex(n, cap=cap, check=check)
-
-
-def _expected_ladder_two_term(n, cap, model) -> CurvedComplex:
-    a, W, ident = _cn_rings(n)
-    objects = [
-        RC_Object(MultiDegree(0, n, 0), W.ring, "qnW"),
-        RC_Object(MultiDegree(0, n - 2, 1), W.ring, "tqn2W"),
-    ]
-    terms: Terms = {PM_ONE: {(1, 0): Entry.plain(_xdiff(n))}}
-    gs = _g_concat(n)
-    for i in range(1, n + 2):
-        mono = PMono(((f"u{i}", 1),), (), ())
-        terms.setdefault(mono, {})[(0, 1)] = Entry.plain(-1 * gs[i - 1])
-    return CurvedComplex(
-        objects, model.params, terms, dict(model.curvature), cap,
-        model.opaque_rules, model.opaque_degrees,
-    )
+    cx = cn_family(n, "u", cap=cap).with_params(ParamSpec.make(_u_params(n + 1)))
+    psi = {PMono(((f"u{n + 1}", 1),), (), ()): {(0, 0): Entry.opaque("unit", _g_concat(n)[n])}}
+    return _collapse(cx, psi, _two_term(n, "u", n + 1)), tau_complex(n, cap=cap)
 
 
 def extended_thin_family(n: int) -> dict[tuple[int, int], Poly]:
@@ -622,64 +490,10 @@ def extended_thin_family(n: int) -> dict[tuple[int, int], Poly]:
 
 def tau_complex(n: int, cap: int = 2, check: bool = True) -> CurvedComplex:
     """tw_{tau_n}(W_{(1^{n+1})} (x) Lambda[Theta_{n+1}] (x) R[U_{n+1}]):
-    Koszul legs (x_j - x'_j) theta_j plus u-legs -a_{ij} theta-dual_j u_i
+    Koszul legs (x_j - x'_j) theta_j1 plus u-legs -a_{ij} theta-dual_j1 u_i
     over the extended thin family."""
-    return _tau_like(n, extended_thin_family(n), cap, check)
-
-
-def tau_next_on_same_ring(n: int, cap: int = 2, check: bool = True) -> CurvedComplex:
-    """tw_{tau_{n+1}} on the same W_{(1^{n+1})}: the honest thin family of
-    size n+1 (the infinite projector's twist)."""
-    thin = a_thin_recursive(n + 1)
-    fam = {
-        (i, j): thin.get((i, j), Poly.zero())
-        for i in range(1, n + 2)
-        for j in range(1, n + 2)
-    }
-    return _tau_like(n, fam, cap, check)
-
-
-def _tau_like(n: int, fam: Mapping[tuple[int, int], Poly], cap: int, check: bool) -> CurvedComplex:
-    lam = Composition.thin(n + 1)
-    W = build_W(lam)
-    m = n + 1
-
-    def to_ring(p: Poly) -> Poly:
-        table = {}
-        for g in p.gens():
-            if g[0] == "x":
-                _, side, idx = g
-                blk = idx if side == TOP else idx + m
-                table[g] = Poly.gen(e_gen(blk, 1, TOP))
-        return p.substitute(table)
-
-    entries = [(f"th{j}", MultiDegree(0, -2, 1), "odd") for j in range(1, m + 1)]
-    entries += [(f"u{i}", MultiDegree(0, -2 * i, 2), "even") for i in range(1, m + 1)]
-    params = ParamSpec.make(entries)
-    obj = RC_Object(MultiDegree(0, 0, 0), W.ring, "W")
-    terms: Terms = {}
-    curv: dict[PMono, Poly] = {}
-    for j in range(1, m + 1):
-        diff = Poly.gen(e_gen(j, 1, TOP)) - Poly.gen(e_gen(j + m, 1, TOP))
-        terms[PMono((), (f"th{j}",), ())] = {(0, 0): Entry.plain(diff)}
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            a_ij = to_ring(fam.get((i, j), Poly.zero()))
-            if a_ij.is_zero():
-                continue
-            mono = PMono(((f"u{i}", 1),), (), (f"th{j}",))
-            terms[mono] = {(0, 0): Entry.plain(-1 * a_ij)}
-        total_diff = elementary_of_total(i, lam, TOP) - bimodule_poly(
-            elementary_of_total(i, lam, BOTTOM), m
-        )
-        curv[PMono(((f"u{i}", 1),), (), ())] = -1 * total_diff
-    cx = CurvedComplex([obj], params, terms, curv, cap=cap)
-    cx.check_homogeneous()
-    if check:
-        rep = cx.mc_check()
-        if not rep:
-            raise ValueError(f"tau complex fails Maurer-Cartan: {rep.details}")
-    return cx
+    return _twisted_koszul(Composition.thin(n + 1), _thin_legs(extended_thin_family(n), n + 1),
+                           cap=cap, check=check)
 
 
 def basis_change_check(n: int, cap: int = 2) -> CheckReport:
@@ -702,8 +516,8 @@ def basis_change_check(n: int, cap: int = 2) -> CheckReport:
     if bad is not None:
         return CheckReport(False, f"case identity fails at (i,j)=({bad[0]},{bad[1]})")
 
-    tau_n = _tau_like(n, lamfam, cap, False)
     m = n + 1
+    tau_n = _twisted_koszul(Composition.thin(m), _thin_legs(lamfam, m), cap=cap, check=False)
     xp_ring = Poly.gen(e_gen(2 * m, 1, TOP))  # x'_{n+1} in the W ring
 
     forward = {}
@@ -713,8 +527,11 @@ def basis_change_check(n: int, cap: int = 2) -> CheckReport:
             acc.append((f"u{i + 1}", xp_ring))
         forward[f"u{i}"] = acc
     transformed = _substitute_u_linear(tau_n, forward)
-    # tau_{n+1} lives only for this comparison, not through the round trip
-    bad = _terms_mismatch(transformed, tau_next_on_same_ring(n, cap=cap, check=False))
+    # tau_{n+1} is the infinite projector on the same ring; it lives only for
+    # this comparison, not through the round trip
+    bad = _terms_mismatch(
+        transformed, projector(Composition.thin(m), "infinite", cap, check=False).complex
+    )
     if bad:
         return CheckReport(False, f"substitution does not carry tau_n to tau_{{n+1}}: {bad}")
 

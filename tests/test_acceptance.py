@@ -19,6 +19,7 @@ reading the finite row.
 import pytest
 
 from fraylab import criteria
+from fraylab.homalg import CheckReport, SdrData
 from fraylab.qseries import Window
 
 
@@ -151,6 +152,14 @@ def test_criterion_8b_gauss_preserves_homology():
     records = criteria.gauss(max_n=50, seed=0)
     assert len(records) == 50
     report("criterion 8b: gaussian elimination preserves homology (50 runs)", records)
+
+
+def test_criterion_8b_records_a_bad_sdr(monkeypatch):
+    # a strong deformation retraction that fails its identities is a "fail"
+    # record of the suite, not an exception out of it
+    monkeypatch.setattr(SdrData, "verify", lambda self: CheckReport(False, "forced"))
+    records = criteria.gauss(max_n=3, seed=0)
+    assert [r["status"] for r in records] == ["fail"] * 3
 
 
 # -- criterion 9: ladder recursion -----------------------------------------------------

@@ -28,8 +28,6 @@ from fraylab.qseries import (
 from fraylab.ssbim import (
     build_identity,
     build_W,
-    deformed_finite_projector,
-    finite_projector,
     projector,
 )
 from fraylab.symfun import Composition
@@ -208,7 +206,7 @@ def test_tr_fray_factor_law(parts):
     lam = Composition(parts)
     n = lam.total
     w = _factor_law_window(n)
-    proj = finite_projector(lam)
+    proj = projector(lam, "finite")
     got = hh_complex(proj.complex, lam, w).series
     expr = unknot_table("intrinsic", n)
     for j, size in enumerate(lam.parts, start=1):
@@ -238,7 +236,7 @@ def test_tr_yfray_factor_law(parts):
     lam = Composition(parts)
     n = lam.total
     w = Window((0, n), (-2 * n, 2 * n + 6), (0, 2))
-    proj = deformed_finite_projector(lam, cap=3)
+    proj = projector(lam, "def_finite", cap=3)
     got = hh_complex(proj.complex, lam, w).series
     from fraylab.qseries import f_factor
 
@@ -331,7 +329,7 @@ def test_hh_complex_induces_each_action_once(monkeypatch):
 
 def test_hh_complex_counts_each_piece_once(monkeypatch):
     lam = Composition.thin(2)
-    proj = finite_projector(lam)
+    proj = projector(lam, "finite")
     calls = _record_calls(monkeypatch, "dims")
     hh_complex(proj.complex, lam, Window((0, 2), (0, 10), (0, 2)), orientation="natural")
     assert calls and len(calls) == len(set(calls))
@@ -355,7 +353,7 @@ def test_hh_complex_ranks_each_matrix_once(monkeypatch):
     monkeypatch.setattr(hochschild, "rank_of", recorder("hochschild"))
     monkeypatch.setattr(homalg, "rank_of", recorder("homalg"))
     lam = Composition.thin(2)
-    proj = deformed_finite_projector(lam, cap=3)
+    proj = projector(lam, "def_finite", cap=3)
     hh_complex(proj.complex, lam, Window((0, 2), (-4, 16), (0, 4)))
     for module, ranked in calls.items():
         keys = [frozenset(map(id, rows)) for rows in ranked if rows]

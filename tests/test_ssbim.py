@@ -1,7 +1,10 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
+from fraylab import ssbim
 from fraylab.grading import MultiDegree
 from fraylab.homalg import PM_ONE, PMono, homology_truncated, pm_from
 from fraylab.qseries import Laurent, Window, quantum_binomial, quantum_int
@@ -13,13 +16,9 @@ from fraylab.ssbim import (
     bundle_substitute,
     cn_family,
     cone_iota_eliminate,
-    deformed_finite_projector,
-    deformed_infinite_projector,
     digon_rank,
     extended_thin_family,
-    finite_projector,
     graded_rank_check,
-    infinite_projector,
     ladder_collapse,
     projector,
     rickard_shape,
@@ -68,7 +67,7 @@ def test_finite_projector_on_full_block_splits():
     # lambda = (n): all Koszul elements die in 1_{(n)}; series is
     # prod_k (1 + t q^{-2k}) times the identity series
     lam = Composition.of(2)
-    proj = finite_projector(lam)
+    proj = projector(lam, "finite")
     w = Window((0, 0), (-8, 8), (0, 2))
     H = homology_truncated(proj.complex, w)
     ident = build_identity(lam)
@@ -86,7 +85,7 @@ def test_finite_projector_poincare_vs_reduced():
     # the (1+q^{-2}t)-relation: the engine's thin finite projector has the
     # Poincare series of (1 + q^{-2}t) x a reduced Koszul complex
     lam = Composition.thin(2)
-    proj = finite_projector(lam)
+    proj = projector(lam, "finite")
     w = Window((0, 0), (-6, 6), (0, 2))
     H = homology_truncated(proj.complex, w)
     W = build_W(lam)
@@ -106,7 +105,7 @@ def test_projector_mc(parts, variant):
 
 def test_deformed_finite_curvature_shape():
     lam = Composition.of(1)
-    proj = deformed_finite_projector(lam, cap=2)
+    proj = projector(lam, "def_finite", cap=2)
     mono = PMono((("y1_1", 1),), (), ())
     assert mono in proj.complex.curvature
     diff = Poly.gen(e_gen(1, 1)) - Poly.gen(e_gen(2, 1))
@@ -115,15 +114,15 @@ def test_deformed_finite_curvature_shape():
 
 def test_infinite_projector_udegree_zero_is_finite():
     lam = Composition.of(1, 1)
-    fin = finite_projector(lam)
-    inf = infinite_projector(lam, cap=2)
+    fin = projector(lam, "finite")
+    inf = projector(lam, "infinite", cap=2)
     for mono, mat in fin.complex.terms.items():
         assert inf.complex.terms.get(mono, {}).keys() == mat.keys()
 
 
 def test_infinite_projector_single_block_kronecker():
     # lambda = (2): gamma = sum theta-dual_k u_k with unit coefficients
-    proj = infinite_projector(Composition.of(2), cap=2)
+    proj = projector(Composition.of(2), "infinite", cap=2)
     m1 = PMono((("u1", 1),), (), ("th1_1",))
     m2 = PMono((("u2", 1),), (), ("th1_2",))
     assert m1 in proj.complex.terms and m2 in proj.complex.terms
@@ -137,7 +136,7 @@ def test_infinite_projector_base_case_contracts():
     """P of (1): the unrolled ladder has the homology of 1_{(1)} within the
     cap-safe window."""
     for cap in (2, 3, 4):
-        proj = infinite_projector(Composition.of(1), cap=cap)
+        proj = projector(Composition.of(1), "infinite", cap=cap)
         w = Window((0, 0), (-4, 8), (0, 2 * cap - 1))
         H = homology_truncated(proj.complex, w)
         ident = build_identity(Composition.of(1))
@@ -150,16 +149,99 @@ def test_infinite_projector_base_case_contracts():
 
 def test_deformed_infinite_y_zero_recovers_infinite():
     lam = Composition.of(1, 1)
-    dinf = deformed_infinite_projector(lam, cap=2)
-    inf = infinite_projector(lam, cap=2)
+    dinf = projector(lam, "def_infinite", cap=2)
+    inf = projector(lam, "infinite", cap=2)
     for mono, mat in inf.complex.terms.items():
         assert mono in dinf.complex.terms
         for ij, e in mat.items():
             assert e.plain_part() == dinf.complex.terms[mono][ij].plain_part()
 
 
+def _sha256(x) -> str:
+    return hashlib.sha256(json.dumps(x.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of each complex's sorted JSON: a change to how the builders are
+# written must not change one byte of what they build
+PROJECTOR_SHA256 = [
+    ("finite", (1,), "3341b98835ba64950af7faa02f5f808723c43529d852e7eddd0edb0832d3054e"),
+    ("finite", (1, 1), "6302b1a53346c44be385a107780b257c989c53ff12647e161c7e3397937e5082"),
+    ("finite", (2, 1), "5dbe1ef86b29ee1ae22fb8062a92fa36d8f1c1af117f448ed754de398a449c63"),
+    ("finite", (1, 1, 1), "50d66ca281be7faa0aabce69708330e1a3a1c94d636206fc6b8dded4a66ae717"),
+    ("finite", (3,), "8849170d16c57279e56eddc962ac499bd6778f509bd76c46eaaf00cad32710bb"),
+    ("def_finite", (1,), "35f3fcb765f7f225df9546351dcc7b65779c5a7542099f5e51204fffcaf02e26"),
+    ("def_finite", (1, 1), "7c76f2b8451069aad03e17639bc34c2a9701e178befd834685f31710754829df"),
+    ("def_finite", (2, 1), "521b3d0937a0dd64afce1778cfa9ae61c9f72ce6cf3bb40114f4a19970744043"),
+    ("def_finite", (1, 1, 1), "01de4a7b60561a45b002f516ea13febbf5cebe565404bf6182e988cf42a32c9a"),
+    ("def_finite", (3,), "8cccd934710b1b19c7d98f7b6587ff4130fc2ffd42277509521440c2c0843d34"),
+    ("infinite", (1,), "1a48d8f278297608cf4e487a2d3501b77ba7d0cd71ed6340d8cd61b1268d05ab"),
+    ("infinite", (1, 1), "3fc6fcc3a5739bc6e29cc3f05a775cc50cb1632eb42e4bffe309ef5924a2c51f"),
+    ("infinite", (2, 1), "5162c78d448d7709cf7cf33f6213c754f175a91f841e4216ccbe18ce2fd4d4a5"),
+    ("infinite", (1, 1, 1), "775689d257c8b6e1f41fc9b7cdc119ed9bcc7424f9fde4d47aca03402347558e"),
+    ("infinite", (3,), "b849ea9716f61be386d44984af55093a36c990db66f4f5c9ae7874655d570f6a"),
+    ("def_infinite", (1,), "6cd625df1d466be68298315ff3fbadf2ec2dfbfdc751dd7e251f725d34d863ee"),
+    ("def_infinite", (1, 1), "e0d05c5630d5d708403c72ddcd64f7b3437bdd4148bdf562ae9dc38e7b51f885"),
+    ("def_infinite", (2, 1), "dc4ed3f0bbd0f30e5539434fb2bccbba07cd601a76e7aae5e15d1e687fec5435"),
+    ("def_infinite", (1, 1, 1), "db991b5bee452aab664f9e15e9bf581849559ce087128188fd140ee1e8080234"),
+    ("def_infinite", (3,), "bbba8d4876334661d1220a8417b94f569074c2ca8d71a45d6461b781947375ef"),
+]
+
+CN_SHA256 = [
+    (1, "plain", "6b072ae1297bd45a0248c78f097b11a18e3e9069dc8626b38c80bf1e266f06a7"),
+    (1, "y", "011baecf45f3f5e8321e18db41262c8ccc4b4119e1123609e202df79b1a5d97f"),
+    (1, "u", "c21d9d75cf9caf1b3867651fff3a2da3d6aed16cb305aa98372f4f02492fa946"),
+    (1, "yu", "fc4ae5b078b9767056f4e5c8ae7e1d4489f3c519b40eea3332e3c84e23b95019"),
+    (2, "plain", "9cf6ce96d92eb561993e5255793de8b82bb56813467c00d6af1c2a499ad141db"),
+    (2, "y", "c770f7f82664e96325d5c464e6dd693e172bf75dbcc38a9e631e971fb5139849"),
+    (2, "u", "329b5267e18b713be06a66aff026c6ea2ef87b6e8f681ae1f74d105727188a1b"),
+    (2, "yu", "41252e1090b35a06192b9e958d0849bed9d5ce9708a27bdd3e6d2e19cbbf77dc"),
+    (3, "plain", "06b1ae7112f841eb4a98c800097f0398c239f2eac3c501e27310433e058369fe"),
+    (3, "y", "2fa993b6d8366a64d3e57cc581417a990cff8f477c6a8f256ee1ad816f7a0448"),
+    (3, "u", "abe390ce3584229e3486f4c1b4cf3bc52bb698444b000d2a5d8a03495d02f2da"),
+    (3, "yu", "0a3fc90203ec4b608c7c7b31ac82f1595644008a4488d63a92d2c2605c37f092"),
+]
+
+
+@pytest.mark.parametrize("variant, parts, digest", PROJECTOR_SHA256)
+def test_projector_serialization_pinned(variant, parts, digest):
+    assert _sha256(projector(Composition(parts), variant, cap=3)) == digest
+
+
+@pytest.mark.parametrize("n, variant, digest", CN_SHA256)
+def test_cn_serialization_pinned(n, variant, digest):
+    assert _sha256(cn_family(n, variant, cap=2)) == digest
+
+
+@pytest.mark.parametrize("parts", [(1, 1), (2, 1)])
+def test_def_infinite_check_catches_a_doubled_a_ijk(parts, monkeypatch):
+    # one a_ijk doubled adds a_ijk (e_k(X_j) - e_k(X'_j)) u_i to the square,
+    # which is not zero in W_lambda once lambda has two blocks
+    a_coefficients = ssbim._a_coefficients
+
+    def doubled(lam):
+        fam = dict(a_coefficients(lam))
+        key = min(k for k, p in fam.items() if not p.is_zero())
+        fam[key] = 2 * fam[key]
+        return fam
+
+    lam = Composition(parts)
+    projector(lam, "def_infinite", cap=2, check=True)
+    monkeypatch.setattr(ssbim, "_a_coefficients", doubled)
+    with pytest.raises(ValueError, match="Maurer-Cartan"):
+        projector(lam, "def_infinite", cap=2, check=True)
+
+
+def test_def_infinite_check_covers_the_y_legs():
+    # a y-curvature that differs from its Koszul leg fails the one check
+    cx = projector(Composition.of(1, 1), "def_infinite", cap=2, check=False).complex
+    mono = PMono((("y1_1", 1),), (), ())
+    assert cx.mc_check().ok
+    cx.curvature[mono] = -1 * cx.curvature[mono]
+    assert not cx.mc_check().ok
+
+
 def test_projector_json():
-    proj = finite_projector(Composition.of(1, 1))
+    proj = projector(Composition.of(1, 1), "finite")
     data = proj.to_json()
     assert data["variant"] == "finite"
     assert data["lambda"] == [1, 1]
@@ -258,7 +340,7 @@ def test_rickard_shapes():
 
 
 def test_bundle_substitute_merges_terms():
-    proj = deformed_finite_projector(Composition.of(1, 1), cap=2)
+    proj = projector(Composition.of(1, 1), "def_finite", cap=2)
     cx = proj.complex
     bundled = bundle_substitute(cx, {"y2_1": "y1_1"})
     mono = PMono((("y1_1", 1),), (), ())
@@ -274,6 +356,6 @@ def test_bundle_substitute_merges_terms():
 
 
 def test_bundled_complex_still_mc():
-    proj = deformed_finite_projector(Composition.of(1, 1), cap=2)
+    proj = projector(Composition.of(1, 1), "def_finite", cap=2)
     bundled = bundle_substitute(proj.complex, {"y2_1": "y1_1"})
     assert bundled.mc_check().ok
