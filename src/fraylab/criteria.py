@@ -194,21 +194,20 @@ def g_congruences(max_n: int = 4, seed: int = 0) -> list[dict]:
 
 def maurer_cartan(max_n: int = 3, cap: int = 2) -> list[dict]:
     """Criterion 8a: every projector variant on every lambda with |lambda| <=
-    max_n, and every C_n variant for n = 1, 2, is built with its
-    Maurer-Cartan check and passes mc_check again."""
+    max_n, and every C_n variant for n = 1, 2, is built with its own checks
+    (Maurer-Cartan once, and the a-family identity for the infinite
+    variants); a build that raises is recorded as a failure."""
     out = []
     for N in range(1, max_n + 1):
         for parts in compositions(N):
             for variant in ("finite", "def_finite", "infinite", "def_infinite"):
-                cx = _built(lambda: projector(Composition(parts), variant, cap=cap).complex)
-                out.append(_record(f"mc {variant} lambda={parts}",
-                                   cx is not None and cx.mc_check().ok,
+                proj = _built(lambda: projector(Composition(parts), variant, cap=cap))
+                out.append(_record(f"mc {variant} lambda={parts}", proj is not None,
                                    {"lambda": list(parts), "cap": cap}))
     for n in (1, 2):
         for variant in CN_VARIANTS:
             cx = _built(lambda: cn_family(n, variant, cap=cap))
-            out.append(_record(f"mc C_{n}^{variant}", cx is not None and cx.mc_check().ok,
-                               {"n": n}))
+            out.append(_record(f"mc C_{n}^{variant}", cx is not None, {"n": n}))
     return out
 
 

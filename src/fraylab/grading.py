@@ -58,11 +58,6 @@ def parity(d1: MultiDegree, d2: MultiDegree) -> int:
     return (d1.a * d2.a + d1.t * d2.t) % 2
 
 
-def commutator_sign(d1: MultiDegree, d2: MultiDegree) -> int:
-    """The sign in the graded commutator [f, g] = fg - sign * gf."""
-    return -1 if parity(d1, d2) else 1
-
-
 def shift_parity(delta: MultiDegree) -> int:
     """(t + a)-parity of a shift; odd shifts negate a differential."""
     return (delta.t + delta.a) % 2

@@ -85,12 +85,6 @@ def kr_normalize(h: TriSeries, stats: BraidStats) -> TriSeries:
     return h.shift((w, -stats.epsilon, -w))
 
 
-def framing_shift(h: TriSeries, b: int, amount: int = 1) -> TriSeries:
-    """Framing change by +-1 on a b-colored component: (a t^{-1})^{+-b(b-1)/2}."""
-    w = amount * b * (b - 1) // 2
-    return h.shift((w, 0, -w))
-
-
 # ---------------------------------------------------------------------------
 # the hochschild operators of a coefficient composition
 

@@ -22,9 +22,8 @@ Composition of decomposed terms follows the middle interchange law
 
 where <,> is the (a,t) sign form and the entrywise sign factors through
 diagonal sign matrices because ring elements are pure q-degree.  All the
-engine operations -- Maurer-Cartan checks, twists, cones, Gaussian
-elimination with SDR data, deformation transport, SDR lifting, truncated
-homology -- are built on that one composition rule,
+engine operations -- Maurer-Cartan checks, cones, Gaussian elimination with
+SDR data, truncated homology -- are built on that one composition rule,
 ``CurvedComplex.compose_terms``.  It accumulates each product of
 coefficients straight into its (parameter monomial, component, opaque tag,
 ring monomial) slot and builds every entry once, at the end.  The square of
@@ -33,11 +32,10 @@ sums first: its entries commute and its interchange sign is 1, so
 ``CurvedComplex.square`` multiplies each unordered pair of terms once, by
 the supercommutator s r + r s of their parameter monomials.
 
-Every identity check -- Maurer-Cartan, closed chain maps, strictness, the
-SDR identities, nilpotence and transport, SDR lifting, vanishing curvature --
-asks one vanishing rule, ``nonvanishing``: an entry must reduce to zero
-modulo the relations and vanish at 20 vanishing-locus sample points
-(seed 0).
+Every identity check -- Maurer-Cartan, closed chain maps, the SDR
+identities, vanishing curvature -- asks one vanishing rule,
+``nonvanishing``: an entry must reduce to zero modulo the relations and
+vanish at 20 vanishing-locus sample points (seed 0).
 """
 
 from __future__ import annotations
@@ -427,12 +425,6 @@ class ParamSpec:
         for n, d, _ in self.params:
             if n == name:
                 return d
-        raise KeyError(name)
-
-    def parity_of(self, name: str) -> str:
-        for n, _, p in self.params:
-            if n == name:
-                return p
         raise KeyError(name)
 
     def odd_names(self) -> list[str]:
@@ -921,31 +913,6 @@ class CurvedComplex:
             self.opaque_rules, self.opaque_degrees,
         )
 
-    def twist(
-        self,
-        alpha: Terms,
-        add_curvature: Mapping[PMono, Poly],
-        check: bool = True,
-    ) -> "CurvedComplex":
-        """Add a Maurer-Cartan element to the connection."""
-        new_curv: dict[PMono, Poly] = dict(self.curvature)
-        for m, p in add_curvature.items():
-            new_curv[m] = new_curv.get(m, Poly.zero()) + p
-        out = CurvedComplex(
-            self.objects,
-            self.params,
-            self.add_terms(self.terms, alpha),
-            {m: p for m, p in new_curv.items() if not p.is_zero()},
-            self.cap,
-            self.opaque_rules,
-            self.opaque_degrees,
-        )
-        if check:
-            rep = out.mc_check()
-            if not rep:
-                raise ValueError(f"twist violates Maurer-Cartan: {rep.details}")
-        return out
-
     def with_params(self, extra: ParamSpec, cap: Optional[int] = None) -> "CurvedComplex":
         return CurvedComplex(
             self.objects,
@@ -1020,13 +987,13 @@ class ChainMap:
         return CheckReport(False, f"d f - f d fails at {_at(bad)}")
 
 
-def cone(f: ChainMap, check: bool = True) -> CurvedComplex:
-    """Cone(f) = tw_f(t^{-1} X (+) Y) for a closed degree-0 map f."""
+def cone(f: ChainMap) -> CurvedComplex:
+    """Cone(f) = tw_f(t^{-1} X (+) Y) for a closed degree-0 map f; a map
+    that is not closed raises."""
     X, Y = f.source, f.target
-    if check:
-        rep = f.is_closed()
-        if not rep:
-            raise ValueError(f"cone of a non-closed map: {rep.details}")
+    rep = f.is_closed()
+    if not rep:
+        raise ValueError(f"cone of a non-closed map: {rep.details}")
     shifted = X.shifted(MultiDegree(0, 0, -1))
     nx = len(shifted.objects)
     objects = list(shifted.objects) + list(Y.objects)
@@ -1048,97 +1015,6 @@ def cone(f: ChainMap, check: bool = True) -> CurvedComplex:
         {**X.opaque_rules, **Y.opaque_rules},
         {**X.opaque_degrees, **Y.opaque_degrees},
     )
-
-
-# ---------------------------------------------------------------------------
-# Koszul complexes and strict deformations
-
-
-def koszul_build(
-    ring: GradedRing,
-    elements: Sequence[Poly],
-    thetas: ParamSpec,
-    base_degree: MultiDegree = MultiDegree(0, 0, 0),
-    check: bool = True,
-) -> CurvedComplex:
-    """The Koszul complex on the rank-1 free module over `ring` for the
-    commuting closed elements, twisted by sum(e_i (x) theta_i)."""
-    names = thetas.odd_names()
-    if len(names) != len(elements):
-        raise ValueError("need one odd parameter per Koszul element")
-    obj = RC_Object(base_degree, ring, "koszul")
-    cx = CurvedComplex([obj], thetas)
-    alpha: Terms = {}
-    for name, el in zip(names, elements):
-        want = MultiDegree(0, 0, 1) - thetas.degree(name)
-        if not el.is_zero() and el.degree() != want:
-            raise ValueError(
-                f"element degree {el.degree()} does not match theta {name} "
-                f"(needs {want})"
-            )
-        if not el.is_zero():
-            alpha[PMono((), (name,), ())] = {(0, 0): Entry.plain(el)}
-    return cx.twist(alpha, {}, check=check)
-
-
-def strict_deformation(
-    C: CurvedComplex,
-    xi_list: Sequence[Terms],
-    phi_list: Sequence[Poly],
-    params: ParamSpec,
-    check: bool = True,
-) -> CurvedComplex:
-    """tw_{sum xi_i (x) u_i}(C (x) R[params]) with curvature sum phi_i (x) u_i.
-
-    Checks the two strictness conditions: [d, xi_i] = phi_i and the xi_i
-    pairwise graded-commute.
-    """
-    names = [n for n, _, _ in params.params]
-    if len(names) != len(xi_list) or len(xi_list) != len(phi_list):
-        raise ValueError("need one parameter and one curvature per xi")
-    big = C.with_params(params)
-    if check:
-        for idx, (xi, phi) in enumerate(zip(xi_list, phi_list)):
-            pdeg = params.degree(names[idx])
-            sign = (-1) ** parity(MultiDegree(0, 0, 1), MultiDegree(0, 0, 1) - pdeg)
-            # [d, xi] = d xi - (-1)^{<t, deg xi>} xi d, deg xi = t - deg u
-            left = big.compose_terms(big.terms, xi)
-            right = big.compose_terms(xi, big.terms)
-            comm = CurvedComplex.add_terms(left, right, -sign)
-            diff = CurvedComplex.add_terms(comm, big.diagonal({PM_ONE: phi}), -1)
-            bad = nonvanishing(diff, big.objects, big.objects)
-            if bad is not None:
-                raise ValueError(
-                    f"strictness condition (1) fails for xi_{idx + 1} at {_at(bad)}"
-                )
-        for idx1 in range(len(xi_list)):
-            for idx2 in range(idx1 + 1, len(xi_list)):
-                d1 = MultiDegree(0, 0, 1) - params.degree(names[idx1])
-                d2 = MultiDegree(0, 0, 1) - params.degree(names[idx2])
-                sign = (-1) ** parity(d1, d2)
-                left = big.compose_terms(xi_list[idx1], xi_list[idx2])
-                right = big.compose_terms(xi_list[idx2], xi_list[idx1])
-                comm = CurvedComplex.add_terms(left, right, -sign)
-                bad = nonvanishing(comm, big.objects, big.objects)
-                if bad is not None:
-                    raise ValueError(
-                        f"strictness condition (2) fails for pair "
-                        f"({idx1 + 1},{idx2 + 1}) at {_at(bad)}"
-                    )
-    alpha: Terms = {}
-    curv: dict[PMono, Poly] = {}
-    for name, xi, phi in zip(names, xi_list, phi_list):
-        parity_kind = params.parity_of(name)
-        mono = (
-            PMono(((name, 1),), (), ())
-            if parity_kind == "even"
-            else PMono((), (name,), ())
-        )
-        for (i, j), e in xi.get(PM_ONE, {}).items():
-            alpha.setdefault(mono, {})[(i, j)] = e
-        if not phi.is_zero():
-            curv[mono] = curv.get(mono, Poly.zero()) + phi
-    return big.twist(alpha, curv, check=check)
 
 
 # ---------------------------------------------------------------------------
@@ -1275,116 +1151,6 @@ def gaussian_eliminate(
         if not rep:
             raise ValueError(f"Gaussian elimination produced a bad SDR: {rep.details}")
     return reduced, sdr
-
-
-# ---------------------------------------------------------------------------
-# deformation transport and SDR lifting
-
-
-def transport_twist(
-    C: CurvedComplex,
-    h: Terms,
-    u_name: str,
-    nilpotence: int,
-    xi_old: Terms,
-    xi_new: Terms,
-    check: bool = True,
-) -> tuple[Terms, Terms]:
-    """Psi = sum h^k/k! (x) u^k and its inverse, realizing the isomorphism
-    between the strict deformations by xi_old and xi_new when
-    [d, h] = xi_old - xi_new, h nilpotent, and everything commutes."""
-    # verify nilpotence: h^N = 0 modulo each target ring
-    ident = C.diagonal({PM_ONE: Poly.one()})
-    powers = [ident]
-    for _ in range(nilpotence):
-        powers.append(C.compose_terms(powers[-1], h))
-    bad = nonvanishing(powers[-1], C.objects, C.objects)
-    if bad is not None:
-        raise ValueError(f"h^{nilpotence} does not vanish at {_at(bad)}")
-
-    def series(sign: int) -> Terms:
-        out: Terms = {}
-        fact = Fraction(1)
-        for k in range(nilpotence):
-            if k:
-                fact *= k
-            coeff = Fraction(sign ** k, 1) / fact
-            mono = PMono(((u_name, k),), (), ()) if k else PM_ONE
-            if C._within_cap(mono):
-                out[mono] = {ij: e.scale(coeff) for ij, e in powers[k].get(PM_ONE, {}).items()}
-        return out
-
-    psi, psi_inv = series(1), series(-1)
-    if check:
-        diff = CurvedComplex.add_terms(C.compose_terms(psi, psi_inv), ident, -1)
-        # monomials of weight >= nilpotence are truncation artifacts
-        bad = nonvanishing(
-            {m: mat for m, mat in diff.items() if m.total_even_weight() < nilpotence},
-            C.objects, C.objects,
-        )
-        if bad is not None:
-            raise ValueError(f"Psi Psi^-1 != id at {_at(bad)}")
-    return psi, psi_inv
-
-
-def conjugate_connection(C: CurvedComplex, psi: Terms, psi_inv: Terms) -> Terms:
-    """Psi o delta o Psi^{-1} as decomposed terms."""
-    return C.compose_terms(psi, C.compose_terms(C.terms, psi_inv))
-
-
-def hpt_conjugate(
-    f: Terms,
-    g: Terms,
-    source: CurvedComplex,
-    target: CurvedComplex,
-    alpha: Terms,
-    add_curvature: Mapping[PMono, Poly],
-) -> CurvedComplex:
-    """Transport a Maurer-Cartan element along an isomorphism (f, g):
-    tw_alpha(X) ~ tw_{f alpha g}(Y); Maurer-Cartan of f alpha g is verified
-    by the twist constructor."""
-    X, Y = source.objects, target.objects
-    falphag = target.compose_terms(f, target.compose_terms(alpha, g, X, Y), X, Y)
-    return target.twist(falphag, add_curvature)
-
-
-def sdr_lift(
-    sdr: SdrData,
-    xi_list: Sequence[Terms],
-    phi_list: Sequence[Poly],
-    params: ParamSpec,
-) -> tuple[list[Terms], SdrData]:
-    """Lift a deforming family along an SDR: xi'_i = g xi_i f + phi_i h on
-    the big complex; assert h xi' = xi' h = 0 and f xi' g = xi_i; return
-    the lifted family and the SDR between the strict deformations."""
-    big, small = sdr.big, sdr.small
-    B, S = big.objects, small.objects
-    lifted: list[Terms] = []
-    for xi, phi in zip(xi_list, phi_list):
-        gxf = big.compose_terms(sdr.g, big.compose_terms(xi, sdr.f, S, B), S, B)
-        phih = {
-            mono: {ij: e.times_poly(phi) for ij, e in mat.items()}
-            for mono, mat in sdr.h.items()
-        } if not phi.is_zero() else {}
-        xi_p = CurvedComplex.add_terms(gxf, phih)
-        lifted.append(xi_p)
-        fxg = big.compose_terms(sdr.f, big.compose_terms(xi_p, sdr.g, B, S), B, S)
-        for name, terms, objects in (
-            ("h xi' = 0", big.compose_terms(sdr.h, xi_p), big.objects),
-            ("xi' h = 0", big.compose_terms(xi_p, sdr.h), big.objects),
-            ("f xi' g = xi", CurvedComplex.add_terms(fxg, xi, -1), small.objects),
-        ):
-            bad = nonvanishing(terms, objects, objects)
-            if bad is not None:
-                raise ValueError(f"lifting identity {name} fails at {_at(bad)}")
-
-    big_def = strict_deformation(big, lifted, list(phi_list), params, check=True)
-    small_def = strict_deformation(small, list(xi_list), list(phi_list), params, check=True)
-    lifted_sdr = SdrData(big_def, small_def, sdr.f, sdr.g, sdr.h)
-    rep = lifted_sdr.verify()
-    if not rep:
-        raise ValueError(f"lifted SDR fails: {rep.details}")
-    return lifted, lifted_sdr
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ and one curvature, and checks Maurer-Cartan once.  One check covers every
 stage: the Koszul legs carry no even parameter, the u-legs only u and the
 y-legs only y, so the square's part at monomials free of y (of u, of both)
 is the square of the complex without the y-legs (the u-legs, both).
+`projector` also checks the a-family of the infinite variants before the
+quotient, where Maurer-Cartan cannot see it.
 
 The C_n family is the three-term complex q^n W -> tq^{n-2} W -> t^2q^{-2} 1
 on the (n,1)-strands with the 'unzip' arrow kept opaque; its variants add
@@ -46,7 +48,7 @@ from .homalg import (
     cone,
     gaussian_eliminate,
 )
-from .qseries import Laurent, f_factor, quantum_binomial
+from .qseries import Laurent, f_factor
 from .symfun import (
     BOTTOM,
     Composition,
@@ -198,10 +200,6 @@ def bimodule_poly(p: Poly, top_blocks: int) -> Poly:
 # graded-dimension checks ----------------------------------------------------
 
 
-def digon_rank(j: int, k: int) -> Laurent:
-    return quantum_binomial(j + k, k)
-
-
 def blamgon_rank(lam: Composition) -> Laurent:
     return f_factor(lam.total, lam)
 
@@ -323,13 +321,29 @@ def projector(lam: Composition, variant: str, cap: int = 3, check: bool = True) 
     """The frayed projector on W_lambda: the Koszul twist (finite), plus
     delta = sum theta-dual_jk y_jk (def_), plus -gamma = -sum a_ijk
     theta-dual_jk u_i (infinite).  The finite projector has no even
-    parameters and so no cap."""
+    parameters and so no cap.
+
+    check runs the Maurer-Cartan check and, for the infinite variants, the
+    a-family identity sum_jk a_ijk (e_k(X_j) - e_k(X'_j)) = e_i(X) - e_i(X')
+    as polynomials, before the quotient: in W_lambda both sides vanish, so
+    Maurer-Cartan alone cannot see a wrong a-family."""
     if variant not in ("finite", "def_finite", "infinite", "def_infinite"):
         raise ValueError(f"unknown projector variant {variant!r}")
     if variant == "finite":
         cap = None
     a = _a_coefficients(lam) if "infinite" in variant else None
     cx = _twisted_koszul(lam, a, variant.startswith("def_"), cap, check)
+    if check and a is not None:
+        # against the Koszul legs and the curvature -(e_i(X) - e_i(X')) as built
+        lhs: dict[int, Poly] = {}
+        for (i, j, k), p in a.items():
+            leg = cx.terms[PMono((), (f"th{j}_{k}",), ())][(0, 0)].plain_part()
+            lhs[i] = lhs.get(i, Poly.zero()) + p * leg
+        for i in range(1, lam.total + 1):
+            curv = cx.curvature[PMono(((f"u{i}", 1),), (), ())]
+            if not (lhs.get(i, Poly.zero()) + curv).is_zero():
+                raise ValueError(f"a-family of W{lam.parts} fails sum_jk a_ijk "
+                                 f"(e_k(X_j) - e_k(X'_j)) = e_i(X) - e_i(X') at i = {i}")
     return FrayedProjector(lam, variant, cx, cap)
 
 
@@ -351,7 +365,7 @@ def _g_concat(n: int) -> list[Poly]:
     return [bimodule_poly(g, 2) for g in g_polys(n)]
 
 
-def cn_family(n: int, variant: str = "plain", cap: int = 3, check: bool = True) -> CurvedComplex:
+def cn_family(n: int, variant: str = "plain", cap: int = 3) -> CurvedComplex:
     """The three-term complex q^n W -> tq^{n-2} W -> t^2 q^{-2} 1 with the
     variant backward twists:
 
@@ -394,10 +408,9 @@ def cn_family(n: int, variant: str = "plain", cap: int = 3, check: bool = True) 
         opaque_degrees={"unzip": MultiDegree(0, n, 0), "unit": MultiDegree(0, -n, 0)},
     )
     cx.check_homogeneous()
-    if check:
-        rep = cx.mc_check()
-        if not rep:
-            raise ValueError(f"C_{n}^{variant} fails Maurer-Cartan: {rep.details}")
+    rep = cx.mc_check()
+    if not rep:
+        raise ValueError(f"C_{n}^{variant} fails Maurer-Cartan: {rep.details}")
     return cx
 
 
@@ -488,12 +501,12 @@ def extended_thin_family(n: int) -> dict[tuple[int, int], Poly]:
     return out
 
 
-def tau_complex(n: int, cap: int = 2, check: bool = True) -> CurvedComplex:
+def tau_complex(n: int, cap: int = 2) -> CurvedComplex:
     """tw_{tau_n}(W_{(1^{n+1})} (x) Lambda[Theta_{n+1}] (x) R[U_{n+1}]):
     Koszul legs (x_j - x'_j) theta_j1 plus u-legs -a_{ij} theta-dual_j1 u_i
     over the extended thin family."""
     return _twisted_koszul(Composition.thin(n + 1), _thin_legs(extended_thin_family(n), n + 1),
-                           cap=cap, check=check)
+                           cap=cap)
 
 
 def basis_change_check(n: int, cap: int = 2) -> CheckReport:
@@ -596,71 +609,5 @@ def _substitute_u_linear(cx: CurvedComplex, table: Mapping[str, list]) -> Curved
                 tgt[ij] = piece if prev is None else prev + piece
     return CurvedComplex(
         cx.objects, cx.params, new_terms, dict(cx.curvature), cx.cap,
-        cx.opaque_rules, cx.opaque_degrees,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Rickard chain-object bookkeeping and parameter bundling
-
-
-@dataclass(frozen=True)
-class RickardShape:
-    colors: tuple[int, int]
-    sign: int
-    objects: tuple[tuple[MultiDegree, int], ...]  # (degree, web label k)
-
-
-def rickard_shape(a: int, b: int, sign: int = 1) -> RickardShape:
-    """Chain objects of the 2-strand Rickard complex: label k = 0..min(a,b)
-    at degree q^{-k} t^k (positive crossing) or q^k t^{-k} (negative)."""
-    if a < 0 or b < 0:
-        raise ValueError("colors must be nonnegative")
-    objs = []
-    for k in range(min(a, b) + 1):
-        d = MultiDegree(0, -k, k) if sign > 0 else MultiDegree(0, k, -k)
-        objs.append((d, k))
-    return RickardShape((a, b), sign, tuple(objs))
-
-
-def bundle_substitute(cx: CurvedComplex, orbit_map: Mapping[str, str]) -> CurvedComplex:
-    """Identify parameters along an orbit map (bundling): connection and
-    curvature terms merge additively."""
-    new_entries = []
-    seen: dict[str, tuple] = {}
-    for n, d, p in cx.params.params:
-        tgt = orbit_map.get(n, n)
-        if tgt in seen:
-            if seen[tgt] != (d, p):
-                raise ValueError("bundled parameters must share degree and parity")
-            continue
-        seen[tgt] = (d, p)
-        new_entries.append((tgt, d, p))
-    params = ParamSpec.make(new_entries)
-
-    def map_mono(m: PMono) -> PMono:
-        evens: dict[str, int] = {}
-        for nm, e in m.evens:
-            t = orbit_map.get(nm, nm)
-            evens[t] = evens.get(t, 0) + e
-        thetas = tuple(sorted(orbit_map.get(nm, nm) for nm in m.thetas))
-        duals = tuple(sorted(orbit_map.get(nm, nm) for nm in m.duals))
-        if len(set(thetas)) != len(thetas) or len(set(duals)) != len(duals):
-            raise ValueError("bundling collided odd parameters")
-        return PMono(tuple(sorted(evens.items())), thetas, duals)
-
-    new_terms: Terms = {}
-    for mono, mat in cx.terms.items():
-        nm = map_mono(mono)
-        tgt = new_terms.setdefault(nm, {})
-        for ij, e in mat.items():
-            prev = tgt.get(ij)
-            tgt[ij] = e if prev is None else prev + e
-    new_curv: dict[PMono, Poly] = {}
-    for mono, p in cx.curvature.items():
-        nm = map_mono(mono)
-        new_curv[nm] = new_curv.get(nm, Poly.zero()) + p
-    return CurvedComplex(
-        cx.objects, params, new_terms, new_curv, cx.cap,
         cx.opaque_rules, cx.opaque_degrees,
     )

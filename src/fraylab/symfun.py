@@ -341,11 +341,6 @@ class Composition:
     def concat(self, other: "Composition") -> "Composition":
         return Composition(self.parts + other.parts)
 
-    def refine(self, index: int, lam: "Composition") -> "Composition":
-        if lam.total != self.parts[index]:
-            raise ValueError("refinement must decompose the designated part")
-        return Composition(self.parts[:index] + lam.parts + self.parts[index + 1:])
-
     def block_offsets(self) -> list[int]:
         out, acc = [], 0
         for p in self.parts:

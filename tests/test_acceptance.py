@@ -19,7 +19,7 @@ reading the finite row.
 import pytest
 
 from fraylab import criteria
-from fraylab.homalg import CheckReport, SdrData
+from fraylab.homalg import CheckReport, CurvedComplex, SdrData
 from fraylab.qseries import Window
 
 
@@ -146,6 +146,20 @@ def test_criterion_7_g_congruences():
 def test_criterion_8a_projector_mc():
     report("criterion 8a: mc_check on all projectors, lambda.total <= 3",
            criteria.maurer_cartan(max_n=3, cap=2))
+
+
+def test_criterion_8a_checks_each_complex_once(monkeypatch):
+    # each record's complex is checked by its own builder, and only there
+    calls = []
+    mc_check = CurvedComplex.mc_check
+
+    def counted(self):
+        calls.append(self)
+        return mc_check(self)
+
+    monkeypatch.setattr(CurvedComplex, "mc_check", counted)
+    records = criteria.maurer_cartan(max_n=3, cap=2)
+    assert len(calls) == len(records) == 36
 
 
 def test_criterion_8b_gauss_preserves_homology():

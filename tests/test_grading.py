@@ -2,7 +2,6 @@ from hypothesis import given, strategies as st
 
 from fraylab.grading import (
     MultiDegree,
-    commutator_sign,
     deg,
     parity,
     shift_sign,
@@ -20,13 +19,6 @@ def test_addition_examples():
         assert deg(0, -2 * i, 2) + deg(0, 2 * i, 0) == deg(0, 0, 2)
 
 
-def test_commutator_sign_examples():
-    assert commutator_sign(deg(0, 0, 1), deg(0, 0, 1)) == -1
-    assert commutator_sign(deg(0, 2, 0), deg(0, 0, 1)) == 1
-    # the Hochschild factor participates
-    assert commutator_sign(deg(1, 0, 0), deg(1, 0, 0)) == -1
-
-
 @given(degrees, degrees, degrees)
 def test_parity_is_bilinear(d1, d2, d3):
     assert parity(d1 + d2, d3) == parity(d1, d3) ^ parity(d2, d3)
@@ -35,12 +27,6 @@ def test_parity_is_bilinear(d1, d2, d3):
 @given(degrees, degrees)
 def test_parity_symmetric(d1, d2):
     assert parity(d1, d2) == parity(d2, d1)
-
-
-@given(degrees)
-def test_self_commutator_sign(d):
-    expected = -1 if (d.t + d.a) % 2 else 1
-    assert commutator_sign(d, d) == expected
 
 
 def test_shift_signs():

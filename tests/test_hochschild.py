@@ -8,7 +8,6 @@ from fraylab.hochschild import (
     HochschildData,
     compose_bimodules,
     default_window,
-    framing_shift,
     hh_bimodule,
     hh_complex,
     kr_normalize,
@@ -118,13 +117,6 @@ def test_kr_shift_example():
 def test_kr_odd_exponent_rejected():
     with pytest.raises(ValueError):
         BraidStats(epsilon=1, N=2, eta=2).exponent()
-
-
-def test_framing_shift():
-    w = Window((0, 4), (-4, 4), (-4, 4))
-    s = TriSeries(w, {(0, 0, 0): Fraction(1)})
-    out = framing_shift(s, b=3)
-    assert out.coeffs == {(3, 0, -3): Fraction(1)}
 
 
 # -- trace property ----------------------------------------------------------------

@@ -23,15 +23,10 @@ from fraylab.homalg import (
     cone,
     gaussian_eliminate,
     homology_truncated,
-    hpt_conjugate,
-    koszul_build,
     nonvanishing,
     pm_degree,
     pm_from,
     pm_mul,
-    sdr_lift,
-    strict_deformation,
-    transport_twist,
 )
 from fraylab.qseries import Window
 from fraylab.ssbim import build_W, build_identity, projector
@@ -495,9 +490,19 @@ def test_sampled_zero_agrees_with_raw_expansion(build):
 
 # -- koszul ---------------------------------------------------------------------
 
+def koszul(ring, elements, thetas) -> CurvedComplex:
+    """The Koszul complex on one object over ring: each element times its
+    odd parameter, in the order of thetas; every term must have degree t."""
+    terms = {pm_from(thetas=[name]): {(0, 0): Entry.plain(el)}
+             for name, el in zip(thetas.odd_names(), elements) if not el.is_zero()}
+    cx = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), ring, "koszul")], thetas, terms)
+    cx.check_homogeneous()
+    return cx
+
+
 def test_koszul_regular_element(qx):
     th = ParamSpec.make([("th", MultiDegree(0, -2, 1), "odd")])
-    K = koszul_build(qx, [Poly.gen(x_gen(1))], th)
+    K = koszul(qx, [Poly.gen(x_gen(1))], th)
     assert K.mc_check().ok
     H = homology_truncated(K, Window((0, 0), (-4, 8), (0, 2)))
     assert H.coeffs == {(0, -2, 1): Fraction(1)}
@@ -508,22 +513,22 @@ def test_koszul_regular_pair(qxy):
         ("th1", MultiDegree(0, -2, 1), "odd"),
         ("th2", MultiDegree(0, -2, 1), "odd"),
     ])
-    K = koszul_build(qxy, [Poly.gen(x_gen(1)), Poly.gen(x_gen(2))], th)
+    K = koszul(qxy, [Poly.gen(x_gen(1)), Poly.gen(x_gen(2))], th)
     H = homology_truncated(K, Window((0, 0), (-6, 6), (0, 3)))
     assert H.coeffs == {(0, -4, 2): Fraction(1)}
 
 
 def test_koszul_zero_element_splits(qx):
     th = ParamSpec.make([("th", MultiDegree(0, -2, 1), "odd")])
-    K = koszul_build(qx, [Poly.zero()], th)
+    K = koszul(qx, [Poly.zero()], th)
     H = homology_truncated(K, Window((0, 0), (-4, 2), (0, 1)))
     assert H.coeffs[(0, 0, 0)] == 1 and H.coeffs[(0, -2, 1)] == 1
 
 
 def test_koszul_degree_mismatch_rejected(qx):
     th = ParamSpec.make([("th", MultiDegree(0, -4, 1), "odd")])
-    with pytest.raises(ValueError):
-        koszul_build(qx, [Poly.gen(x_gen(1))], th)
+    with pytest.raises(ValueError, match="not t"):
+        koszul(qx, [Poly.gen(x_gen(1))], th)
 
 
 # -- mc_check ----------------------------------------------------------------------
@@ -534,7 +539,7 @@ def test_mc_zero_connection(qx):
 
 
 def test_mc_reports_offender(qx):
-    # a strict deformation with two non-commuting xi fails at a quadratic monomial
+    # two even-parameter legs that do not commute fail at a quadratic monomial
     ring0 = GradedRing(RingSpec("Q", [], []))
     objs = [RC_Object(MultiDegree(0, 0, 0), ring0),
             RC_Object(MultiDegree(0, 0, 1), ring0)]
@@ -576,142 +581,6 @@ def test_gauss_preserves_homology_randomized():
     assert all(r["status"] == "pass" for r in records), records
 
 
-# -- strict deformations -------------------------------------------------------------
-
-def test_strict_deformation_conditions(qx):
-    base = two_term(qx, Poly.gen(x_gen(1)))
-    u = ParamSpec.make([("u1", MultiDegree(0, -2, 2), "even")])
-    xi = {PM_ONE: {(0, 1): Entry.plain(Poly.one())}}
-    D = strict_deformation(base, [xi], [Poly.gen(x_gen(1))], u)
-    assert D.mc_check().ok
-    # wrong curvature is rejected
-    with pytest.raises(ValueError):
-        strict_deformation(base, [xi], [Poly.zero()], u)
-
-
-def test_strict_deformation_koszul_case(qx):
-    # odd parameters, phi = 0 recovers koszul_build
-    base = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), qx)], ParamSpec.make([]))
-    th = ParamSpec.make([("th", MultiDegree(0, -2, 1), "odd")])
-    xi = {PM_ONE: {(0, 0): Entry.plain(Poly.gen(x_gen(1)))}}
-    D = strict_deformation(base, [xi], [Poly.zero()], th)
-    K = koszul_build(qx, [Poly.gen(x_gen(1))], th)
-    assert D.terms.keys() == K.terms.keys()
-    for mono in D.terms:
-        assert D.terms[mono].keys() == K.terms[mono].keys()
-
-
-# -- transport ------------------------------------------------------------------------
-
-def test_transport_identity_when_h_zero(qx):
-    base = two_term(qx, Poly.gen(x_gen(1)))
-    u = ParamSpec.make([("u1", MultiDegree(0, -2, 2), "even")])
-    xi = {PM_ONE: {(0, 1): Entry.plain(Poly.one())}}
-    D = strict_deformation(base, [xi], [Poly.gen(x_gen(1))], u)
-    psi, psi_inv = transport_twist(D, {PM_ONE: {}}, "u1", 1, xi, xi)
-    assert set(psi) == {PM_ONE}
-    assert all(
-        e.plain_part().constant_value() == 1 for e in psi[PM_ONE].values()
-    )
-
-
-def test_transport_square_zero_h(qx):
-    base = two_term(qx, Poly.gen(x_gen(1)))
-    u = ParamSpec.make([("u1", MultiDegree(0, -2, 2), "even")])
-    xi = {PM_ONE: {(0, 1): Entry.plain(Poly.one())}}
-    D = strict_deformation(base, [xi], [Poly.gen(x_gen(1))], u)
-    h = {PM_ONE: {(0, 1): Entry.plain(Poly.one())}}
-    psi, psi_inv = transport_twist(D, h, "u1", 2, xi, xi)
-    # Psi = 1 + h u, inverse 1 - h u, product 1 exactly below the cap
-    comp = D.compose_terms(psi, psi_inv)
-    idm = {PM_ONE: {(0, 0): Entry.plain(Poly.one()), (1, 1): Entry.plain(Poly.one())}}
-    diff = CurvedComplex.add_terms(comp, idm, -1)
-    for mono, mat in diff.items():
-        if mono.total_even_weight() < 2:
-            assert all(e.is_zero() for e in mat.values())
-
-
-def test_transport_conjugation_moves_xi(qx):
-    """Psi (delta + xi u) Psi^{-1} = delta + xi' u when [d, h] = xi - xi'."""
-    from fraylab.homalg import conjugate_connection
-
-    x = Poly.gen(x_gen(1))
-    base = two_term(qx, x)
-    u = ParamSpec.make([("u1", MultiDegree(0, -2, 2), "even")])
-    xi = {PM_ONE: {(0, 1): Entry.plain(Poly.one())}}
-    D = strict_deformation(base, [xi], [x], u)
-    h = {PM_ONE: {(0, 1): Entry.plain(Poly.one())}}
-    # [d, h] = x on the diagonal: xi' must satisfy xi - xi' = [d,h]... here we
-    # conjugate and verify the result still satisfies Maurer-Cartan
-    psi, psi_inv = transport_twist(D, h, "u1", 2, xi, xi)
-    new_conn = conjugate_connection(D, psi, psi_inv)
-    probe = CurvedComplex(
-        D.objects, D.params, new_conn, dict(D.curvature), D.cap
-    )
-    assert probe.mc_check().ok
-
-
-# -- sdr lifting -----------------------------------------------------------------------
-
-def test_sdr_lift_identities(qx):
-    x = Poly.gen(x_gen(1))
-    objs = [
-        RC_Object(MultiDegree(0, 0, 0), qx),
-        RC_Object(MultiDegree(0, 0, 1), qx),
-        RC_Object(MultiDegree(0, -2, 1), qx),
-    ]
-    C3 = CurvedComplex(
-        objs,
-        ParamSpec.make([]),
-        {PM_ONE: {(1, 0): Entry.plain(Poly.one()), (2, 0): Entry.plain(x)}},
-    )
-    red, sdr = gaussian_eliminate(C3, (1, 0))
-    assert sdr.verify().ok
-    # lift the zero family and a multiplication family
-    u = ParamSpec.make([("v", MultiDegree(0, -2, 2), "even")])
-    # xi on the reduced complex: single object, xi must have degree t^{-1}q^2...
-    # use the zero family (always a deforming family)
-    lifted, lifted_sdr = sdr_lift(sdr, [{PM_ONE: {}}], [Poly.zero()], u)
-    assert lifted_sdr.verify().ok
-    assert all(not mat for mat in lifted[0].values())
-
-
-# -- hpt conjugation ----------------------------------------------------------------------
-
-def test_hpt_conjugate_identity(qx):
-    from fraylab.homalg import hpt_conjugate
-
-    x = Poly.gen(x_gen(1))
-    th = ParamSpec.make([("th", MultiDegree(0, -2, 1), "odd")])
-    base = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), qx)], th)
-    alpha = {PMono((), ("th",), ()): {(0, 0): Entry.plain(x)}}
-    idm = {PM_ONE: {(0, 0): Entry.plain(Poly.one())}}
-    out = hpt_conjugate(idm, idm, base, base, alpha, {})
-    assert out.terms[PMono((), ("th",), ())][(0, 0)].plain_part() == x
-
-
-def test_hpt_conjugate_permutation(qxy):
-    """A basis-permutation isomorphism transports a Koszul twist to the
-    permuted twist."""
-    from fraylab.homalg import hpt_conjugate
-
-    x, y = Poly.gen(x_gen(1)), Poly.gen(x_gen(2))
-    th = ParamSpec.make([("th", MultiDegree(0, -2, 1), "odd")])
-    objs = [RC_Object(MultiDegree(0, 0, 0), qxy), RC_Object(MultiDegree(0, 0, 0), qxy)]
-    X = CurvedComplex(objs, th)
-    alpha = {
-        PMono((), ("th",), ()): {
-            (0, 0): Entry.plain(x),
-            (1, 1): Entry.plain(y),
-        }
-    }
-    swap = {PM_ONE: {(0, 1): Entry.plain(Poly.one()), (1, 0): Entry.plain(Poly.one())}}
-    out = hpt_conjugate(swap, swap, X, X, alpha, {})
-    mat = out.terms[PMono((), ("th",), ())]
-    assert mat[(0, 0)].plain_part() == y
-    assert mat[(1, 1)].plain_part() == x
-
-
 # -- interchange signs on maps between complexes ------------------------------------------
 
 def _swapped_koszul_pair(qx, sign=1):
@@ -743,17 +612,10 @@ def test_chain_map_signed_by_its_own_objects(qx):
 
 def test_sdr_signed_by_its_own_objects(qx):
     """The swap and its inverse, with h = 0, are an SDR from X onto Y: f and
-    g are closed, fg = id and gf = id.  Transport along them moves theta x
-    on X_0 to Y_1."""
+    g are closed, fg = id and gf = id."""
     X, Y, swap = _swapped_koszul_pair(qx)
     assert SdrData(X, Y, swap, swap, {}).verify().ok
     assert not SdrData(*_swapped_koszul_pair(qx, -1), swap, {}).verify().ok
-    x = Poly.gen(x_gen(1))
-    alpha = {pm_from(thetas=["th"]): {(0, 0): Entry.plain(x)}}
-    bare = CurvedComplex(X.objects, X.params)
-    # theta x on X_0 transports to theta x on Y_1, X_0's place in Y
-    out = hpt_conjugate(swap, swap, bare, CurvedComplex(Y.objects, Y.params), alpha, {})
-    assert as_parts(out.terms) == {pm_from(thetas=["th"]): {(1, 1): {None: x}}}
 
 
 def test_sdr_identities_sign_by_the_objects_their_factors_join(qx):
@@ -871,36 +733,6 @@ def _not_closed(ring):
     cone(f)
 
 
-U1 = ParamSpec.make([("u1", MultiDegree(0, -2, 2), "even")])
-U12 = ParamSpec.make([("u1", MultiDegree(0, -2, 2), "even"),
-                      ("u2", MultiDegree(0, -2, 2), "even")])
-
-
-def _strict_wrong_curvature(ring):
-    strict_deformation(two_term(ring, Poly.gen(x_gen(1))), [_plain_terms({(0, 1): 1})],
-                       [Poly.zero()], U1)
-
-
-def _strict_not_commuting(ring):
-    # zero differential, so condition (1) holds; xi_1 xi_2 + xi_2 xi_1 = id
-    strict_deformation(two_term(ring, Poly.zero()),
-                       [_plain_terms({(0, 1): 1}), _plain_terms({(1, 0): 1})],
-                       [Poly.zero(), Poly.zero()], U12)
-
-
-def _transport_not_nilpotent(ring):
-    x = Poly.gen(x_gen(1))
-    xi = _plain_terms({(0, 1): 1})
-    D = strict_deformation(two_term(ring, x), [xi], [x], U1)
-    transport_twist(D, _plain_terms({(0, 0): 1}), "u1", 2, xi, xi)
-
-
-def _lift_along_bad_sdr(ring):
-    sdr = _sdr(ring, h={(0, 3): -1})  # f h != 0, h g != 0
-    ident = _plain_terms({(0, 0): 1, (1, 1): 1})
-    sdr_lift(sdr, [ident], [Poly.zero()], U1)
-
-
 def _curved_homology(ring):
     cx = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), ring)], ParamSpec.make([]),
                        curvature={PM_ONE: Poly.gen(x_gen(1))})
@@ -925,13 +757,9 @@ ONE = "PMono(evens=(), thetas=(), duals=())"
      f"f not closed at mono {ONE} component (1,0)"),
     (lambda r: _sdr(r, d_big={(1, 3): 1}).verify().details,
      f"g not closed at mono {ONE} component (1,1)"),
-    (_strict_wrong_curvature, f"strictness condition (1) fails for xi_1 at mono {ONE} component (0,0)"),
-    (_strict_not_commuting, f"strictness condition (2) fails for pair (1,2) at mono {ONE} component (0,0)"),
-    (_transport_not_nilpotent, f"h^2 does not vanish at mono {ONE} component (0,0)"),
-    (_lift_along_bad_sdr, f"lifting identity h xi' = 0 fails at mono {ONE} component (0,3)"),
     (_curved_homology, f"non-vanishing curvature at mono {ONE} component (0,0)"),
 ], ids=["cone", "verify-fg", "verify-dh", "verify-h2", "verify-fh", "verify-hg",
-        "verify-df", "verify-dg", "strict-1", "strict-2", "transport", "sdr_lift", "homology"])
+        "verify-df", "verify-dg", "homology"])
 def test_each_identity_check_names_its_failing_cell(qx, run, want):
     try:
         details = run(qx)
@@ -983,35 +811,17 @@ def _x2_complex(ring) -> CurvedComplex:
     return cx
 
 
-# xi: D -> C as x, with [d, xi] = x^2 id on the two-term complex C -> D
-XI_U = ParamSpec.make([("u1", MultiDegree(0, -4, 2), "even")])
-
-
-def _xi():
-    return _plain_terms({(0, 1): Poly.gen(x_gen(1))})
-
-
-def _x2_strict(ring):
-    return strict_deformation(two_term(ring, Poly.gen(x_gen(1))), [_xi()], [Poly.zero()], XI_U)
-
-
 @pytest.mark.parametrize("run", [
     lambda ring: _x2_complex(ring).mc_check().ok,
     lambda ring: ChainMap(
         CurvedComplex([RC_Object(MultiDegree(0, 0, 1), ring)], ParamSpec.make([])),
         _x2_complex(ring), _plain_terms({(2, 0): Poly.gen(x_gen(1))})).is_closed().ok,
     lambda ring: gaussian_eliminate(_x2_complex(ring), (1, 0))[1].verify().ok,
-    lambda ring: _x2_strict(ring).mc_check().ok,
-    lambda ring: bool(transport_twist(_x2_strict(ring), _plain_terms({(0, 0): Poly.gen(x_gen(1))}),
-                                      "u1", 2, _xi(), _xi())),
-    lambda ring: bool(sdr_lift(gaussian_eliminate(_x2_complex(ring), (1, 0))[1],
-                               [_xi()], [Poly.zero()], XI_U)),
     lambda ring: bool(homology_truncated(
         CurvedComplex([RC_Object(MultiDegree(0, 0, 0), ring)], ParamSpec.make([]),
                       curvature={PM_ONE: Poly.gen(x_gen(1), 2)}),
         Window((0, 0), (0, 4), (0, 1)))),
-], ids=["mc_check", "is_closed", "verify", "strict_deformation", "transport_twist",
-        "sdr_lift", "homology_truncated"])
+], ids=["mc_check", "is_closed", "verify", "homology_truncated"])
 def test_every_check_asks_for_twenty_sample_points(run):
     counts: list = []
     assert run(_recording_ring(counts))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fraylab import ssbim
+from fraylab import criteria, ssbim
 from fraylab.grading import MultiDegree
 from fraylab.homalg import PM_ONE, PMono, homology_truncated, pm_from
 from fraylab.qseries import Laurent, Window, quantum_binomial, quantum_int
@@ -13,15 +13,12 @@ from fraylab.ssbim import (
     blamgon_rank,
     build_identity,
     build_W,
-    bundle_substitute,
     cn_family,
     cone_iota_eliminate,
-    digon_rank,
     extended_thin_family,
     graded_rank_check,
     ladder_collapse,
     projector,
-    rickard_shape,
     tau_complex,
 )
 from fraylab.symfun import BOTTOM, Composition, Poly, e_gen
@@ -55,8 +52,9 @@ def test_total_mismatch_rejected():
 
 
 def test_digon_and_blamgon_values():
-    assert digon_rank(1, 1) == quantum_int(2)
-    assert digon_rank(2, 1) == quantum_binomial(3, 1)
+    # the digon of colors j, k is the blamgon of (j, k): [j + k choose k]
+    assert blamgon_rank(Composition.of(1, 1)) == quantum_binomial(2, 1) == quantum_int(2)
+    assert blamgon_rank(Composition.of(2, 1)) == quantum_binomial(3, 1)
     assert blamgon_rank(Composition.of(3)) == Laurent.one()
     assert blamgon_rank(Composition.of(2, 1)) == quantum_int(3)
 
@@ -231,6 +229,24 @@ def test_def_infinite_check_catches_a_doubled_a_ijk(parts, monkeypatch):
         projector(lam, "def_infinite", cap=2, check=True)
 
 
+@pytest.mark.parametrize("parts", [(1,), (2,), (3,), (1, 1)])
+def test_infinite_check_catches_a_doubled_a_family(parts, monkeypatch):
+    # with every a_ijk doubled, sum_jk a_ijk (e_k(X_j) - e_k(X'_j)) still
+    # vanishes in W_lambda, so Maurer-Cartan passes; the identity before the
+    # quotient does not
+    a_coefficients = ssbim._a_coefficients
+    monkeypatch.setattr(ssbim, "_a_coefficients",
+                        lambda lam: {ijk: 2 * p for ijk, p in a_coefficients(lam).items()})
+    lam = Composition(parts)
+    for variant in ("infinite", "def_infinite"):
+        with pytest.raises(ValueError, match="a-family"):
+            projector(lam, variant, cap=2, check=True)
+        assert projector(lam, variant, cap=2, check=False).complex.mc_check().ok
+    records = criteria.maurer_cartan(max_n=1, cap=2)
+    assert {r["name"]: r["status"] for r in records if "infinite" in r["name"]} == {
+        "mc infinite lambda=(1,)": "fail", "mc def_infinite lambda=(1,)": "fail"}
+
+
 def test_def_infinite_check_covers_the_y_legs():
     # a y-curvature that differs from its Koszul leg fails the one check
     cx = projector(Composition.of(1, 1), "def_infinite", cap=2, check=False).complex
@@ -323,39 +339,3 @@ def test_extended_family_conventions():
     fam = extended_thin_family(2)
     assert fam[(3, 1)].is_zero() and fam[(3, 2)].is_zero()
     assert fam[(1, 3)] == Poly.one()  # g_1 = 1
-
-
-# -- rickard shapes and bundling ----------------------------------------------------
-
-def test_rickard_shapes():
-    rs = rickard_shape(1, 1, +1)
-    assert [(d.as_tuple(), k) for d, k in rs.objects] == [
-        ((0, 0, 0), 0),
-        ((0, -1, 1), 1),
-    ]
-    assert len(rickard_shape(2, 3, +1).objects) == 3
-    assert len(rickard_shape(4, 0, -1).objects) == 1
-    neg = rickard_shape(1, 1, -1)
-    assert neg.objects[1][0] == MultiDegree(0, 1, -1)
-
-
-def test_bundle_substitute_merges_terms():
-    proj = projector(Composition.of(1, 1), "def_finite", cap=2)
-    cx = proj.complex
-    bundled = bundle_substitute(cx, {"y2_1": "y1_1"})
-    mono = PMono((("y1_1", 1),), (), ())
-    # the two curvature terms merge additively
-    merged = bundled.curvature[mono]
-    d1 = Poly.gen(e_gen(1, 1)) - Poly.gen(e_gen(3, 1))
-    d2 = Poly.gen(e_gen(2, 1)) - Poly.gen(e_gen(4, 1))
-    assert merged == d1 + d2
-    # identity map keeps the complex unchanged
-    same = bundle_substitute(cx, {})
-    assert same.terms.keys() == cx.terms.keys()
-    assert same.curvature == cx.curvature
-
-
-def test_bundled_complex_still_mc():
-    proj = projector(Composition.of(1, 1), "def_finite", cap=2)
-    bundled = bundle_substitute(proj.complex, {"y2_1": "y1_1"})
-    assert bundled.mc_check().ok

@@ -279,15 +279,9 @@ def test_poly_json_round_shape():
     assert all(set(item) == {"monomial", "coeff"} for item in data)
 
 
-def test_composition_refine_and_ell():
-    b = Composition.of(3, 1)
-    r = b.refine(0, Composition.of(1, 2))
-    assert r.parts == (1, 2, 1)
-    assert r.total == b.total
+def test_composition_ell_and_positive_parts():
     assert Composition.of(3).ell() == 3
     assert Composition.of(1, 1, 1).ell() == 0
-    with pytest.raises(ValueError):
-        b.refine(0, Composition.of(1, 1))
     with pytest.raises(ValueError):
         Composition.of(0, 2)
 
