@@ -45,7 +45,7 @@ from .homalg import (
 )
 from .linalg import ClassTracker, rank_of
 from .qseries import TriSeries, Window, unknot_table
-from .ssbim import MergeSplitBimodule, projector
+from .ssbim import MergeSplitBimodule, build_identity, projector
 from .symfun import Composition, Poly, TOP, e_gen, p_in_e
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,6 @@ class HochschildData:
 
     def induced(self, c: Poly, i: int, d: int) -> dict[tuple[int, int], Fraction]:
         """Matrix of multiplication by c on classes: (i, d) -> (i, d + deg c)."""
-        c = self.ring._apply_subst(c)
         src = self.tracker(i, d)
         if c.is_zero() or not src.reps:
             return {}
@@ -363,8 +362,7 @@ def hh_complex(
         for (i, j), e in mat.items():
             if not e.is_plain():
                 raise ValueError("hh_complex with opaque entries is not defined")
-            p = _identify_sides(ring._apply_subst(e.plain_part()), blocks)
-            p = ring._apply_subst(p)
+            p = ring.normal_form(_identify_sides(e.plain_part(), blocks))
             if not p.is_zero():
                 transported.setdefault(mono, {})[(i, j)] = p
 
@@ -473,7 +471,8 @@ def trace_check(
 # the unknot acceptance computations
 
 
-DESK_LIMITS = {"finite": 3, "def_finite": 3, "intrinsic": 3, "infinite": 2, "def_infinite": 3}
+UNKNOT_VARIANTS = ("intrinsic", "finite", "def_finite", "infinite", "def_infinite")
+DESK_LIMIT = 3
 
 
 def unknot_invariant(
@@ -484,22 +483,20 @@ def unknot_invariant(
     generator_basis: str = "elementary",
 ) -> tuple[dict, TriSeries, TriSeries]:
     """Compute the k-column-colored unknot invariant for the given variant
-    and compare with the table row.  Infinite variants from k = 2 on are
-    compared up to one overall q-monomial, which is reported; at k = 1 they
-    must match exactly.
+    and compare it with the table row (qseries.unknot_table) exactly,
+    coefficient by coefficient on the window, for every variant and k.
 
     Returns (report, computed, expected): the JSON-ready comparison report
     (variant, k, window, match, mismatches, monomial_defect), the
     KR-normalized computed series and the table row expanded on the window.
+    monomial_defect is always None: no q-monomial is allowed.
     """
-    if variant not in DESK_LIMITS:
+    if variant not in UNKNOT_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if k > DESK_LIMITS[variant]:
-        raise ValueError(f"variant {variant} is desk-limited to k <= {DESK_LIMITS[variant]}")
+    if k > DESK_LIMIT:
+        raise ValueError(f"variant {variant} is desk-limited to k <= {DESK_LIMIT}")
     if window is None:
         window = default_window(variant, k)
-
-    from .ssbim import build_identity
 
     if variant == "intrinsic":
         res = hh_bimodule(build_identity(Composition.of(k)), window, generator_basis)
@@ -520,12 +517,6 @@ def unknot_invariant(
         "mismatches": [] if exact else computed.mismatches(expected, window),
         "monomial_defect": None,
     }
-    if not exact and k >= 2 and variant in ("infinite", "def_infinite"):
-        m = computed.monomial_quotient(expected)
-        if m is not None:
-            report["match"] = True
-            report["monomial_defect"] = m
-            report["mismatches"] = []
     return report, computed, expected
 
 

@@ -612,8 +612,6 @@ class RC_Object:
     degree: MultiDegree
     ring: GradedRing
     label: str = ""
-    # formal q-degree offset of the cyclic generator (cross-ring maps):
-    offset: int = 0
 
 
 class CheckReport:
@@ -700,9 +698,7 @@ class CurvedComplex:
         return MultiDegree(*degs.pop())
 
     def check_homogeneous(self) -> None:
-        from .grading import MultiDegree as MD
-
-        t = MD(0, 0, 1)
+        t = MultiDegree(0, 0, 1)
         for mono, mat in self.terms.items():
             pdeg = pm_degree(self.params, mono)
             for (i, j), e in mat.items():
@@ -902,7 +898,7 @@ class CurvedComplex:
     def shifted(self, delta: MultiDegree) -> "CurvedComplex":
         sign = shift_sign(delta)
         objects = [
-            RC_Object(o.degree + delta, o.ring, o.label, o.offset) for o in self.objects
+            RC_Object(o.degree + delta, o.ring, o.label) for o in self.objects
         ]
         terms = {
             m: {ij: e.scale(sign) for ij, e in mat.items()}

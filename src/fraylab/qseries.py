@@ -191,13 +191,6 @@ class Window:
             (self.t[0] - dt, self.t[1] + dt),
         )
 
-    def shifted(self, d: tuple[int, int, int]) -> "Window":
-        return Window(
-            (self.a[0] + d[0], self.a[1] + d[0]),
-            (self.q[0] + d[1], self.q[1] + d[1]),
-            (self.t[0] + d[2], self.t[1] + d[2]),
-        )
-
     def to_json(self):
         return {"a": list(self.a), "q": list(self.q), "t": list(self.t)}
 
@@ -298,26 +291,6 @@ class TriSeries:
             if got != exp:
                 out.append({"degree": list(d), "got": str(got), "expected": str(exp)})
         return out
-
-    def monomial_quotient(self, other: "TriSeries", scan: int = 8):
-        """If self == q^m * other on the window overlap for a single overall
-        q-monomial, return m, else None.  Candidate shifts are scanned since
-        window clipping can hide the extremal coefficient."""
-        if not self.coeffs or not other.coeffs:
-            return None
-        for m in sorted(range(-scan, scan + 1), key=abs):
-            if m == 0:
-                continue
-            shifted = TriSeries(self.window, {
-                (d[0], d[1] + m, d[2]): c for d, c in other.coeffs.items()
-            })
-            # compare away from the q-boundary the shift exposes
-            w = self.window.intersect(other.window.shifted((0, m, 0)))
-            if not self.equal_on(shifted, w):
-                continue
-            if any(w.contains(d) for d in self.coeffs):
-                return m
-        return None
 
     def to_json(self):
         return {
@@ -423,7 +396,7 @@ def unknot_table(variant: str, k: int) -> RationalSeriesExpr:
 
     intrinsic        prod_j (1 + a q^{-2j}) / (1 - q^{2j})
     finite           [k]! prod_j (1 + t q^{-2})(1 + a q^{-2j}) / (1 - q^{2j})
-    infinite         ((1 - t^2 q^{-2})/(1 - q^2))^k prod_j (1 + a q^{-2j})/(1 - t^2 q^{-2j})
+    infinite         [k]! prod_j (1 - t^2 q^{-2})(1 + a q^{-2j}) / ((1 - t^2 q^{-2j})(1 - q^{2j}))
     def_intrinsic    prod_j (1 + a q^{-2j}) / ((1 - t^2 q^{-2j})(1 - q^{2j}))
     def_finite       [k]! prod_j (1 + a q^{-2j}) / (1 - q^{2j})
     def_infinite     [k]! prod_j (1 + a q^{-2j}) / ((1 - t^2 q^{-2j})(1 - q^{2j}))
@@ -432,8 +405,15 @@ def unknot_table(variant: str, k: int) -> RationalSeriesExpr:
     prod_j (1 + t q^{-2j}).  Those are the t-factors of the one-block
     projector on (k); the [k]! belongs to the frayed projector on (1^k),
     whose Koszul generators theta_j1 all have degree q^{-2} t, so the row
-    carries one factor (1 + t q^{-2}) per theta.  DISCREPANCIES.md holds
-    the evidence.
+    carries one factor (1 + t q^{-2}) per theta.
+
+    The infinite row is the def_infinite row times (1 - t^2 q^{-2})^k, one
+    factor per relation theta_j -> sum_i a_ij u_i of degree q^{-2} t^2.  The
+    printed row, ((1 - t^2 q^{-2})/(1 - q^2))^k prod_j (1 + a q^{-2j}) /
+    (1 - t^2 q^{-2j}), takes 1/(1 - q^2)^k in place of the frayed
+    [k]!/prod_j (1 - q^{2j}) = q^{-k(k-1)/2}/(1 - q^2)^k, so this row is
+    q^{-k(k-1)/2} times the printed one.  DISCREPANCIES.md holds the
+    evidence for both rows.
     """
     if k < 1:
         raise ValueError("color must be a positive integer")
@@ -457,13 +437,6 @@ def unknot_table(variant: str, k: int) -> RationalSeriesExpr:
             theta_factor()
             den.append((0, 2 * j, 0))
         return RationalSeriesExpr(num, den).times_laurent(quantum_factorial(k))
-    elif variant == "infinite":
-        for _ in range(k):
-            num.append(_num(((0, 0, 0), 1), ((0, -2, 2), -1)))
-            den.append((0, 2, 0))
-        for j in range(1, k + 1):
-            a_factor(j)
-            den.append((0, -2 * j, 2))
     elif variant == "def_intrinsic":
         for j in range(1, k + 1):
             a_factor(j)
@@ -474,11 +447,13 @@ def unknot_table(variant: str, k: int) -> RationalSeriesExpr:
             a_factor(j)
             den.append((0, 2 * j, 0))
         return RationalSeriesExpr(num, den).times_laurent(quantum_factorial(k))
-    elif variant == "def_infinite":
+    elif variant in ("infinite", "def_infinite"):
         for j in range(1, k + 1):
             a_factor(j)
             den.append((0, -2 * j, 2))
             den.append((0, 2 * j, 0))
+            if variant == "infinite":
+                num.append(_num(((0, 0, 0), 1), ((0, -2, 2), -1)))
         return RationalSeriesExpr(num, den).times_laurent(quantum_factorial(k))
     else:
         raise ValueError(f"unknown table variant {variant!r}")

@@ -122,7 +122,7 @@ def build_W(top: Composition, bottom: Composition | None = None) -> MergeSplitBi
     )
     # relation polys use side-1 gens for the bottom; rewrite them to the
     # concatenated-alphabet convention used by the sampler
-    spec.relations = [_reside(r, len(top)) for r in spec.relations]
+    spec.relations = [bimodule_poly(r, len(top)) for r in spec.relations]
     spec.generators = [(_reside_gen(g, len(top)), d) for g, d in spec.generators]
     out = MergeSplitBimodule(top, bottom, GradedRing(spec))
     _BIMODULE_CACHE[key] = out
@@ -155,7 +155,9 @@ def _reside_gen(g: tuple, top_blocks: int) -> tuple:
     return g
 
 
-def _reside(p: Poly, top_blocks: int) -> Poly:
+def bimodule_poly(p: Poly, top_blocks: int) -> Poly:
+    """Rewrite a Poly in (side 0 / side 1) block coordinates to the
+    concatenated convention of build_W / build_identity rings."""
     table = {}
     for g in p.gens():
         ng = _reside_gen(g, top_blocks)
@@ -184,17 +186,11 @@ def build_identity(a: Composition) -> MergeSplitBimodule:
         sampler=_concatenated_sampler(a, block_preserving=True),
         eval_composition=a.concat(a),
     )
-    spec.relations = [_reside(r, len(a)) for r in spec.relations]
+    spec.relations = [bimodule_poly(r, len(a)) for r in spec.relations]
     spec.generators = [(_reside_gen(g, len(a)), d) for g, d in spec.generators]
     out = MergeSplitBimodule(a, a, GradedRing(spec))
     _BIMODULE_CACHE[key] = out
     return out
-
-
-def bimodule_poly(p: Poly, top_blocks: int) -> Poly:
-    """Rewrite a Poly in (side 0 / side 1) block coordinates to the
-    concatenated convention of build_W / build_identity rings."""
-    return _reside(p, top_blocks)
 
 
 # graded-dimension checks ----------------------------------------------------
@@ -380,8 +376,8 @@ def cn_family(n: int, variant: str = "plain", cap: int = 3) -> CurvedComplex:
         raise ValueError("C_n needs n >= 1")
     W, ident = build_W(Composition.of(n, 1)), build_identity(Composition.of(n, 1))
     objects = [
-        RC_Object(MultiDegree(0, n, 0), W.ring, "qnW", offset=0),
-        RC_Object(MultiDegree(0, n - 2, 1), W.ring, "tqn2W", offset=0),
+        RC_Object(MultiDegree(0, n, 0), W.ring, "qnW"),
+        RC_Object(MultiDegree(0, n - 2, 1), W.ring, "tqn2W"),
         RC_Object(MultiDegree(0, -2, 2), ident.ring, "t2q21"),
     ]
     entries: list[tuple[str, MultiDegree, str]] = []
@@ -435,7 +431,7 @@ def _collapse(cx: CurvedComplex, psi: Terms, want: Terms) -> CurvedComplex:
     two-term connection want."""
     last = cx.objects[2]
     source = CurvedComplex(
-        [RC_Object(last.degree, last.ring, "src", last.offset)], cx.params, {},
+        [RC_Object(last.degree, last.ring, "src")], cx.params, {},
         cx.curvature, cx.cap, cx.opaque_rules, cx.opaque_degrees,
     )
     phi = ChainMap(source, cx, {PM_ONE: {(2, 0): Entry.plain(Poly.one())}, **psi})

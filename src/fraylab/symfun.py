@@ -438,21 +438,13 @@ def p_in_e(k: int, size: int, j: int = 1, side: int = TOP) -> Poly:
     """Power sum p_k written in the e_i(X_j) of an alphabet of given size."""
     if k < 1 or k > size * 10 ** 6:
         raise ValueError("power sum index out of range")
-
-    def e(i: int) -> Poly:
-        if i == 0:
-            return Poly.one()
-        if i > size:
-            return Poly.zero()
-        return Poly.gen(e_gen(j, i, side))
-
     ps: list[Poly] = [Poly.const(size)]  # p_0 = size, used only internally
     for m in range(1, k + 1):
         # Newton: p_m = sum_{i=1}^{m-1} (-1)^{i-1} e_i p_{m-i} + (-1)^{m-1} m e_m
         acc = Poly.zero()
         for i in range(1, m):
-            acc = acc + Fraction((-1) ** (i - 1)) * (e(i) * ps[m - i])
-        acc = acc + Fraction((-1) ** (m - 1) * m) * e(m)
+            acc = acc + Fraction((-1) ** (i - 1)) * (esp_sym(i, size, j, side) * ps[m - i])
+        acc = acc + Fraction((-1) ** (m - 1) * m) * esp_sym(m, size, j, side)
         ps.append(acc)
     return ps[k]
 
@@ -473,18 +465,11 @@ def e_in_p(k: int) -> Poly:
 
 def h_in_e(k: int, size: int, j: int = 1, side: int = TOP) -> Poly:
     """Complete homogeneous h_k in e-coordinates, H(t) = 1/E(-t)."""
-    def e(i: int) -> Poly:
-        if i == 0:
-            return Poly.one()
-        if i > size:
-            return Poly.zero()
-        return Poly.gen(e_gen(j, i, side))
-
     hs: list[Poly] = [Poly.one()]
     for m in range(1, k + 1):
         acc = Poly.zero()
         for i in range(1, m + 1):
-            acc = acc + Fraction((-1) ** (i - 1)) * (e(i) * hs[m - i])
+            acc = acc + Fraction((-1) ** (i - 1)) * (esp_sym(i, size, j, side) * hs[m - i])
         hs.append(acc)
     return hs[k]
 

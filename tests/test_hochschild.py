@@ -263,12 +263,12 @@ def test_unknot_reports():
     rep, computed, expected = unknot_invariant("def_finite", 1)
     assert rep["match"] and rep["monomial_defect"] is None
     rep2, _, _ = unknot_invariant("infinite", 2, cap=3)
-    assert rep2["match"] and rep2["monomial_defect"] == -1
+    assert rep2["match"] and rep2["monomial_defect"] is None
 
 
 def test_unknot_desk_limits():
     with pytest.raises(ValueError):
-        unknot_invariant("infinite", 3)
+        unknot_invariant("infinite", 4)
     with pytest.raises(ValueError):
         unknot_invariant("bogus", 1)
 

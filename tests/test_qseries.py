@@ -166,11 +166,20 @@ def test_theorem1_factor_identities():
     assert all(r["status"] == "pass" for r in records), records
 
 
-def test_monomial_quotient_detects_shift():
-    w = Window((0, 0), (-6, 6), (0, 0))
-    base = RationalSeriesExpr([], [(0, 2, 0)]).expand(w)
-    shifted = base.shift((0, 2, 0))
-    assert shifted.monomial_quotient(base) == 2
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_infinite_row_is_the_printed_row_times_a_q_monomial(k):
+    """[k]!/prod_j (1 - q^{2j}) = q^{-k(k-1)/2}/(1 - q^2)^k, so the program's
+    infinite row is q^{-k(k-1)/2} times the printed row
+    ((1 - t^2 q^{-2})/(1 - q^2))^k prod_j (1 + a q^{-2j})/(1 - t^2 q^{-2j})."""
+    w = Window((0, k), (-2 * k - 6, 2 * k + 12), (0, 6))
+    printed = RationalSeriesExpr(
+        [{(0, 0, 0): Fraction(1), (0, -2, 2): Fraction(-1)} for _ in range(k)]
+        + [{(0, 0, 0): Fraction(1), (1, -2 * j, 0): Fraction(1)} for j in range(1, k + 1)],
+        [(0, 2, 0)] * k + [(0, -2 * j, 2) for j in range(1, k + 1)],
+    )
+    expected = printed.times_laurent(Laurent.q(-k * (k - 1) // 2)).expand(w)
+    got = unknot_table("infinite", k).expand(w)
+    assert got.coeffs and got.equal_on(expected), got.mismatches(expected)[:5]
 
 
 def test_triseries_json_sorted():
