@@ -28,7 +28,6 @@ from .homalg import (
 from .qseries import RationalSeriesExpr, TriSeries, Window, quantum_factorial, unknot_table
 from .ssbim import (
     basis_change_check,
-    bimodule_poly,
     build_W,
     cn_family,
     cone_iota_eliminate,
@@ -91,14 +90,11 @@ def unknot_row(
     k: int = 1,
     cap: int = 3,
     window: Optional[Window] = None,
-    generator_basis: str = "elementary",
 ) -> list[dict]:
     """Criteria 1-4: the unknot series of one variant equals its table row on
     the window (hochschild.unknot_invariant) and the row is not zero there;
     a variant in FACTOR_LAWS obeys its law (finite: DISCREPANCIES.md item 1)."""
-    rep, computed, expected = unknot_invariant(
-        variant, k, cap=cap, window=window, generator_basis=generator_basis
-    )
+    rep, computed, expected = unknot_invariant(variant, k, cap=cap, window=window)
     params = {"variant": variant, "k": k}
     ok = rep["match"] and bool(expected.coeffs)
     out = [{**_record(f"table {variant} k={k}", ok, params), "details": rep}]
@@ -187,7 +183,7 @@ def g_congruences(max_n: int = 4, seed: int = 0) -> list[dict]:
                  for expanded in (expand_to_x(leg, b) for leg in legs) for pt in pts)
         out.append(_record(f"g congruence n={n} ({samples} samples, i<=n+1)", ok,
                            {"n": n, "samples": samples}))
-        ok = build_W(b).ring.reduces_to_zero(bimodule_poly(legs[n], 2))
+        ok = build_W(b).ring.reduces_to_zero(legs[n])
         out.append(_record(f"g congruence n={n}, i=n+1 exact", ok, {"n": n}))
     return out
 
@@ -252,7 +248,7 @@ def gauss(max_n: int = 50, seed: int = 0) -> list[dict]:
         if not units:
             continue
         # the record is the check: a bad SDR is a "fail", not a raise
-        red, sdr = gaussian_eliminate(cx, units[0], verify=False)
+        red, sdr = gaussian_eliminate(cx, units[0])
         before, after = homology_truncated(cx, window), homology_truncated(red, window)
         ok = bool(sdr.verify()) and before.equal_on(after, window)
         out.append(_record(f"gauss homology preserved #{len(out) + 1}", ok))

@@ -1,8 +1,9 @@
 """Hochschild homology of presented bimodules via Koszul complexes.
 
 For a bimodule over a partially symmetric coefficient ring (polynomial on
-blockwise elementary generators), total Hochschild homology is the Koszul
-homology of the operators {left e_k(X_j) - right e_k(X'_j)}: the complex
+blockwise elementary generators, the symfun symbols e_k(X_j) on side 0 and
+e_k(X'_j) on side 1), total Hochschild homology is the Koszul homology of
+the operators {left e_k(X_j) - right e_k(X'_j)}: the complex
 M (x) Lambda(dual generators) with the contraction differential, computed
 degree by degree with exact linear algebra.
 
@@ -20,10 +21,10 @@ pins the intrinsic unknot rows to prod_j (1 + a q^{-2j})/(1 - q^{2j}).
 
 Curved complexes are handled termwise: chain objects take Koszul homology
 with tracked class representatives, the connection is transported through
-the left/right identification (primed alphabets replaced by unprimed), and
-the resulting complex of classes is resolved in the t-direction by
-homalg.unrolled_homology, the routine truncated homology uses as well.  A
-bimodule is the one-object complex with no parameters.
+the left/right identification (each e_k(X'_j) replaced by its partner
+e_k(X_j)), and the resulting complex of classes is resolved in the
+t-direction by homalg.unrolled_homology, the routine truncated homology
+uses as well.  A bimodule is the one-object complex with no parameters.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .homalg import (
 from .linalg import ClassTracker, rank_of
 from .qseries import TriSeries, Window, unknot_table
 from .ssbim import MergeSplitBimodule, build_identity, projector
-from .symfun import Composition, Poly, TOP, e_gen, p_in_e
+from .symfun import BOTTOM, MIDDLE, Composition, Poly, TOP, alphabet_gens, e_gen
 
 # ---------------------------------------------------------------------------
 # results
@@ -55,65 +56,17 @@ from .symfun import Composition, Poly, TOP, e_gen, p_in_e
 @dataclass
 class HHResult:
     series: TriSeries
-    window: Window
-    generator_basis: str
-    coefficient_color: int
-    qshift: int
-
-
-@dataclass(frozen=True)
-class BraidStats:
-    """Colored writhe and strand statistics entering the KR normalization."""
-
-    epsilon: int
-    N: int
-    eta: int
-
-    @staticmethod
-    def unknot(b: int) -> "BraidStats":
-        return BraidStats(0, b, b)
-
-    def exponent(self) -> int:
-        if (self.epsilon + self.N - self.eta) % 2:
-            raise ValueError("odd KR normalization exponent")
-        return (self.epsilon + self.N - self.eta) // 2
-
-
-def kr_normalize(h: TriSeries, stats: BraidStats) -> TriSeries:
-    """Multiply by (a t^{-1})^{(eps+N-eta)/2} q^{-eps} as a degree shift."""
-    w = stats.exponent()
-    return h.shift((w, -stats.epsilon, -w))
 
 
 # ---------------------------------------------------------------------------
 # the hochschild operators of a coefficient composition
 
 
-def hh_operators(comp: Composition, blocks: int, basis: str = "elementary") -> list[tuple[Poly, int]]:
-    """(xi, natural dual degree) for each blockwise generator: differences of
-    elementary or power-sum polynomials of corresponding top/bottom blocks.
-    `blocks` is the number of top blocks in the concatenated presentation."""
-    out = []
-    for j, size in enumerate(comp.parts, start=1):
-        for k in range(1, size + 1):
-            if basis == "elementary":
-                xi = Poly.gen(e_gen(j, k, TOP)) - Poly.gen(e_gen(j + blocks, k, TOP))
-            elif basis == "power_sum":
-                top = p_in_e(k, size, j, TOP)
-                bot = top_to_block(top, j, j + blocks)
-                xi = top - bot
-            else:
-                raise ValueError("generator basis must be elementary or power_sum")
-            out.append((xi, 2 * k))
-    return out
-
-
-def top_to_block(p: Poly, src_block: int, dst_block: int) -> Poly:
-    table = {}
-    for g in p.gens():
-        if g[0] == "e" and g[1] == TOP and g[2] == src_block:
-            table[g] = Poly.gen(("e", TOP, dst_block, g[3]))
-    return p.substitute(table)
+def hh_operators(comp: Composition) -> list[tuple[Poly, int]]:
+    """(xi, natural dual degree) for each blockwise generator: the
+    differences e_k(X_j) - e_k(X'_j) of corresponding top/bottom blocks."""
+    return [(Poly.gen(g) - Poly.gen(h), 2 * g[3])
+            for g, h in zip(alphabet_gens(comp, TOP), alphabet_gens(comp, BOTTOM))]
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +197,13 @@ class HochschildData:
 _HH_DATA_CACHE: dict[tuple, HochschildData] = {}
 
 
-def hochschild_data(ring: GradedRing, comp: Composition, blocks: int, basis: str) -> HochschildData:
-    """Shared Tor data per (ring, operator basis); graded pieces are
-    expensive, so reuse across calls.  The key holds the ring itself, not
-    its id(), so a new ring never picks up the entry of a collected one."""
-    key = (ring, comp.parts, blocks, basis)
+def hochschild_data(ring: GradedRing, comp: Composition) -> HochschildData:
+    """Shared Tor data per ring; graded pieces are expensive, so reuse
+    across calls.  The key holds the ring itself, not its id(), so a new
+    ring never picks up the entry of a collected one."""
+    key = (ring, comp.parts)
     if key not in _HH_DATA_CACHE:
-        _HH_DATA_CACHE[key] = HochschildData(ring, hh_operators(comp, blocks, basis))
+        _HH_DATA_CACHE[key] = HochschildData(ring, hh_operators(comp))
     return _HH_DATA_CACHE[key]
 
 
@@ -288,7 +241,6 @@ def orient_degree(i: int, d: int, t: int, N: int, qshift: int, orientation: str)
 def hh_bimodule(
     M: MergeSplitBimodule,
     window: Window,
-    generator_basis: str = "elementary",
     orientation: str = "table",
 ) -> HHResult:
     """Total Hochschild homology of a merge-split (or identity) bimodule:
@@ -296,19 +248,17 @@ def hh_bimodule(
     if M.top != M.bottom:
         raise ValueError("Hochschild homology needs matching top and bottom")
     C = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), M.ring)], ParamSpec(()))
-    return hh_complex(C, M.top, window, generator_basis, orientation)
+    return hh_complex(C, M.top, window, orientation)
 
 
 # ---------------------------------------------------------------------------
 # hochschild homology of curved complexes (termwise + transported twist)
 
 
-def _identify_sides(p: Poly, blocks: int) -> Poly:
-    """Replace every bottom-block generator by its top-block partner."""
-    table = {}
-    for g in p.gens():
-        if g[0] == "e" and g[1] == TOP and g[2] > blocks:
-            table[g] = Poly.gen(("e", TOP, g[2] - blocks, g[3]))
+def _identify_sides(p: Poly) -> Poly:
+    """Replace every bottom-side generator by its top-side partner."""
+    table = {g: Poly.gen(e_gen(g[2], g[3], TOP)) for g in p.gens()
+             if g[0] == "e" and g[1] == BOTTOM}
     return p.substitute(table) if table else p
 
 
@@ -316,7 +266,6 @@ def hh_complex(
     C: CurvedComplex,
     comp: Composition,
     window: Window,
-    generator_basis: str = "elementary",
     orientation: str = "table",
 ) -> HHResult:
     """Termwise Hochschild homology of a curved complex over one W-type
@@ -328,12 +277,11 @@ def hh_complex(
     if len(rings) != 1:
         raise ValueError("hh_complex expects a single underlying ring")
     ring = C.objects[0].ring
-    blocks = len(comp)
     N = comp.total
     qshift = ring.qshift
 
     for mono, p in C.curvature.items():
-        ident = _identify_sides(p, blocks)
+        ident = _identify_sides(p)
         if not ident.is_zero():
             raise ValueError(
                 f"curvature does not vanish under left/right identification "
@@ -354,7 +302,7 @@ def hh_complex(
     if any(o.degree.a for o in C.objects):
         raise ValueError("objects with a-degree are not supported")
 
-    data = hochschild_data(ring, comp, blocks, generator_basis)
+    data = hochschild_data(ring, comp)
 
     # transported connection entries
     transported: dict[PMono, dict[tuple[int, int], Poly]] = {}
@@ -362,7 +310,7 @@ def hh_complex(
         for (i, j), e in mat.items():
             if not e.is_plain():
                 raise ValueError("hh_complex with opaque entries is not defined")
-            p = ring.normal_form(_identify_sides(e.plain_part(), blocks))
+            p = ring.normal_form(_identify_sides(e.plain_part()))
             if not p.is_zero():
                 transported.setdefault(mono, {})[(i, j)] = p
 
@@ -391,7 +339,7 @@ def hh_complex(
     dims = unrolled_homology(C, transported, cells, window.t, class_dim, data.induced)
     coeffs = {orient_degree(i, d, t, N, qshift, orientation): dim
               for (i, d, t), dim in dims.items()}
-    return HHResult(TriSeries(window, coeffs), window, generator_basis, N, qshift)
+    return HHResult(TriSeries(window, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -400,53 +348,25 @@ def hh_complex(
 
 def compose_bimodules(M1: MergeSplitBimodule, M2: MergeSplitBimodule) -> MergeSplitBimodule:
     """M1 * M2: tensor over the middle coefficient ring, realized by
-    adjoining the middle alphabet with identification relations."""
+    adjoining the middle alphabet (side MIDDLE: M1's bottom, M2's top) with
+    identification relations."""
     if M1.bottom != M2.top:
         raise ValueError("compositions do not match for composition")
-    top, mid, bot = M1.top, M1.bottom, M2.bottom
-    mt, mmid, mb = len(top), len(mid), len(bot)
 
-    # new block layout: top 1..mt, bottom mt+1..mt+mb, middle mt+mb+1..
-    def remap_factor(ring: GradedRing, src_top: int, top_map, bot_map) -> list[Poly]:
-        out = []
-        for rel in ring.spec.relations:
-            table = {}
-            for g in rel.gens():
-                if g[0] != "e":
-                    raise ValueError("unexpected generator in bimodule relations")
-                _, side, blk, k = g
-                nb = top_map(blk) if blk <= src_top else bot_map(blk - src_top)
-                table[g] = Poly.gen(("e", TOP, nb, k))
-            out.append(rel.substitute(table))
-        return out
+    def moved(M: MergeSplitBimodule, sides: tuple[int, int]) -> list[Poly]:
+        """M's relations with its side s moved to sides[s]."""
+        return [rel.substitute({g: Poly.gen(e_gen(g[2], g[3], sides[g[1]])) for g in rel.gens()})
+                for rel in M.ring.spec.relations]
 
-    rel1 = remap_factor(
-        M1.ring, mt, lambda b: b, lambda b: mt + mb + b
-    )  # M1 top -> top, M1 bottom -> middle
-    rel2 = remap_factor(
-        M2.ring, mmid, lambda b: mt + mb + b, lambda b: mt + b
-    )  # M2 top -> middle, M2 bottom -> bottom
-
-    gens = []
-    for j, size in enumerate(top.parts, start=1):
-        for k in range(1, size + 1):
-            gens.append((("e", TOP, j, k), 2 * k))
-    for j, size in enumerate(bot.parts, start=1):
-        for k in range(1, size + 1):
-            gens.append((("e", TOP, mt + j, k), 2 * k))
-    for j, size in enumerate(mid.parts, start=1):
-        for k in range(1, size + 1):
-            gens.append((("e", TOP, mt + mb + j, k), 2 * k))
-
+    gens = (alphabet_gens(M1.top, TOP) + alphabet_gens(M2.bottom, BOTTOM)
+            + alphabet_gens(M1.bottom, MIDDLE))
     spec = RingSpec(
         name=f"{M1.ring.spec.name}*{M2.ring.spec.name}",
-        generators=gens,
-        relations=rel1 + rel2,
+        generators=[(g, 2 * g[3]) for g in gens],
+        relations=moved(M1, (TOP, MIDDLE)) + moved(M2, (MIDDLE, BOTTOM)),
         qshift=M1.qshift + M2.qshift,
-        sampler=None,
-        eval_composition=top.concat(bot).concat(mid),
     )
-    return MergeSplitBimodule(top, bot, GradedRing(spec))
+    return MergeSplitBimodule(M1.top, M2.bottom, GradedRing(spec))
 
 
 def trace_check(
@@ -480,15 +400,14 @@ def unknot_invariant(
     k: int,
     cap: int = 3,
     window: Optional[Window] = None,
-    generator_basis: str = "elementary",
 ) -> tuple[dict, TriSeries, TriSeries]:
     """Compute the k-column-colored unknot invariant for the given variant
     and compare it with the table row (qseries.unknot_table) exactly,
     coefficient by coefficient on the window, for every variant and k.
 
     Returns (report, computed, expected): the JSON-ready comparison report
-    (variant, k, window, match, mismatches, monomial_defect), the
-    KR-normalized computed series and the table row expanded on the window.
+    (variant, k, window, match, mismatches, monomial_defect), the computed
+    series and the table row expanded on the window.
     monomial_defect is always None: no q-monomial is allowed.
     """
     if variant not in UNKNOT_VARIANTS:
@@ -499,13 +418,10 @@ def unknot_invariant(
         window = default_window(variant, k)
 
     if variant == "intrinsic":
-        res = hh_bimodule(build_identity(Composition.of(k)), window, generator_basis)
-        computed = kr_normalize(res.series, BraidStats.unknot(k))
+        computed = hh_bimodule(build_identity(Composition.of(k)), window).series
     else:
         lam = Composition.thin(k)
-        proj = projector(lam, variant, cap=cap)
-        res = hh_complex(proj.complex, lam, window, generator_basis)
-        computed = kr_normalize(res.series, BraidStats.unknot(k))
+        computed = hh_complex(projector(lam, variant, cap=cap).complex, lam, window).series
 
     expected = unknot_table(variant, k).expand(window)
     exact = computed.equal_on(expected, window)

@@ -66,6 +66,9 @@ class RingSpec:
     sampler(count, seed) optionally returns exact points of the vanishing
     locus of the relations, used as a second route in equality checks:
     ``nonvanishing``, the one vanishing rule, asks for 20 points at seed 0.
+    alphabets, the (top, bottom) compositions of a ring on symfun's e_k
+    symbols, give the blocks of its side-0 and side-1 generators at those
+    points.
     """
 
     name: str
@@ -73,7 +76,7 @@ class RingSpec:
     relations: list[Poly] = field(default_factory=list)
     qshift: int = 0
     sampler: Optional[Callable[[int, int], list[dict]]] = None
-    eval_composition: object = None  # Composition for eval_at_point, if sampled
+    alphabets: tuple = (None, None)
 
 
 class GroebnerBasis:
@@ -382,7 +385,7 @@ class GradedRing:
             return self.reduces_to_zero(p)
         p = self._apply_subst(p)
         return all(
-            eval_at_point(p, pt, self.spec.eval_composition) == 0
+            eval_at_point(p, pt, *self.spec.alphabets) == 0
             for pt in self.spec.sampler(count, seed)
         )
 
@@ -1063,15 +1066,13 @@ class SdrData:
         return CheckReport(True)
 
 
-def gaussian_eliminate(
-    C: CurvedComplex, entry: tuple[int, int], verify: bool = True
-) -> tuple[CurvedComplex, SdrData]:
+def gaussian_eliminate(C: CurvedComplex, entry: tuple[int, int]) -> tuple[CurvedComplex, SdrData]:
     """Remove an invertible parameter-degree-0 component of the connection.
 
     entry = (row, col): the component phi: O_col -> O_row must be a nonzero
     scalar.  Returns the reduced complex on the complementary objects with
     corrected differential eps - gamma phi^{-1} kappa and the SDR realizing
-    the removal.
+    the removal, unverified (``SdrData.verify``).
     """
     r, c = entry
     if r == c:
@@ -1141,12 +1142,7 @@ def gaussian_eliminate(
             tgt[(c, reindex[j])] = ke.scale(-inv)
     h_terms: Terms = {PM_ONE: {(c, r): Entry.plain(Poly.const(inv))}}
 
-    sdr = SdrData(C, reduced, f_terms, g_terms, h_terms)
-    if verify:
-        rep = sdr.verify()
-        if not rep:
-            raise ValueError(f"Gaussian elimination produced a bad SDR: {rep.details}")
-    return reduced, sdr
+    return reduced, SdrData(C, reduced, f_terms, g_terms, h_terms)
 
 
 # ---------------------------------------------------------------------------

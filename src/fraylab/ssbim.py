@@ -1,11 +1,12 @@
 """Merge-split bimodules, frayed projectors, and the two-strand recursions.
 
 A merge-split bimodule W_a^b is presented as the quotient of the
-polynomial ring on blockwise elementary symmetric generators (top side 0,
-bottom side 1) by the total-alphabet differences e_i(X) - e_i(X').  The
-identity bimodule 1_a instead kills every blockwise difference.  Overall
-quantum shifts (the ell-bookkeeping of merges) are tracked as an explicit
-qshift on the ring, never baked into generator degrees.
+polynomial ring on blockwise elementary symmetric generators, the symfun
+symbols e_k(X_j) of a on side 0 (X) and e_k(X'_j) of b on side 1 (X'), by
+the total-alphabet differences e_i(X) - e_i(X').  The identity bimodule 1_a
+instead kills every blockwise difference.  Overall quantum shifts (the
+ell-bookkeeping of merges) are tracked as an explicit qshift on the ring,
+never baked into generator degrees.
 
 Frayed projectors are curved complexes on W_lambda: the Koszul twist over
 the odd alphabet Theta (finite), plus theta-dual y-twists (deformed
@@ -30,6 +31,7 @@ W_{(1^{n+1})}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Optional
 
 from .grading import MultiDegree
@@ -56,6 +58,7 @@ from .symfun import (
     TOP,
     a_family,
     a_thin_recursive,
+    alphabet_gens,
     e_gen,
     elementary_of_total,
     expand_to_x,
@@ -80,18 +83,23 @@ class MergeSplitBimodule:
         return self.ring.qshift
 
 
-def _ring_generators(top: Composition, bottom: Composition):
-    gens = []
-    for j, size in enumerate(top.parts, start=1):
-        for k in range(1, size + 1):
-            gens.append((e_gen(j, k, TOP), 2 * k))
-    for j, size in enumerate(bottom.parts, start=1):
-        for k in range(1, size + 1):
-            gens.append((e_gen(j, k, BOTTOM), 2 * k))
-    return gens
-
-
 _BIMODULE_CACHE: dict[tuple, MergeSplitBimodule] = {}
+
+
+def _bimodule(name: str, top: Composition, bottom: Composition, relations: list[Poly],
+              qshift: int, block_preserving: bool) -> MergeSplitBimodule:
+    """The bimodule presented on the e_k(X_j) of top (side TOP) and the
+    e_k(X'_j) of bottom (side BOTTOM), sampled on the vanishing locus of
+    the total (or, block_preserving, the blockwise) differences."""
+    spec = RingSpec(
+        name=name,
+        generators=[(g, 2 * g[3]) for g in alphabet_gens(top, TOP) + alphabet_gens(bottom, BOTTOM)],
+        relations=relations,
+        qshift=qshift,
+        sampler=partial(vanishing_locus_sampler, top, block_preserving=block_preserving),
+        alphabets=(top, bottom),
+    )
+    return MergeSplitBimodule(top, bottom, GradedRing(spec))
 
 
 def build_W(top: Composition, bottom: Composition | None = None) -> MergeSplitBimodule:
@@ -103,94 +111,27 @@ def build_W(top: Composition, bottom: Composition | None = None) -> MergeSplitBi
     if top.total != bottom.total:
         raise ValueError("top and bottom compositions must share a total")
     key = ("W", top.parts, bottom.parts)
-    if key in _BIMODULE_CACHE:
-        return _BIMODULE_CACHE[key]
-    N = top.total
-    relations = [
-        elementary_of_total(i, top, TOP) - elementary_of_total(i, bottom, BOTTOM)
-        for i in range(1, N + 1)
-    ]
-    qshift = N * (N - 1) // 2 - bottom.ell()
-
-    spec = RingSpec(
-        name=f"W[{'.'.join(map(str, top.parts))}^{'.'.join(map(str, bottom.parts))}]",
-        generators=_ring_generators(top, bottom),
-        relations=relations,
-        qshift=qshift,
-        sampler=_concatenated_sampler(top, block_preserving=False),
-        eval_composition=top.concat(bottom),
-    )
-    # relation polys use side-1 gens for the bottom; rewrite them to the
-    # concatenated-alphabet convention used by the sampler
-    spec.relations = [bimodule_poly(r, len(top)) for r in spec.relations]
-    spec.generators = [(_reside_gen(g, len(top)), d) for g, d in spec.generators]
-    out = MergeSplitBimodule(top, bottom, GradedRing(spec))
-    _BIMODULE_CACHE[key] = out
-    return out
-
-
-def _concatenated_sampler(b: Composition, block_preserving: bool):
-    """``vanishing_locus_sampler``'s points on b, re-keyed onto the
-    concatenated alphabet of the ring: x'_i becomes x_{N+i}."""
-    N = b.total
-    keys = [(x_gen(i, TOP), x_gen(i, BOTTOM), x_gen(N + i, TOP)) for i in range(1, N + 1)]
-
-    def sampler(count, seed):
-        out = []
-        for pt in vanishing_locus_sampler(b, count, seed, block_preserving):
-            full = {}
-            for x, xp, x_moved in keys:
-                full[x], full[x_moved] = pt[x], pt[xp]
-            out.append(full)
-        return out
-
-    return sampler
-
-
-def _reside_gen(g: tuple, top_blocks: int) -> tuple:
-    """Move side-1 (bottom) block j to side-0 block top_blocks + j so that a
-    single concatenated composition drives raw expansion and sampling."""
-    if g[0] == "e" and g[1] == BOTTOM:
-        return ("e", TOP, g[2] + top_blocks, g[3])
-    return g
-
-
-def bimodule_poly(p: Poly, top_blocks: int) -> Poly:
-    """Rewrite a Poly in (side 0 / side 1) block coordinates to the
-    concatenated convention of build_W / build_identity rings."""
-    table = {}
-    for g in p.gens():
-        ng = _reside_gen(g, top_blocks)
-        if ng != g:
-            table[g] = Poly.gen(ng)
-    return p.substitute(table) if table else p
+    if key not in _BIMODULE_CACHE:
+        N = top.total
+        relations = [
+            elementary_of_total(i, top, TOP) - elementary_of_total(i, bottom, BOTTOM)
+            for i in range(1, N + 1)
+        ]
+        name = f"W[{'.'.join(map(str, top.parts))}^{'.'.join(map(str, bottom.parts))}]"
+        _BIMODULE_CACHE[key] = _bimodule(name, top, bottom, relations,
+                                         N * (N - 1) // 2 - bottom.ell(), block_preserving=False)
+    return _BIMODULE_CACHE[key]
 
 
 def build_identity(a: Composition) -> MergeSplitBimodule:
     """The identity bimodule 1_a: blockwise differences are killed."""
     key = ("1", a.parts)
-    if key in _BIMODULE_CACHE:
-        return _BIMODULE_CACHE[key]
-    relations = []
-    for j, size in enumerate(a.parts, start=1):
-        for k in range(1, size + 1):
-            relations.append(
-                Poly.gen(e_gen(j, k, TOP)) - Poly.gen(e_gen(j, k, BOTTOM))
-            )
-
-    spec = RingSpec(
-        name=f"1[{'.'.join(map(str, a.parts))}]",
-        generators=_ring_generators(a, a),
-        relations=relations,
-        qshift=0,
-        sampler=_concatenated_sampler(a, block_preserving=True),
-        eval_composition=a.concat(a),
-    )
-    spec.relations = [bimodule_poly(r, len(a)) for r in spec.relations]
-    spec.generators = [(_reside_gen(g, len(a)), d) for g, d in spec.generators]
-    out = MergeSplitBimodule(a, a, GradedRing(spec))
-    _BIMODULE_CACHE[key] = out
-    return out
+    if key not in _BIMODULE_CACHE:
+        relations = [Poly.gen(g) - Poly.gen(h)
+                     for g, h in zip(alphabet_gens(a, TOP), alphabet_gens(a, BOTTOM))]
+        name = f"1[{'.'.join(map(str, a.parts))}]"
+        _BIMODULE_CACHE[key] = _bimodule(name, a, a, relations, 0, block_preserving=True)
+    return _BIMODULE_CACHE[key]
 
 
 # graded-dimension checks ----------------------------------------------------
@@ -249,23 +190,22 @@ def _u_params(n: int) -> list[tuple[str, MultiDegree, str]]:
     return [(f"u{i}", MultiDegree(0, -2 * i, 2), "even") for i in range(1, n + 1)]
 
 
-def _thin_legs(fam: Mapping[tuple[int, int], Poly], m: int) -> dict[tuple[int, int, int], Poly]:
-    """A thin family a_ij in the x-variables, as a_ij1 in the concatenated
-    coordinates of W_{(1^m)}: x_j is e_1 of block j, x'_j of block m + j."""
+def _thin_legs(fam: Mapping[tuple[int, int], Poly]) -> dict[tuple[int, int, int], Poly]:
+    """A thin family a_ij in the x-variables, as a_ij1 in the coordinates
+    of W_{(1^m)}: x_j (x'_j) is e_1 of block j on its side."""
     out = {}
     for (i, j), p in fam.items():
-        table = {g: Poly.gen(e_gen(g[2] if g[1] == TOP else g[2] + m, 1, TOP))
-                 for g in p.gens() if g[0] == "x"}
+        table = {g: Poly.gen(e_gen(g[2], 1, g[1])) for g in p.gens() if g[0] == "x"}
         out[(i, j, 1)] = p.substitute(table)
     return out
 
 
 def _a_coefficients(lam: Composition) -> dict[tuple[int, int, int], Poly]:
-    """a_ijk in concatenated coordinates; the thin recursion for (1^n),
-    the telescoping family otherwise (any valid family is acceptable)."""
+    """a_ijk in the ring's coordinates; the thin recursion for (1^n), the
+    telescoping family otherwise (any valid family is acceptable)."""
     if all(p == 1 for p in lam.parts):
-        return _thin_legs(a_thin_recursive(lam.total), lam.total)
-    return {ijk: bimodule_poly(p, len(lam)) for ijk, p in a_family(lam).items()}
+        return _thin_legs(a_thin_recursive(lam.total))
+    return a_family(lam)
 
 
 def _twisted_koszul(
@@ -284,8 +224,7 @@ def _twisted_koszul(
 
     F_u = sum_i (e_i(X) - e_i(X')) u_i and F_y = sum_jk (e_k(X_j) - e_k(X'_j)) y_jk.
     check runs one Maurer-Cartan check (see the module docstring)."""
-    m = len(lam)
-    legs = [(j, k, Poly.gen(e_gen(j, k, TOP)) - Poly.gen(e_gen(j + m, k, TOP)))
+    legs = [(j, k, Poly.gen(e_gen(j, k, TOP)) - Poly.gen(e_gen(j, k, BOTTOM)))
             for j, size in enumerate(lam.parts, start=1) for k in range(1, size + 1)]
     entries = [(f"th{j}_{k}", MultiDegree(0, -2 * k, 1), "odd") for j, k, _ in legs]
     terms: Terms = {PMono((), (f"th{j}_{k}",), ()): {(0, 0): Entry.plain(d)} for j, k, d in legs}
@@ -295,9 +234,8 @@ def _twisted_koszul(
         for (i, j, k), p in a.items():
             terms[PMono(((f"u{i}", 1),), (), (f"th{j}_{k}",))] = {(0, 0): Entry.plain(-1 * p)}
         for i in range(1, lam.total + 1):
-            top = elementary_of_total(i, lam, TOP)
-            bot = bimodule_poly(elementary_of_total(i, lam, BOTTOM), m)
-            curv[PMono(((f"u{i}", 1),), (), ())] = -1 * (top - bot)
+            diff = elementary_of_total(i, lam, TOP) - elementary_of_total(i, lam, BOTTOM)
+            curv[PMono(((f"u{i}", 1),), (), ())] = -1 * diff
     if deformed:
         entries += [(f"y{j}_{k}", MultiDegree(0, -2 * k, 2), "even") for j, k, _ in legs]
         for j, k, d in legs:
@@ -351,14 +289,8 @@ UNZIP_RULES = {("unit", "unzip"): None}
 
 
 def _xdiff(n: int) -> Poly:
-    """x_{n+1} - x'_{n+1} in the concatenated (n,1,n,1) coordinates."""
-    return Poly.gen(e_gen(2, 1, TOP)) - Poly.gen(e_gen(4, 1, TOP))
-
-
-def _g_concat(n: int) -> list[Poly]:
-    """g_1..g_{n+1} rewritten to concatenated coordinates: block 1 = X_n,
-    block 2 = x_{n+1}, block 3 = X'_n, block 4 = x'_{n+1}."""
-    return [bimodule_poly(g, 2) for g in g_polys(n)]
+    """x_{n+1} - x'_{n+1}, the e_1 of block 2 of (n, 1) on each side."""
+    return Poly.gen(e_gen(2, 1, TOP)) - Poly.gen(e_gen(2, 1, BOTTOM))
 
 
 def cn_family(n: int, variant: str = "plain", cap: int = 3) -> CurvedComplex:
@@ -388,7 +320,7 @@ def cn_family(n: int, variant: str = "plain", cap: int = 3) -> CurvedComplex:
     if variant in ("u", "yu"):
         entries.extend(_u_params(n))
         for i in range(1, n + 1):
-            diff = Poly.gen(e_gen(1, i, TOP)) - Poly.gen(e_gen(3, i, TOP))
+            diff = Poly.gen(e_gen(1, i, TOP)) - Poly.gen(e_gen(1, i, BOTTOM))
             curv[PMono(((f"u{i}", 1),), (), ())] = diff
     params = ParamSpec.make(entries)
     terms = _two_term(n, variant, n)
@@ -418,7 +350,7 @@ def _two_term(n: int, variant: str, legs: int) -> Terms:
     if variant in ("y", "yu"):
         terms[PMono(((f"y{n + 1}", 1),), (), ())] = {(0, 1): Entry.plain(Poly.one())}
     if variant in ("u", "yu"):
-        gs = _g_concat(n)
+        gs = g_polys(n)
         for i in range(1, legs + 1):
             terms[PMono(((f"u{i}", 1),), (), ())] = {(0, 1): Entry.plain(-1 * gs[i - 1])}
     return terms
@@ -426,16 +358,19 @@ def _two_term(n: int, variant: str, legs: int) -> Terms:
 
 def _collapse(cx: CurvedComplex, psi: Terms, want: Terms) -> CurvedComplex:
     """Cone of iota + psi from a copy of C_n's last object (with cx's
-    curvature) into cx, Gaussian elimination of the identity rung (which
-    verifies its SDR and raises on failure), and comparison with the
-    two-term connection want."""
+    curvature) into cx, Gaussian elimination of the identity rung (its SDR
+    verified; a failure raises), and comparison with the two-term
+    connection want."""
     last = cx.objects[2]
     source = CurvedComplex(
         [RC_Object(last.degree, last.ring, "src")], cx.params, {},
         cx.curvature, cx.cap, cx.opaque_rules, cx.opaque_degrees,
     )
     phi = ChainMap(source, cx, {PM_ONE: {(2, 0): Entry.plain(Poly.one())}, **psi})
-    reduced, _ = gaussian_eliminate(cone(phi), (3, 0))
+    reduced, sdr = gaussian_eliminate(cone(phi), (3, 0))
+    rep = sdr.verify()
+    if not rep:
+        raise ValueError(f"Gaussian elimination produced a bad SDR: {rep.details}")
     bad = _terms_mismatch(reduced, CurvedComplex(cx.objects[:2], cx.params, want))
     if bad:
         raise AssertionError(f"two-term complex after elimination: {bad}")
@@ -475,7 +410,7 @@ def ladder_collapse(n: int, cap: int = 2):
     identity rung, verify the two-term answer with backward
     -sum_{i<=n+1} g_i u_i, and return tw_{tau_n} on W_{(1^{n+1})}."""
     cx = cn_family(n, "u", cap=cap).with_params(ParamSpec.make(_u_params(n + 1)))
-    psi = {PMono(((f"u{n + 1}", 1),), (), ()): {(0, 0): Entry.opaque("unit", _g_concat(n)[n])}}
+    psi = {PMono(((f"u{n + 1}", 1),), (), ()): {(0, 0): Entry.opaque("unit", g_polys(n)[n])}}
     return _collapse(cx, psi, _two_term(n, "u", n + 1)), tau_complex(n, cap=cap)
 
 
@@ -501,8 +436,7 @@ def tau_complex(n: int, cap: int = 2) -> CurvedComplex:
     """tw_{tau_n}(W_{(1^{n+1})} (x) Lambda[Theta_{n+1}] (x) R[U_{n+1}]):
     Koszul legs (x_j - x'_j) theta_j1 plus u-legs -a_{ij} theta-dual_j1 u_i
     over the extended thin family."""
-    return _twisted_koszul(Composition.thin(n + 1), _thin_legs(extended_thin_family(n), n + 1),
-                           cap=cap)
+    return _twisted_koszul(Composition.thin(n + 1), _thin_legs(extended_thin_family(n)), cap=cap)
 
 
 def basis_change_check(n: int, cap: int = 2) -> CheckReport:
@@ -526,8 +460,8 @@ def basis_change_check(n: int, cap: int = 2) -> CheckReport:
         return CheckReport(False, f"case identity fails at (i,j)=({bad[0]},{bad[1]})")
 
     m = n + 1
-    tau_n = _twisted_koszul(Composition.thin(m), _thin_legs(lamfam, m), cap=cap, check=False)
-    xp_ring = Poly.gen(e_gen(2 * m, 1, TOP))  # x'_{n+1} in the W ring
+    tau_n = _twisted_koszul(Composition.thin(m), _thin_legs(lamfam), cap=cap, check=False)
+    xp_ring = Poly.gen(e_gen(m, 1, BOTTOM))  # x'_{n+1} in the W ring
 
     forward = {}
     for i in range(1, m + 1):

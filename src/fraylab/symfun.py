@@ -5,24 +5,27 @@ is an int if integral and a Fraction otherwise (``linalg._exact``, the rule
 vectors and Gröbner bases follow too).  Three kinds of symbol occur:
 
     ("e", side, j, k)      e_k of the j-th block alphabet on the given side
-                           (side 0 = X, side 1 = X'; higher sides label
-                           middle alphabets in bimodule composites);
-                           degree q^{2k}
+                           (side 0 = X, side 1 = X', side 2 the middle
+                           alphabet of a composite bimodule); degree q^{2k}.
+                           These are the generators of every presented
+                           ring, numbered by block within their side
     ("x", side, i)         the raw variable x_i / x'_i; degree q^2
     ("v", name, (a,q,t))   an auxiliary symbol with an explicit degree
                            (deformation parameters u_k, v-dot_k inside
                            change-of-variable formulas)
 
 Everything downstream (presented rings, curved complexes, Hochschild
-homology) manipulates these polynomials.  The partially symmetric families
-of the source constructions live here: block decompositions of total
-elementary polynomials, the a_ijk telescoping family and its thin
-recursion, the g_i polynomials of the two-strand collapse, and the
-psi/rho change of deformation variables.
+homology) manipulates these polynomials.  Raw expansion and evaluation read
+side-0 blocks from the top composition and side-1 blocks from the bottom
+one.  The partially symmetric families of the source constructions live
+here: block decompositions of total elementary polynomials, the a_ijk
+telescoping family and its thin recursion, the g_i polynomials of the
+two-strand collapse, and the psi/rho change of deformation variables.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -38,13 +41,22 @@ from .linalg import _exact
 
 TOP = 0      # unprimed alphabets X
 BOTTOM = 1   # primed alphabets X'
+MIDDLE = 2   # the middle alphabet of a composite bimodule
 
 
+@functools.cache
 def e_gen(j: int, k: int, side: int = TOP) -> tuple:
-    """e_k of block alphabet X_j (side 0) or X'_j (side 1)."""
+    """e_k of block alphabet X_j (side 0) or X'_j (side 1).  Interned:
+    polynomials share one tuple per generator."""
     if k < 1:
         raise ValueError("e_0 is the constant 1; use Poly.one()")
     return ("e", side, j, k)
+
+
+def alphabet_gens(b: Composition, side: int) -> list[tuple]:
+    """e_k(X_j) of every block j of b, 1 <= k <= its size, on the side."""
+    return [e_gen(j, k, side)
+            for j, size in enumerate(b.parts, start=1) for k in range(1, size + 1)]
 
 
 def x_gen(i: int, side: int = TOP) -> tuple:
@@ -338,9 +350,6 @@ class Composition:
         """Length of the longest element of the parabolic subgroup."""
         return sum(p * (p - 1) // 2 for p in self.parts)
 
-    def concat(self, other: "Composition") -> "Composition":
-        return Composition(self.parts + other.parts)
-
     def block_offsets(self) -> list[int]:
         out, acc = [], 0
         for p in self.parts:
@@ -417,13 +426,15 @@ def block_x_gens(b: Composition, j: int, side: int = TOP) -> list[tuple]:
     return [x_gen(off + i + 1, side) for i in range(b.parts[j - 1])]
 
 
-def expand_to_x(p: Poly, b: Composition) -> Poly:
-    """Substitute every e_k(X_j) by its raw-variable expansion."""
+def expand_to_x(p: Poly, b: Composition, bottom: Composition | None = None) -> Poly:
+    """Substitute every e_k(X_j) by its raw-variable expansion; side-1
+    blocks are those of bottom (default b)."""
+    sides = (b, b if bottom is None else bottom)
     table: dict[tuple, Poly] = {}
     for g in p.gens():
         if g[0] == "e":
             _, side, j, k = g
-            table[g] = esp(block_x_gens(b, j, side), k)
+            table[g] = esp(block_x_gens(sides[side], j, side), k)
     return p.substitute(table)
 
 
@@ -760,8 +771,11 @@ def vanishing_locus_sampler(
     return points
 
 
-def eval_at_point(p: Poly, point: Mapping[tuple, Fraction], b: Composition) -> Fraction:
-    """Evaluate a Poly (possibly in block e-coordinates) at a raw point, exactly.
+def eval_at_point(
+    p: Poly, point: Mapping[tuple, Fraction], b: Composition, bottom: Composition | None = None
+) -> Fraction:
+    """Evaluate a Poly (possibly in block e-coordinates) at a raw point,
+    exactly; side-1 blocks are those of bottom (default b).
 
     The work is done over the integers.  With D the common denominator of
     the point's values, a generator of raw degree w (w = 1 for a value the
@@ -775,6 +789,7 @@ def eval_at_point(p: Poly, point: Mapping[tuple, Fraction], b: Composition) -> F
     def scaled(v):
         return v.numerator * (D // v.denominator)
 
+    sides = (b, b if bottom is None else bottom)
     ints, weight, blocks = {}, {}, {}
     for g in p.gens():
         if g in point:
@@ -784,7 +799,7 @@ def eval_at_point(p: Poly, point: Mapping[tuple, Fraction], b: Composition) -> F
             es = blocks.get((side, j))
             if es is None:
                 es = blocks[(side, j)] = _esp_values(
-                    [scaled(point[x]) for x in block_x_gens(b, j, side)])
+                    [scaled(point[x]) for x in block_x_gens(sides[side], j, side)])
             ints[g], weight[g] = (es[k] if k < len(es) else 0), k
         elif g[0] == "x":
             raise KeyError(f"point does not cover raw variable {g}")

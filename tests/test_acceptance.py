@@ -12,8 +12,8 @@ thin composition.  The printed row carries prod_j (1 + t q^{-2j}) instead,
 which disagrees with the construction from k = 2 on; the evidence (a derived
 argument, a hand count, the Euler characteristic and the one-block
 controls) is in DISCREPANCIES.md in the repository root.  The factor-law
-record that criteria 2b and 2c assert checks the k = 2 value without
-reading the finite row.
+record that criterion 2b asserts checks the k = 2 value without reading
+the finite row.
 
 Criterion 4 compares with the infinite row as the program defines it,
 (1 - t^2 q^{-2})^k x the def_infinite row, exactly.  That is q^{-k(k-1)/2}
@@ -77,17 +77,6 @@ def test_criterion_2b_finite_factor_law_consistency():
     records = criteria.unknot_row(variant="finite", k=2)
     assert any("factor law" in r["name"] for r in records)
     report("criterion 2b: finite k=2 equals its own factor law", records)
-
-
-def test_criterion_2c_finite_power_sum_basis():
-    """The generator-basis option reaches the projector path: power sums
-    give the finite k=2 series that the elementary basis gives in criterion
-    2, since both must equal the same row and factor law.  On the thin
-    composition every block has one variable, so p_1 = e_1 and both bases
-    give the same Hochschild operators; this is a consistency check, not a
-    second count (see DISCREPANCIES.md)."""
-    records = criteria.unknot_row(variant="finite", k=2, generator_basis="power_sum")
-    report("criterion 2c: finite k=2 power-sum basis equals elementary", records)
 
 
 # -- criterion 3: deformed finite table and the factor of Theorem 1.1 ----------------

@@ -4,13 +4,11 @@ import pytest
 
 from fraylab import hochschild, homalg
 from fraylab.hochschild import (
-    BraidStats,
     HochschildData,
     compose_bimodules,
     default_window,
     hh_bimodule,
     hh_complex,
-    kr_normalize,
     trace_check,
     unknot_invariant,
 )
@@ -29,7 +27,7 @@ from fraylab.ssbim import (
     build_W,
     projector,
 )
-from fraylab.symfun import Composition
+from fraylab.symfun import BOTTOM, TOP, Composition, p_in_e
 
 
 def intrinsic(k, w):
@@ -42,8 +40,7 @@ def intrinsic(k, w):
 def test_intrinsic_rows(k):
     w = Window((0, k), (-2 * k, 2 * k + 8), (0, 0))
     res = hh_bimodule(build_identity(Composition.of(k)), w)
-    s = kr_normalize(res.series, BraidStats.unknot(k))
-    assert s.equal_on(intrinsic(k, w), w)
+    assert res.series.equal_on(intrinsic(k, w), w)
 
 
 def test_hh_W11_is_quantum_two_times_intrinsic():
@@ -78,45 +75,27 @@ def test_hh_rejects_unbalanced():
 
 @pytest.mark.parametrize("parts", [(1,), (2,), (1, 1), (1, 1, 1), (2, 1)])
 def test_generator_basis_independence(parts):
+    """Tor over the power-sum differences p_k(X_j) - p_k(X'_j) has the
+    dimensions of the product's Tor over e_k(X_j) - e_k(X'_j): the two
+    operator lists differ by an invertible triangular change."""
     lam = Composition(parts)
-    # regular-sequence invariance: compare in the natural Tor orientation,
-    # where the graded pieces stay small for total color 3
-    w = Window((0, lam.total), (0, 6 if lam.total < 3 else 4), (0, 0))
-    a = hh_bimodule(build_W(lam), w, generator_basis="elementary",
-                    orientation="natural")
-    b = hh_bimodule(build_W(lam), w, generator_basis="power_sum",
-                    orientation="natural")
-    assert a.series.coeffs and a.series.equal_on(b.series, w)
+    ring = build_W(lam).ring
+    power_sums = [(p_in_e(k, size, j, TOP) - p_in_e(k, size, j, BOTTOM), 2 * k)
+                  for j, size in enumerate(lam.parts, start=1) for k in range(1, size + 1)]
+    oracle = HochschildData(ring, power_sums)
+    product = hochschild.hochschild_data(ring, lam)
+    # natural degrees up to 6 above the quantum shift (4 at total color 3,
+    # where the graded pieces grow fast)
+    d_hi = ring.qshift + (6 if lam.total < 3 else 4)
+    cells = [(i, d) for i in range(oracle.g + 1) for d in range(d_hi + 1)]
+    assert any(product.dims(i, d) for i, d in cells)
+    assert all(oracle.dims(i, d) == product.dims(i, d) for i, d in cells)
 
 
 def test_a_exponent_range():
     w = Window((0, 5), (-6, 10), (0, 0))
     res = hh_bimodule(build_W(Composition.of(1, 1)), w)
     assert all(0 <= d[0] <= 2 for d in res.series.coeffs)
-
-
-# -- kr normalization ---------------------------------------------------------------
-
-def test_kr_unknot_stats_are_trivial():
-    stats = BraidStats.unknot(3)
-    assert stats.exponent() == 0
-    w = Window((0, 1), (-4, 4), (-2, 2))
-    s = TriSeries(w, {(0, 2, 0): Fraction(1)})
-    assert kr_normalize(s, stats).coeffs == s.coeffs
-
-
-def test_kr_shift_example():
-    stats = BraidStats(epsilon=2, N=4, eta=2)
-    w = Window((0, 3), (-6, 6), (-3, 3))
-    s = TriSeries(w, {(0, 2, 1): Fraction(1)})
-    out = kr_normalize(s, stats)
-    # shift by (a t^{-1})^2 q^{-2}
-    assert out.coeffs == {(2, 0, -1): Fraction(1)}
-
-
-def test_kr_odd_exponent_rejected():
-    with pytest.raises(ValueError):
-        BraidStats(epsilon=1, N=2, eta=2).exponent()
 
 
 # -- trace property ----------------------------------------------------------------

@@ -172,7 +172,7 @@ def test_markowitz_kernel_matches_the_incremental_route(monkeypatch):
     """Every Koszul boundary of W_(1,1,1,1) to q = 12, and every matrix
     that def_infinite k = 2 ranks or takes the kernel of."""
     lam = Composition((1, 1, 1, 1))
-    data = hochschild.HochschildData(build_W(lam).ring, hochschild.hh_operators(lam, 4))
+    data = hochschild.HochschildData(build_W(lam).ring, hochschild.hh_operators(lam))
     checked = 0
     for i in range(data.g + 1):
         for d in range(13):

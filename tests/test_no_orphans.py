@@ -19,6 +19,7 @@ PACKAGE = Path(fraylab.__file__).parent
 ALLOWED = {
     # reference oracles that tests compare product code against
     "evaluate",  # Poly.evaluate: the Fraction route of eval_at_point
+    "basis",  # GradedRing.basis: the Macaulay oracle's monomial basis
     "mono_degree",  # the degree of one monomial, for the Groebner tests
     "e_in_p",  # the inverse of p_in_e, for their round trip
     "bar",  # Laurent.bar: bar invariance of quantum integers and binomials

@@ -6,7 +6,8 @@ import pytest
 
 from fraylab import criteria, ssbim
 from fraylab.grading import MultiDegree
-from fraylab.homalg import PM_ONE, PMono, homology_truncated, pm_from
+from fraylab.hochschild import compose_bimodules
+from fraylab.homalg import PM_ONE, CheckReport, PMono, SdrData, homology_truncated, pm_from
 from fraylab.qseries import Laurent, Window, quantum_binomial, quantum_int
 from fraylab.ssbim import (
     basis_change_check,
@@ -21,7 +22,7 @@ from fraylab.ssbim import (
     projector,
     tau_complex,
 )
-from fraylab.symfun import BOTTOM, Composition, Poly, e_gen
+from fraylab.symfun import BOTTOM, MIDDLE, TOP, Composition, Poly, e_gen, g_polys
 
 
 # -- merge-split bimodules -------------------------------------------------------
@@ -44,6 +45,30 @@ def test_W11_rank_is_quantum_two():
 @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 1, 1), (3, 1), (2, 2), (1, 1, 1, 1)])
 def test_blamgon_rank_windowed(parts):
     assert graded_rank_check(Composition(parts), 12)
+
+
+def _alphabet(comp: Composition, side: int) -> set:
+    return {e_gen(j, k, side) for j, size in enumerate(comp.parts, start=1)
+            for k in range(1, size + 1)}
+
+
+@pytest.mark.parametrize("top, bottom", [((1, 1), (2,)), ((2, 1), (1, 2)), ((1, 1, 1), (3,))])
+def test_ring_generators_are_named_by_side(top, bottom):
+    """Every ring generator is ("e", side, j, k) of degree q^{2k}: e_k of
+    block j of that side's composition, with the middle side only in
+    composites; relations use no other symbol."""
+    a, b = Composition(top), Composition(bottom)
+    rings = [
+        (build_W(a, b), _alphabet(a, TOP) | _alphabet(b, BOTTOM)),
+        (build_identity(a), _alphabet(a, TOP) | _alphabet(a, BOTTOM)),
+        (compose_bimodules(build_W(a, b), build_W(b, a)),
+         _alphabet(a, TOP) | _alphabet(a, BOTTOM) | _alphabet(b, MIDDLE)),
+    ]
+    for M, want in rings:
+        spec = M.ring.spec
+        assert {g for g, _ in spec.generators} == want
+        assert all(d == 2 * g[3] for g, d in spec.generators)
+        assert set().union(*(r.gens() for r in spec.relations)) <= want
 
 
 def test_total_mismatch_rejected():
@@ -106,7 +131,7 @@ def test_deformed_finite_curvature_shape():
     proj = projector(lam, "def_finite", cap=2)
     mono = PMono((("y1_1", 1),), (), ())
     assert mono in proj.complex.curvature
-    diff = Poly.gen(e_gen(1, 1)) - Poly.gen(e_gen(2, 1))
+    diff = Poly.gen(e_gen(1, 1)) - Poly.gen(e_gen(1, 1, BOTTOM))
     assert proj.complex.curvature[mono] == diff
 
 
@@ -155,8 +180,19 @@ def test_deformed_infinite_y_zero_recovers_infinite():
             assert e.plain_part() == dinf.complex.terms[mono][ij].plain_part()
 
 
-def _sha256(x) -> str:
-    return hashlib.sha256(json.dumps(x.to_json(), sort_keys=True).encode()).hexdigest()
+def _sha256(x, m: int) -> str:
+    """sha256 of x's sorted JSON with each bottom generator ("e", 1, j, k)
+    written ("e", 0, m + j, k), m the number of top blocks: the names the
+    digests below were taken in, one bottom block after the top ones."""
+    def renamed(v):
+        if isinstance(v, list):
+            if len(v) == 4 and v[0] == "e" and v[1] == BOTTOM:
+                return ["e", TOP, m + v[2], v[3]]
+            return [renamed(w) for w in v]
+        if isinstance(v, dict):
+            return {key: renamed(w) for key, w in v.items()}
+        return v
+    return hashlib.sha256(json.dumps(renamed(x.to_json()), sort_keys=True).encode()).hexdigest()
 
 
 # sha256 of each complex's sorted JSON: a change to how the builders are
@@ -202,12 +238,12 @@ CN_SHA256 = [
 
 @pytest.mark.parametrize("variant, parts, digest", PROJECTOR_SHA256)
 def test_projector_serialization_pinned(variant, parts, digest):
-    assert _sha256(projector(Composition(parts), variant, cap=3)) == digest
+    assert _sha256(projector(Composition(parts), variant, cap=3), len(parts)) == digest
 
 
 @pytest.mark.parametrize("n, variant, digest", CN_SHA256)
 def test_cn_serialization_pinned(n, variant, digest):
-    assert _sha256(cn_family(n, variant, cap=2)) == digest
+    assert _sha256(cn_family(n, variant, cap=2), 2) == digest
 
 
 @pytest.mark.parametrize("parts", [(1, 1), (2, 1)])
@@ -286,10 +322,8 @@ def test_cn_plain_shape():
 
 
 def test_cn_u_backward_maps():
-    from fraylab.ssbim import _g_concat
-
     cx = cn_family(2, "u", cap=2)
-    gs = _g_concat(2)
+    gs = g_polys(2)
     for i in (1, 2):
         mono = PMono(((f"u{i}", 1),), (), ())
         assert cx.terms[mono][(0, 1)].plain_part() == -1 * gs[i - 1]
@@ -300,6 +334,12 @@ def test_cn_u_backward_maps():
 def test_cone_iota_eliminate(n, variant):
     red = cone_iota_eliminate(n, variant, cap=2)
     assert len(red.objects) == 2
+
+
+def test_cone_iota_eliminate_raises_on_a_bad_sdr(monkeypatch):
+    monkeypatch.setattr(SdrData, "verify", lambda self: CheckReport(False, "forced failure"))
+    with pytest.raises(ValueError, match="bad SDR: forced failure"):
+        cone_iota_eliminate(1, "plain", cap=2)
 
 
 def test_cone_iota_composite_is_curvature():
