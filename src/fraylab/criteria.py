@@ -284,11 +284,11 @@ def trace_pair(top: tuple, bottom: tuple, window: Window) -> dict:
                    {"a": list(top), "b": list(bottom), "window": window.to_json()})
 
 
-def trace(max_n: int = 3, rank_max_n: Optional[int] = None, seed: int = 0) -> list[dict]:
+def trace(max_n: int = 3, seed: int = 0) -> list[dict]:
     """Criterion 10: the trace property on every merge/split pair a <-> (N)
     for 2 <= N <= max_n, and on each ordered pair of compositions of 2 once,
     in seeded order on a seeded window; the blamgon ranks for every lambda
-    with |lambda| <= rank_max_n (default max_n)."""
+    with |lambda| <= max_n."""
     window = Window((0, max_n), (-8, 12), (0, 0))
     out = [trace_pair(parts, (N,), window)
            for N in range(2, max_n + 1) for parts in compositions(N) if parts != (N,)]
@@ -297,7 +297,7 @@ def trace(max_n: int = 3, rank_max_n: Optional[int] = None, seed: int = 0) -> li
     rng.shuffle(pairs)
     for a, b in pairs:
         out.append(trace_pair(a, b, Window((0, 2), (rng.randint(-8, -4), rng.randint(6, 10)), (0, 0))))
-    for N in range(1, (rank_max_n or max_n) + 1):
+    for N in range(1, max_n + 1):
         for parts in compositions(N):
             ok = graded_rank_check(Composition(parts), 12)
             out.append(_record(f"blamgon rank lambda={parts}", ok, {"lambda": list(parts)}))

@@ -49,10 +49,6 @@ class MultiDegree:
         return f"a^{self.a} q^{self.q} t^{self.t}"
 
 
-def deg(a: int = 0, q: int = 0, t: int = 0) -> MultiDegree:
-    return MultiDegree(a, q, t)
-
-
 def parity(d1: MultiDegree, d2: MultiDegree) -> int:
     """The sign form <d1, d2> = a1*a2 + t1*t2 mod 2."""
     return (d1.a * d2.a + d1.t * d2.t) % 2

@@ -65,7 +65,7 @@ class RingSpec:
     the bimodule this ring presents (never baked into generator degrees).
     sampler(count, seed) optionally returns exact points of the vanishing
     locus of the relations, used as a second route in equality checks:
-    ``nonvanishing``, the one vanishing rule, asks for 20 points at seed 0.
+    ``GradedRing.sampled_zero`` always asks for 20 points at seed 0.
     alphabets, the (top, bottom) compositions of a ring on symfun's e_k
     symbols, give the blocks of its side-0 and side-1 generators at those
     points.
@@ -371,12 +371,12 @@ class GradedRing:
     def reduces_to_zero(self, p: Poly) -> bool:
         return self.normal_form(p).is_zero()
 
-    def sampled_zero(self, p: Poly, count: int = 20, seed: int = 0) -> bool:
-        """Exact evaluation at vanishing-locus samples.  p is evaluated as it
-        stands, not expanded into raw variables: each e_k(X_j) takes its
-        value from the point's raw coordinates.  Without a sampler the ring
-        must have no relations left, and then the normal form decides
-        exactly."""
+    def sampled_zero(self, p: Poly) -> bool:
+        """Exact evaluation at the ring's 20 vanishing-locus samples (seed
+        0).  p is evaluated as it stands, not expanded into raw variables:
+        each e_k(X_j) takes its value from the point's raw coordinates.
+        Without a sampler the ring must have no relations left, and then the
+        normal form decides exactly."""
         if self.spec.sampler is None:
             if self.relations:
                 raise ValueError(
@@ -386,7 +386,7 @@ class GradedRing:
         p = self._apply_subst(p)
         return all(
             eval_at_point(p, pt, *self.spec.alphabets) == 0
-            for pt in self.spec.sampler(count, seed)
+            for pt in self.spec.sampler(20, 0)
         )
 
     def mult_matrix(self, p: Poly, qdeg: int) -> dict[tuple[int, int], Fraction]:
@@ -912,13 +912,13 @@ class CurvedComplex:
             self.opaque_rules, self.opaque_degrees,
         )
 
-    def with_params(self, extra: ParamSpec, cap: Optional[int] = None) -> "CurvedComplex":
+    def with_params(self, extra: ParamSpec) -> "CurvedComplex":
         return CurvedComplex(
             self.objects,
             self.params.merge(extra),
             {m: dict(mat) for m, mat in self.terms.items()},
             dict(self.curvature),
-            cap if cap is not None else self.cap,
+            self.cap,
             self.opaque_rules,
             self.opaque_degrees,
         )

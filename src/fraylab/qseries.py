@@ -36,16 +36,8 @@ class Laurent:
                     self.c[k] = v
 
     @staticmethod
-    def zero() -> "Laurent":
-        return Laurent()
-
-    @staticmethod
     def one() -> "Laurent":
         return Laurent({0: Fraction(1)})
-
-    @staticmethod
-    def q(power: int = 1, coeff=1) -> "Laurent":
-        return Laurent({power: Fraction(coeff)})
 
     def __add__(self, other: "Laurent") -> "Laurent":
         out = dict(self.c)
@@ -124,7 +116,7 @@ class Laurent:
 def quantum_int(j: int) -> Laurent:
     """[j] = q^{j-1} + q^{j-3} + ... + q^{1-j}; [-j] = -[j]; [0] = 0."""
     if j == 0:
-        return Laurent.zero()
+        return Laurent()
     if j < 0:
         return -quantum_int(-j)
     return Laurent({j - 1 - 2 * i: Fraction(1) for i in range(j)})
@@ -214,16 +206,8 @@ class TriSeries:
                     self.coeffs[d] = _exact(c)
 
     @staticmethod
-    def zero(window: Window) -> "TriSeries":
-        return TriSeries(window)
-
-    @staticmethod
     def one(window: Window) -> "TriSeries":
         return TriSeries(window, {(0, 0, 0): 1})
-
-    @staticmethod
-    def from_laurent(window: Window, l: Laurent) -> "TriSeries":
-        return TriSeries(window, {(0, k, 0): v for k, v in l.c.items()})
 
     def __add__(self, other: "TriSeries") -> "TriSeries":
         out = dict(self.coeffs)
@@ -238,8 +222,6 @@ class TriSeries:
         return self + (-other)
 
     def __mul__(self, other) -> "TriSeries":
-        if isinstance(other, Laurent):
-            other = TriSeries.from_laurent(self.window, other)
         if not isinstance(other, TriSeries):
             k = _exact(other)
             return TriSeries(self.window, {d: c * k for d, c in self.coeffs.items()})
@@ -254,14 +236,6 @@ class TriSeries:
         return TriSeries(w, out)
 
     __rmul__ = __mul__
-
-    def shift(self, d: tuple[int, int, int], c=1) -> "TriSeries":
-        """Multiply by c * a^d0 q^d1 t^d2 (window kept fixed)."""
-        c = _exact(c)
-        return TriSeries(self.window, {
-            (dd[0] + d[0], dd[1] + d[1], dd[2] + d[2]): cc * c
-            for dd, cc in self.coeffs.items()
-        })
 
     def restrict(self, window: Window) -> "TriSeries":
         return TriSeries(window, self.coeffs)

@@ -50,7 +50,7 @@ from .homalg import (
     cone,
     gaussian_eliminate,
 )
-from .qseries import Laurent, f_factor
+from .qseries import f_factor
 from .symfun import (
     BOTTOM,
     Composition,
@@ -137,20 +137,17 @@ def build_identity(a: Composition) -> MergeSplitBimodule:
 # graded-dimension checks ----------------------------------------------------
 
 
-def blamgon_rank(lam: Composition) -> Laurent:
-    return f_factor(lam.total, lam)
-
-
 def graded_rank_check(lam: Composition, qmax: int) -> bool:
-    """dim_q W_lambda * q^{-qshift} == blamgon_rank * dim_q 1_lambda on
-    [0..qmax] (both sides as honest q-series)."""
+    """dim_q W_lambda * q^{-qshift} == f_factor(|lambda|, lambda) * dim_q 1_lambda
+    on [0..qmax], the blamgon rank times the identity (both sides as honest
+    q-series)."""
     W = build_W(lam)
     ident = build_identity(lam)
     lhs = {}
     for d in range(0, qmax + 1):
         lhs[d - W.qshift] = W.ring.dim(d)
     rhs_series = {d: ident.ring.dim(d) for d in range(0, qmax + 1)}
-    rank = blamgon_rank(lam)
+    rank = f_factor(lam.total, lam)
     rhs = {}
     for k, c in rank.c.items():
         for d, v in rhs_series.items():
@@ -288,7 +285,7 @@ def projector(lam: Composition, variant: str, cap: int = 3, check: bool = True) 
 UNZIP_RULES = {("unit", "unzip"): None}
 
 
-def _xdiff(n: int) -> Poly:
+def _xdiff() -> Poly:
     """x_{n+1} - x'_{n+1}, the e_1 of block 2 of (n, 1) on each side."""
     return Poly.gen(e_gen(2, 1, TOP)) - Poly.gen(e_gen(2, 1, BOTTOM))
 
@@ -316,7 +313,7 @@ def cn_family(n: int, variant: str = "plain", cap: int = 3) -> CurvedComplex:
     curv: dict[PMono, Poly] = {}
     if variant in ("y", "yu"):
         entries.append((f"y{n + 1}", MultiDegree(0, -2, 2), "even"))
-        curv[PMono(((f"y{n + 1}", 1),), (), ())] = _xdiff(n)
+        curv[PMono(((f"y{n + 1}", 1),), (), ())] = _xdiff()
     if variant in ("u", "yu"):
         entries.extend(_u_params(n))
         for i in range(1, n + 1):
@@ -346,7 +343,7 @@ def _two_term(n: int, variant: str, legs: int) -> Terms:
     """The connection of the two-term complex q^n W <-> tq^{n-2} W: forward
     x_{n+1} - x'_{n+1}, backward y_{n+1} (variants y, yu) and -g_i u_i for
     i <= legs (variants u, yu)."""
-    terms: Terms = {PM_ONE: {(1, 0): Entry.plain(_xdiff(n))}}
+    terms: Terms = {PM_ONE: {(1, 0): Entry.plain(_xdiff())}}
     if variant in ("y", "yu"):
         terms[PMono(((f"y{n + 1}", 1),), (), ())] = {(0, 1): Entry.plain(Poly.one())}
     if variant in ("u", "yu"):

@@ -20,7 +20,8 @@ side-0 blocks from the top composition and side-1 blocks from the bottom
 one.  The partially symmetric families of the source constructions live
 here: block decompositions of total elementary polynomials, the a_ijk
 telescoping family and its thin recursion, the g_i polynomials of the
-two-strand collapse, and the psi/rho change of deformation variables.
+two-strand collapse, and the psi/rho change of deformation variables: one
+triangular matrix R (``rho_matrix``) gives rho, and psi is its inverse.
 """
 
 from __future__ import annotations
@@ -485,11 +486,10 @@ def h_in_e(k: int, size: int, j: int = 1, side: int = TOP) -> Poly:
     return hs[k]
 
 
-def difference_symmetric(kind: str, j: int, size: int, block: int = 1) -> Poly:
-    """e_j or h_j of the difference alphabet X - X', via
-    E(X-X',t) = E(X,t)/E(X',t) and H = 1/E(-t).
+def e_difference(j: int, size: int) -> Poly:
+    """e_j of the difference alphabet X - X' (block 1 of the given size on
+    each side), via E(X-X',t) = E(X,t)/E(X',t) and H = 1/E(-t):
 
-    h_j(X-X') = sum_{a+b=j} (-1)^b h_a(X) e_b(X');
     e_j(X-X') = sum_{a+b=j} (-1)^b e_a(X) h_b(X').
     """
     if j < 0:
@@ -497,15 +497,7 @@ def difference_symmetric(kind: str, j: int, size: int, block: int = 1) -> Poly:
     out = Poly.zero()
     for a in range(j + 1):
         b = j - a
-        if kind == "h":
-            left = h_in_e(a, size, block, TOP)
-            right = esp_sym(b, size, block, BOTTOM)
-        elif kind == "e":
-            left = esp_sym(a, size, block, TOP)
-            right = h_in_e(b, size, block, BOTTOM)
-        else:
-            raise ValueError("kind must be 'e' or 'h'")
-        out = out + Fraction((-1) ** b) * (left * right)
+        out = out + (-1) ** b * (esp_sym(a, size) * h_in_e(b, size, 1, BOTTOM))
     return out
 
 
@@ -623,98 +615,73 @@ def vdot_param(k: int) -> tuple:
     return v_gen(("vd", k), MultiDegree(0, -2 * k, 2))
 
 
-def rho_change(i: int, a: int) -> Poly:
-    """rho_i^a = sum_j sum_{k=j}^a (-1)^{i+k-j-1} (j/k) h_{j-i}(X) e_{k-j}(X-X') vdot_k.
+def rho_matrix(a: int) -> dict[tuple[int, int], Poly]:
+    """R_ik for 1 <= i <= k <= a, on alphabets X, X' of size a:
 
-    This is the substitution u_i := rho_i^a(vdot) carrying the elementary
-    curvature sum_k (e_k(X)-e_k(X')) u_k exactly to the power-sum curvature
-    sum_k (1/k)(p_k(X)-p_k(X')) vdot_k; its column k expresses
-    (1/k)(p_k - p_k') in the differences e_i(X)-e_i(X'), i <= k.
+        R_ik = sum_{j=i}^{k} (-1)^{i+k-j-1} (j/k) h_{j-i}(X) e_{k-j}(X-X').
+
+    rho_i^a = sum_k R_ik vdot_k is the substitution u_i := rho_i^a carrying
+    the elementary curvature sum_k (e_k(X)-e_k(X')) u_k exactly to the
+    power-sum curvature sum_k (1/k)(p_k(X)-p_k(X')) vdot_k; column k
+    expresses (1/k)(p_k - p_k') in the differences e_i(X)-e_i(X'), i <= k.
+    R is upper triangular with diagonal R_kk = (-1)^{k-1}.
     """
-    if not (1 <= i <= a):
-        raise ValueError("rho index out of range")
-    out = Poly.zero()
-    for j in range(i, a + 1):  # h_{j-i} vanishes for j < i
-        for k in range(j, a + 1):
-            coeff = Fraction(j, k) * ((-1) ** ((i + k - j - 1) % 2))
-            term = coeff * h_in_e(j - i, a) * difference_symmetric("e", k - j, a)
-            out = out + term * Poly.gen(vdot_param(k))
-    return out
-
-
-def _rho_matrix(a: int) -> dict[tuple[int, int], Poly]:
-    """R_{ik} = coefficient of vdot_k in rho_i^a (zero for k < i)."""
+    hs = [h_in_e(d, a) for d in range(a)]
+    es = [e_difference(d, a) for d in range(a)]
     R: dict[tuple[int, int], Poly] = {}
     for i in range(1, a + 1):
-        rho = rho_change(i, a)
         for k in range(i, a + 1):
-            coeff = Poly.zero()
-            target = vdot_param(k)
-            for m, c in rho.terms.items():
-                md = dict(m)
-                if md.get(target) == 1:
-                    rest = tuple(sorted((g, e) for g, e in md.items() if g != target))
-                    coeff = coeff + Poly({rest: c})
-            if not coeff.is_zero():
-                R[(i, k)] = coeff
+            acc = Poly.zero()
+            for j in range(i, k + 1):
+                acc = acc + Fraction((-1) ** (i + k - j - 1) * j, k) * (hs[j - i] * es[k - j])
+            R[(i, k)] = acc
     return R
 
 
-def psi_change(i: int, a: int) -> Poly:
-    """psi_i^a, the exact inverse substitution of rho: vdot_i = psi_i^a(u).
+def rho_substitution(R: dict[tuple[int, int], Poly], a: int) -> dict[tuple, Poly]:
+    """u_i := rho_i^a = sum_k R_ik vdot_k, for i <= a."""
+    out = {}
+    for i in range(1, a + 1):
+        acc = Poly.zero()
+        for k in range(i, a + 1):
+            acc = acc + R[(i, k)] * Poly.gen(vdot_param(k))
+        out[u_param(i)] = acc
+    return out
+
+
+def psi_substitution(R: dict[tuple[int, int], Poly], a: int) -> dict[tuple, Poly]:
+    """vdot_i := psi_i^a, the exact inverse of rho: the triangular inverse of
+    R, by back-substitution vdot_i = R_ii (u_i - sum_{k>i} R_ik psi_k^a)
+    (R_ii = +-1 is its own inverse), from i = a down.
 
     The closed form printed in the source for psi is not mutually inverse
     to rho (its diagonal is +1 while rho's is (-1)^{k-1}); the dictionary
-    is therefore realized as the triangular inverse of the rho matrix,
-    which is what mutual inversion and curvature transport force.
+    is therefore realized as the triangular inverse of R, which is what
+    mutual inversion and curvature transport force.
     """
-    if not (1 <= i <= a):
-        raise ValueError("psi index out of range")
-    return _psi_table(a)[i]
-
-
-_PSI_CACHE: dict[int, dict[int, Poly]] = {}
-
-
-def _psi_table(a: int) -> dict[int, Poly]:
-    if a in _PSI_CACHE:
-        return _PSI_CACHE[a]
-    R = _rho_matrix(a)
-    # back-substitute: u_i = sum_{k>=i} R_{ik} vdot_k with scalar diagonal
-    # => vdot_i = (1/R_{ii}) (u_i - sum_{k>i} R_{ik} vdot_k)
-    psis: dict[int, Poly] = {}
-    for idx in range(a, 0, -1):
-        diag = R[(idx, idx)].constant_value()
-        if diag is None or diag == 0:
-            raise ValueError("rho matrix lost its scalar diagonal")
-        acc = Poly.gen(u_param(idx))
-        for k in range(idx + 1, a + 1):
-            coeff = R.get((idx, k))
-            if coeff is not None:
-                acc = acc - coeff * psis[k]
-        psis[idx] = (Fraction(1) / diag) * acc
-    _PSI_CACHE[a] = psis
+    psis: dict[tuple, Poly] = {}
+    for i in range(a, 0, -1):
+        acc = Poly.gen(u_param(i))
+        for k in range(i + 1, a + 1):
+            acc = acc - R[(i, k)] * psis[vdot_param(k)]
+        psis[vdot_param(i)] = R[(i, i)].constant_value() * acc
     return psis
 
 
 def psi_rho_roundtrip(a: int) -> list[Poly]:
     """The defects rho_i(psi) - u_i after substituting vdot_k := psi_k^a."""
-    psis = {vdot_param(k): psi_change(k, a) for k in range(1, a + 1)}
-    out = []
-    for i in range(1, a + 1):
-        composed = rho_change(i, a).substitute(psis)
-        out.append(composed - Poly.gen(u_param(i)))
-    return out
+    R = rho_matrix(a)
+    psis = psi_substitution(R, a)
+    return [rho.substitute(psis) - Poly.gen(u)
+            for u, rho in rho_substitution(R, a).items()]
 
 
 def rho_psi_roundtrip(a: int) -> list[Poly]:
     """The defects psi_i(rho) - vdot_i after substituting u_k := rho_k^a."""
-    rhos = {u_param(k): rho_change(k, a) for k in range(1, a + 1)}
-    out = []
-    for i in range(1, a + 1):
-        composed = psi_change(i, a).substitute(rhos)
-        out.append(composed - Poly.gen(vdot_param(i)))
-    return out
+    R = rho_matrix(a)
+    rhos = rho_substitution(R, a)
+    return [psi.substitute(rhos) - Poly.gen(vd)
+            for vd, psi in psi_substitution(R, a).items()]
 
 
 def curvature_transport_defect(a: int) -> Poly:
@@ -724,8 +691,7 @@ def curvature_transport_defect(a: int) -> Poly:
     for k in range(1, a + 1):
         diff = esp_sym(k, a, 1, TOP) - esp_sym(k, a, 1, BOTTOM)
         f_u = f_u + diff * Poly.gen(u_param(k))
-    rhos = {u_param(k): rho_change(k, a) for k in range(1, a + 1)}
-    transported = f_u.substitute(rhos)
+    transported = f_u.substitute(rho_substitution(rho_matrix(a), a))
     target = Poly.zero()
     for k in range(1, a + 1):
         diff = p_in_e(k, a, 1, TOP) - p_in_e(k, a, 1, BOTTOM)

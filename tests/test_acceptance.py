@@ -26,6 +26,8 @@ import pytest
 from fraylab import criteria
 from fraylab.homalg import CheckReport, CurvedComplex, SdrData
 from fraylab.qseries import Window
+from fraylab.ssbim import graded_rank_check
+from fraylab.symfun import Composition, compositions
 
 
 def report(name: str, records: list, extra: str = "") -> None:
@@ -179,8 +181,10 @@ def test_criterion_9_ladder():
 
 
 def test_criterion_10_trace_and_digon():
-    report("criterion 10: trace on merge/split pairs (N <= 3), ranks (N <= 4)",
-           criteria.trace(max_n=3, rank_max_n=4, seed=0))
+    report("criterion 10: trace on merge/split pairs and ranks (N <= 3)",
+           criteria.trace(max_n=3, seed=0))
+    for parts in compositions(4):  # the ranks at N = 4, without their trace pairs
+        assert graded_rank_check(Composition(parts), 12), parts
 
 
 @pytest.mark.parametrize("parts", [(2, 2), (1, 3), (3, 1), (1, 1, 2), (2, 1, 1)])

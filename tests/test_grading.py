@@ -2,7 +2,6 @@ from hypothesis import given, strategies as st
 
 from fraylab.grading import (
     MultiDegree,
-    deg,
     parity,
     shift_sign,
 )
@@ -12,11 +11,11 @@ degrees = st.builds(MultiDegree, small, small, small)
 
 
 def test_addition_examples():
-    assert deg(0, 0, 0) + deg(1, -2, 2) == deg(1, -2, 2)
-    assert deg(0, 2, 0) + deg(0, -2, 1) == deg(0, 0, 1)
+    assert MultiDegree(0, 0, 0) + MultiDegree(1, -2, 2) == MultiDegree(1, -2, 2)
+    assert MultiDegree(0, 2, 0) + MultiDegree(0, -2, 1) == MultiDegree(0, 0, 1)
     # deg(u_i) + deg(e_i): curvature terms land in t^2
     for i in range(1, 5):
-        assert deg(0, -2 * i, 2) + deg(0, 2 * i, 0) == deg(0, 0, 2)
+        assert MultiDegree(0, -2 * i, 2) + MultiDegree(0, 2 * i, 0) == MultiDegree(0, 0, 2)
 
 
 @given(degrees, degrees, degrees)
@@ -30,10 +29,10 @@ def test_parity_symmetric(d1, d2):
 
 
 def test_shift_signs():
-    assert shift_sign(deg(0, 1, 0)) == 1   # q-shifts leave differentials alone
-    assert shift_sign(deg(0, 0, 1)) == -1  # t-shift negates
-    assert shift_sign(deg(1, 0, 0)) == -1  # a-shift negates
-    assert shift_sign(deg(0, 3, 1)) == -1
+    assert shift_sign(MultiDegree(0, 1, 0)) == 1   # q-shifts leave differentials alone
+    assert shift_sign(MultiDegree(0, 0, 1)) == -1  # t-shift negates
+    assert shift_sign(MultiDegree(1, 0, 0)) == -1  # a-shift negates
+    assert shift_sign(MultiDegree(0, 3, 1)) == -1
 
 
 @given(degrees)
@@ -42,4 +41,4 @@ def test_double_shift_is_even(delta):
 
 
 def test_json_triple():
-    assert deg(1, -2, 3).to_json() == [1, -2, 3]
+    assert MultiDegree(1, -2, 3).to_json() == [1, -2, 3]

@@ -14,11 +14,8 @@ from fraylab.hochschild import (
 )
 from fraylab.linalg import rank_of
 from fraylab.qseries import (
-    Laurent,
-    RationalSeriesExpr,
     TriSeries,
     Window,
-    quantum_factorial,
     quantum_int,
     unknot_table,
 )

@@ -177,7 +177,7 @@ def test_infinite_row_is_the_printed_row_times_a_q_monomial(k):
         + [{(0, 0, 0): Fraction(1), (1, -2 * j, 0): Fraction(1)} for j in range(1, k + 1)],
         [(0, 2, 0)] * k + [(0, -2 * j, 2) for j in range(1, k + 1)],
     )
-    expected = printed.times_laurent(Laurent.q(-k * (k - 1) // 2)).expand(w)
+    expected = printed.times_laurent(Laurent({-k * (k - 1) // 2: 1})).expand(w)
     got = unknot_table("infinite", k).expand(w)
     assert got.coeffs and got.equal_on(expected), got.mismatches(expected)[:5]
 
@@ -244,8 +244,6 @@ def test_coefficients_are_ints_when_integral():
     assert_exact_coeffs(prod)
     assert_exact_coeffs(half * 2)
     assert (half * 2).coeffs == {(0, 0, 0): 2, (0, 1, 0): 1}
-    assert_exact_coeffs(half.shift((0, 1, 0), Fraction(2)))
-    assert half.shift((0, 1, 0), Fraction(2)).coeffs == {(0, 1, 0): 2, (0, 2, 0): 1}
     assert_exact_coeffs(half + half)
 
 
@@ -258,17 +256,14 @@ def test_products_match_a_naive_fraction_product(x, y, w1, w2):
     assert_exact_coeffs(prod)
 
 
-@given(raw_series, raw_series, windows(), degrees, coefficients)
-def test_sums_shifts_and_scalars_keep_the_rule(x, y, w, d, c):
+@given(raw_series, raw_series, windows(), coefficients)
+def test_sums_shifts_and_scalars_keep_the_rule(x, y, w, c):
     s, t = TriSeries(w, x), TriSeries(w, y)
     assert_exact_coeffs(s)
     total = s + t
     assert_exact_coeffs(total)
     naive_sum = {k: Fraction(x.get(k, 0)) + Fraction(y.get(k, 0)) for k in set(x) | set(y)}
     assert total.coeffs == clipped(naive_sum, w)
-    shifted = s.shift(d, c)
-    assert_exact_coeffs(shifted)
-    assert shifted.coeffs == naive_product(clipped(x, w), {d: c}, w)
     assert_exact_coeffs(s * c)
     assert (s * c).coeffs == naive_product(clipped(x, w), {(0, 0, 0): c}, w)
 

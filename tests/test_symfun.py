@@ -1,9 +1,8 @@
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from fraylab.symfun import (
     BOTTOM,
@@ -15,7 +14,7 @@ from fraylab.symfun import (
     a_thin_recursive,
     block_x_gens,
     curvature_transport_defect,
-    difference_symmetric,
+    e_difference,
     e_gen,
     e_in_p,
     elementary_of_total,
@@ -24,13 +23,13 @@ from fraylab.symfun import (
     eval_at_point,
     expand_to_x,
     g_polys,
-    h_in_e,
     p_gen,
     p_in_e,
-    psi_change,
     psi_rho_roundtrip,
-    rho_change,
+    psi_substitution,
+    rho_matrix,
     rho_psi_roundtrip,
+    rho_substitution,
     u_param,
     v_gen,
     vanishing_locus_sampler,
@@ -204,8 +203,9 @@ def test_g_congruence_on_vanishing_locus(n):
 # -- psi/rho ----------------------------------------------------------------------
 
 def test_psi_rho_base_case():
-    assert psi_change(1, 1) == Poly.gen(u_param(1))
-    assert rho_change(1, 1) == Poly.gen(vdot_param(1))
+    R = rho_matrix(1)
+    assert psi_substitution(R, 1) == {vdot_param(1): Poly.gen(u_param(1))}
+    assert rho_substitution(R, 1) == {u_param(1): Poly.gen(vdot_param(1))}
 
 
 @pytest.mark.parametrize("a", [1, 2, 3, 4])
@@ -225,11 +225,8 @@ def test_curvature_transport(a):
 # -- difference alphabets -----------------------------------------------------------
 
 def test_difference_symmetric_examples():
-    assert difference_symmetric("h", 0, 3) == Poly.one()
-    d1 = difference_symmetric("h", 1, 3)
     want = Poly.gen(e_gen(1, 1)) - Poly.gen(e_gen(1, 1, BOTTOM))
-    assert d1 == want
-    assert difference_symmetric("e", 1, 3) == want
+    assert e_difference(1, 3) == want
 
 
 def test_difference_generating_function_oracle():
@@ -238,7 +235,7 @@ def test_difference_generating_function_oracle():
     for j in (1, 2):
         lhs = Poly.zero()
         for aa in range(j + 1):
-            lhs = lhs + difference_symmetric("e", aa, 2) * esp_sym(j - aa, 2, 1, BOTTOM)
+            lhs = lhs + e_difference(aa, 2) * esp_sym(j - aa, 2, 1, BOTTOM)
         assert expand_to_x(lhs - esp_sym(j, 2), Composition.of(2)).is_zero()
 
 
