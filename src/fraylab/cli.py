@@ -26,7 +26,7 @@ import os
 import sys
 
 from . import __version__, criteria
-from .hochschild import unknot_invariant
+from .hochschild import default_window, unknot_invariant
 from .qseries import Window
 from .ssbim import cn_family, projector
 from .symfun import Composition, a_family, a_thin_recursive, g_polys
@@ -36,11 +36,12 @@ WINDOW_FLAGS = ("qmin", "qmax", "tmax", "amax")
 
 
 def _window_from_args(args, k: int = 1) -> Window:
-    """The window the q/t/a flags ask for."""
-    qmin = args.qmin if args.qmin is not None else -2 * k
-    qmax = args.qmax if args.qmax is not None else 2 * k + 12
-    tmax = args.tmax if args.tmax is not None else 4
-    amax = args.amax if args.amax is not None else k
+    """hochschild.default_window(variant, k) with the q/t/a flags' bounds."""
+    base = default_window(args.variant or "intrinsic", k)
+    qmin = base.q[0] if args.qmin is None else args.qmin
+    qmax = base.q[1] if args.qmax is None else args.qmax
+    tmax = base.t[1] if args.tmax is None else args.tmax
+    amax = base.a[1] if args.amax is None else args.amax
     if qmin > qmax or tmax < 0 or amax < 0:
         raise ValueError(
             f"empty window: q {qmin}..{qmax}, t 0..{tmax}, a 0..{amax}"

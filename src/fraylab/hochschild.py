@@ -2,10 +2,12 @@
 
 For a bimodule over a partially symmetric coefficient ring (polynomial on
 blockwise elementary generators, the symfun symbols e_k(X_j) on side 0 and
-e_k(X'_j) on side 1), total Hochschild homology is the Koszul homology of
-the operators {left e_k(X_j) - right e_k(X'_j)}: the complex
-M (x) Lambda(dual generators) with the contraction differential, computed
-degree by degree with exact linear algebra.
+e_k(X'_j) on side 1), total Hochschild homology is Tor, the Koszul
+homology of the operators xi = e_k(X_j) - e_k(X'_j).  Their Koszul
+complex is itself a one-object curved complex: the ring, one odd
+parameter theta per operator, and the connection sum xi theta^dual.  So
+Tor is the unrolled homology of that complex (``HochschildData``), by the
+one routine that unrolls every curved complex, ``homalg.Unrolling``.
 
 Grading convention.  The computation is Tor-natural (the dual generator
 paired with a degree-q^{2k} polynomial generator carries natural degree
@@ -19,17 +21,16 @@ uses T of the one-block ring regardless of the actual composition, which
 makes the trace property and the fray factor laws hold on the nose and
 pins the intrinsic unknot rows to prod_j (1 + a q^{-2j})/(1 - q^{2j}).
 
-Curved complexes are handled termwise: chain objects take Koszul homology
-with tracked class representatives, the connection is transported through
-the left/right identification (each e_k(X'_j) replaced by its partner
+Curved complexes are handled termwise: chain objects take Tor with
+tracked class representatives, the connection is transported through the
+left/right identification (each e_k(X'_j) replaced by its partner
 e_k(X_j)), and the resulting complex of classes is resolved in the
-t-direction by homalg.unrolled_homology, the routine truncated homology
-uses as well.  A bimodule is the one-object complex with no parameters.
+t-direction by the same routine, homalg.unrolled_homology, that truncated
+homology uses.  A bimodule is the one-object complex with no parameters.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -42,9 +43,10 @@ from .homalg import (
     PMono,
     RC_Object,
     RingSpec,
+    Unrolling,
     unrolled_homology,
 )
-from .linalg import ClassTracker, rank_of
+from .linalg import ClassTracker
 from .qseries import TriSeries, Window, unknot_table
 from .ssbim import MergeSplitBimodule, build_identity, projector
 from .symfun import BOTTOM, MIDDLE, Composition, Poly, TOP, alphabet_gens, e_gen
@@ -74,99 +76,51 @@ def hh_operators(comp: Composition) -> list[tuple[Poly, int]]:
 
 
 class HochschildData:
-    """Tor of one ring with respect to a list of operators, organized per
-    (exterior level i, natural q-degree d), with class representatives and
-    induced multiplication operators."""
+    """Tor of one ring with respect to a list of operators (xi_e, w_e),
+    organized per (exterior level i, natural q-degree d), with class
+    representatives and induced multiplication operators.
+
+    Tor is the unrolled homology of the Koszul complex: one object on the
+    ring, one odd parameter theta_e of degree q^{w_e} t^{-1} per operator,
+    and the connection sum_e xi_e theta_e^dual.  Its pieces are the ring
+    times the exterior monomials theta_E, in the order of the subsets E, so
+    Tor_i at natural degree d is the cell (0, d, -i) of
+    ``homalg.Unrolling``."""
 
     def __init__(self, ring: GradedRing, ops: list[tuple[Poly, int]]):
         self.ring = ring
-        self.ops = ops
-        self.g = len(ops)
-        self._layout_cache: dict = {}
-        self._matrix_cache: dict = {}
-        self._tracker_cache: dict = {}
-        self._rank_cache: dict = {}
-
-    # ambient layout at (i, d): blocks over subsets E of ops
-    def layout(self, i: int, d: int):
-        key = (i, d)
-        if key in self._layout_cache:
-            return self._layout_cache[key]
-        if i < 0 or i > self.g or d < 0:
-            self._layout_cache[key] = ([], 0)
-            return self._layout_cache[key]
-        blocks = []
-        off = 0
-        for E in itertools.combinations(range(self.g), i):
-            w = sum(self.ops[e][1] for e in E)
-            local = d - w
-            dim = self.ring.dim(local) if local >= 0 else 0
-            blocks.append((E, local, off, dim))
-            off += dim
-        self._layout_cache[key] = (blocks, off)
-        return self._layout_cache[key]
+        # zero-padded names keep the subsets in numeric order
+        names = [f"theta{e:0{len(str(len(ops)))}d}" for e in range(len(ops))]
+        params = ParamSpec.make((n, MultiDegree(0, w, -1), "odd") for n, (_, w) in zip(names, ops))
+        cx = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), ring)], params)
+        connection = {PMono(duals=(n,)): {(0, 0): xi} for n, (xi, _) in zip(names, ops)
+                      if not xi.is_zero()}
+        self.koszul = Unrolling(cx, connection, (-len(ops), 0))
+        self.trackers: dict[tuple[int, int], ClassTracker] = {}
 
     def boundary(self, i: int, d: int) -> dict[int, dict]:
         """The contraction differential (i, d) -> (i-1, d) as
         {true row index: row vector}."""
-        key = (i, d)
-        if key in self._matrix_cache:
-            return self._matrix_cache[key]
-        if i <= 0:
-            self._matrix_cache[key] = {}
-            return {}
-        src_blocks, ncols = self.layout(i, d)
-        tgt_blocks, nrows = self.layout(i - 1, d)
-        tgt_off = {E: (off, local) for E, local, off, dim in tgt_blocks}
-        rows: dict[int, dict] = {}
-        for E, local, coff, dim in src_blocks:
-            if dim == 0:
-                continue
-            for pos, e in enumerate(E):
-                xi = self.ops[e][0]
-                if xi.is_zero():
-                    continue
-                tgt_E = tuple(x for x in E if x != e)
-                roff, tlocal = tgt_off[tgt_E]
-                sign = (-1) ** pos
-                mm = self.ring.mult_matrix(xi, local)
-                for (rr, cc), val in mm.items():
-                    row = rows.setdefault(rr + roff, {})
-                    v = row.get(cc + coff, 0) + sign * val
-                    if v:
-                        row[cc + coff] = v
-                    else:
-                        row.pop(cc + coff, None)
-        rows = {r: row for r, row in rows.items() if row}
-        self._matrix_cache[key] = rows
-        return rows
-
-    def rank(self, i: int, d: int) -> int:
-        """Rank of the contraction differential out of (i, d)."""
-        key = (i, d)
-        if key not in self._rank_cache:
-            rows = self.boundary(i, d)
-            self._rank_cache[key] = rank_of(rows.values()) if rows else 0
-        return self._rank_cache[key]
+        return self.koszul.matrix((0, d, -i))
 
     def dims(self, i: int, d: int) -> int:
         """dim Tor_i at natural q-degree d."""
-        _, n = self.layout(i, d)
-        return n and n - self.rank(i, d) - self.rank(i + 1, d)
+        return self.koszul.homology((0, d, -i))
 
     def tracker(self, i: int, d: int) -> ClassTracker:
         """Tor_i at natural q-degree d as a ClassTracker, with its class
         representatives."""
         key = (i, d)
-        if key not in self._tracker_cache:
+        if key not in self.trackers:
             # the image vectors of the incoming map are its columns
             images: dict[int, dict] = {}
             for ridx, row in self.boundary(i + 1, d).items():
                 for cidx, v in row.items():
                     images.setdefault(cidx, {})[ridx] = v
-            self._tracker_cache[key] = ClassTracker(
-                self.boundary(i, d).values(), images.values(), self.layout(i, d)[1])
-        return self._tracker_cache[key]
+            self.trackers[key] = ClassTracker(
+                self.boundary(i, d).values(), images.values(),
+                self.koszul.layout((0, d, -i))[1])
+        return self.trackers[key]
 
     def induced(self, c: Poly, i: int, d: int) -> dict[tuple[int, int], Fraction]:
         """Matrix of multiplication by c on classes: (i, d) -> (i, d + deg c)."""
@@ -175,12 +129,12 @@ class HochschildData:
             return {}
         dq = c.degree().q
         tgt = self.tracker(i, d + dq)
-        tgt_off = {E: off for E, _, off, _ in self.layout(i, d + dq)[0]}
+        into = self.koszul.layout((0, d + dq, -i))[0].get(0, {})
         # multiplication by c as {source column: [(target column, value)]}
         act: dict[int, list] = {}
-        for E, local, off, dim in self.layout(i, d)[0]:
-            if dim:
-                roff = tgt_off[E]
+        for E, (off, _, local, _) in self.koszul.layout((0, d, -i))[0].get(0, {}).items():
+            if E in into:
+                roff = into[E][0]
                 for (rr, cc), val in self.ring.mult_matrix(c, local).items():
                     act.setdefault(cc + off, []).append((rr + roff, val))
         out: dict[tuple[int, int], Fraction] = {}

@@ -32,6 +32,12 @@ sums first: its entries commute and its interchange sign is 1, so
 ``CurvedComplex.square`` multiplies each unordered pair of terms once, by
 the supercommutator s r + r s of their parameter monomials.
 
+Homology has one routine too, ``Unrolling``: a connection whose curvature
+vanishes is a differential on the objects times the dual-free parameter
+monomials, graded by (level, q, t).  Truncated homology, the t-direction of
+Hochschild homology and Tor -- the Koszul complex is one object with an
+odd parameter per operator -- all run on it.
+
 Every identity check -- Maurer-Cartan, closed chain maps, the SDR
 identities, vanishing curvature -- asks one vanishing rule,
 ``nonvanishing``: an entry must reduce to zero modulo the relations and
@@ -1178,86 +1184,96 @@ def _module_monomials(params: ParamSpec, cap: Optional[int], t_lo: int, t_hi: in
     return out
 
 
-def unrolled_homology(
-    C: CurvedComplex,
-    entries: Mapping[PMono, Mapping[tuple[int, int], Poly]],
-    cells: Iterable[tuple[int, int, int]],
-    t_range: tuple[int, int],
-    piece_dim: Callable[[int, int], int],
-    act: Callable[[Poly, int, int], Mapping[tuple[int, int], Fraction]],
-) -> dict[tuple[int, int, int], int]:
-    """Graded dimensions of ker/im of C's connection unrolled over its
-    dual-free parameter monomials, at each requested cell (level, q, t).
+class Unrolling:
+    """C's connection unrolled over its dual-free parameter monomials: one
+    graded vector space per cell (level, q, t), and the connection as a map
+    from each cell g to g + t.
 
     A piece is object o times monomial m, with base = deg o + deg m.  At a
     cell g with g.t = base.t it sits at (level, local) = (g.a - base.a,
     g.q - base.q).  piece_dim(level, local) is its dimension (never asked
     for local < 0, where it is 0) and act(p, level, local) the matrix of the
-    plain entry p from it; a scalar entry acts as c times the identity.
+    plain entry p from it; a scalar entry acts as c times the identity.  By
+    default the objects share one ring whose graded pieces sit at level 0.
     `entries` holds the nonzero plain entries per parameter monomial, and
-    t_range the t-span of the cells.  Dimensions, actions, parameter
-    products and differentials are computed once per call; a differential
-    is ranked when it is built, and only its rank is kept.  Returns
-    {cell: dim} for the cells of nonzero dimension."""
-    monos = _module_monomials(C.params, C.cap, t_range[0] - 1, t_range[1] + 1)
-    bases: dict[int, list] = {}  # t -> [(obj, mono, base)]
-    for oi, o in enumerate(C.objects):
-        for mono, mdeg in monos:
-            base = o.degree + mdeg
-            bases.setdefault(base.t, []).append((oi, mono, base))
-    terms = []
-    for s_mono, mat in entries.items():
-        eps = C._eps(s_mono)
-        for (i, j), p in mat.items():
-            key = frozenset(p.terms.items())
-            terms.append((s_mono, i, j, eps[j], p, p.constant_value(), key))
+    t_range the t-span of the cells asked for.  Dimensions, actions,
+    parameter products and each cell's differential are computed once.  A
+    differential keeps only its rank (``differential``) unless its rows are
+    asked for (``matrix``), as class representatives need them; rows asked
+    for after the rank are built again."""
 
-    dims: dict[tuple[int, int], int] = {}
+    def __init__(
+        self,
+        C: CurvedComplex,
+        entries: Mapping[PMono, Mapping[tuple[int, int], Poly]],
+        t_range: tuple[int, int],
+        piece_dim: Optional[Callable[[int, int], int]] = None,
+        act: Optional[Callable[[Poly, int, int], Mapping[tuple[int, int], Fraction]]] = None,
+    ):
+        if piece_dim is None:
+            ring = C.objects[0].ring if C.objects else None
+            piece_dim = lambda level, local: ring.dim(local) if level == 0 else 0  # noqa: E731
+            act = lambda p, level, local: ring.mult_matrix(p, local)  # noqa: E731
+        self.params = C.params
+        self.piece_dim, self.act = piece_dim, act
+        monos = _module_monomials(C.params, C.cap, t_range[0] - 1, t_range[1] + 1)
+        self.bases: dict[int, list] = {}  # t -> [(obj, mono, base)]
+        for oi, o in enumerate(C.objects):
+            for mono, mdeg in monos:
+                base = o.degree + mdeg
+                self.bases.setdefault(base.t, []).append((oi, mono, base))
+        self.terms = []
+        for s_mono, mat in entries.items():
+            eps = C._eps(s_mono)
+            for (i, j), p in mat.items():
+                key = frozenset(p.terms.items())
+                self.terms.append((s_mono, i, j, eps[j], p, p.constant_value(), key))
+        self.dims: dict[tuple[int, int], int] = {}
+        self.actions: dict = {}
+        self.products: dict[tuple[PMono, PMono], list] = {}  # pm_mul(s_mono, vmono)
+        self.ranks: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self.kept: dict[tuple[int, int, int], tuple[dict, int]] = {}
 
-    def dim(level: int, local: int) -> int:
+    def dim(self, level: int, local: int) -> int:
         if local < 0:
             return 0
-        if (level, local) not in dims:
-            dims[(level, local)] = piece_dim(level, local)
-        return dims[(level, local)]
+        if (level, local) not in self.dims:
+            self.dims[(level, local)] = self.piece_dim(level, local)
+        return self.dims[(level, local)]
 
-    def layout(g: tuple[int, int, int]):
+    def layout(self, g: tuple[int, int, int]):
         """{obj: {mono: (offset, level, local, dim)}} of the nonzero pieces
         at g, and their total dimension."""
         a, q, t = g
         out, off = {}, 0
-        for oi, mono, base in bases.get(t, ()):
+        for oi, mono, base in self.bases.get(t, ()):
             level, local = a - base.a, q - base.q
-            d = dim(level, local)
+            d = self.dim(level, local)
             if d:
                 out.setdefault(oi, {})[mono] = (off, level, local, d)
                 off += d
         return out, off
 
-    actions: dict = {}
-    products: dict[tuple[PMono, PMono], list] = {}  # pm_mul(s_mono, vmono)
-    ranks: dict[tuple[int, int, int], tuple[int, int]] = {}
-
-    def differential(g: tuple[int, int, int]) -> tuple[int, int]:
-        """Rank of the connection g -> g + t, and the dimension at g."""
-        if g in ranks:
-            return ranks[g]
-        src, ncols = layout(g)
-        tgt, nrows = layout((g[0], g[1], g[2] + 1)) if ncols else ({}, 0)
-        if not nrows:
-            ranks[g] = (0, ncols)
-            return ranks[g]
+    def _build(self, g: tuple[int, int, int]) -> tuple[dict[int, dict], int]:
+        """The connection g -> g + t as {row index: row vector}, and the
+        dimension at g."""
+        src, ncols = self.layout(g)
+        tgt, nrows = self.layout((g[0], g[1], g[2] + 1)) if ncols else ({}, 0)
         rows: dict[int, dict[int, Fraction]] = {}
-        for s_mono, i, j, sgn, p, c, key in terms:
+        if not nrows:
+            return rows, ncols
+        products, actions = self.products, self.actions
+        for s_mono, i, j, sgn, p, c, key in self.terms:
             if j not in src or i not in tgt:
                 continue
             into = tgt[i]
             for vmono, (coff, level, local, d) in src[j].items():
-                # a product with a dual kills the cyclic generator, so it
-                # matches no piece
                 prods = products.get((s_mono, vmono))
                 if prods is None:
-                    prods = products[(s_mono, vmono)] = pm_mul(C.params, s_mono, vmono)
+                    # a product with a dual kills the cyclic generator, so
+                    # it matches no piece
+                    prods = products[(s_mono, vmono)] = [
+                        (sign, m) for sign, m in pm_mul(self.params, s_mono, vmono) if not m.duals]
                 for msign, new_mono in prods:
                     hit = into.get(new_mono)
                     if hit is None:
@@ -1271,24 +1287,47 @@ def unrolled_homology(
                         continue
                     mat = actions.get((key, level, local))
                     if mat is None:
-                        mat = actions[(key, level, local)] = act(p, level, local)
+                        mat = actions[(key, level, local)] = self.act(p, level, local)
                     for (rr, cc), val in mat.items():
                         row = rows.setdefault(rr + roff, {})
                         row[cc + coff] = row.get(cc + coff, 0) + val * msign * sgn
-        ranks[g] = (rank_of(rows.values()) if rows else 0, ncols)
-        return ranks[g]
+        return rows, ncols
 
-    out: dict[tuple[int, int, int], int] = {}
-    for g in cells:
-        r_out, n = differential(g)
-        if n == 0:
-            continue
-        r_in, _ = differential((g[0], g[1], g[2] - 1))
-        # kernel of the outgoing map minus rank of the incoming one
-        d = n - r_out - r_in
-        if d:
-            out[g] = d
-    return out
+    def matrix(self, g: tuple[int, int, int]) -> dict[int, dict]:
+        """The connection g -> g + t as {row index: row vector}, kept."""
+        if g not in self.kept:
+            self.kept[g] = self._build(g)
+        return self.kept[g][0]
+
+    def differential(self, g: tuple[int, int, int]) -> tuple[int, int]:
+        """Rank of the connection g -> g + t, and the dimension at g."""
+        if g not in self.ranks:
+            rows, ncols = self.kept.get(g) or self._build(g)
+            self.ranks[g] = (rank_of(rows.values()) if rows else 0, ncols)
+        return self.ranks[g]
+
+    def homology(self, g: tuple[int, int, int]) -> int:
+        """dim ker/im at g: the kernel of the outgoing map minus the rank of
+        the incoming one."""
+        r_out, n = self.differential(g)
+        return n and n - r_out - self.differential((g[0], g[1], g[2] - 1))[0]
+
+
+def unrolled_homology(
+    C: CurvedComplex,
+    entries: Mapping[PMono, Mapping[tuple[int, int], Poly]],
+    cells: Iterable[tuple[int, int, int]],
+    t_range: tuple[int, int],
+    piece_dim: Optional[Callable[[int, int], int]] = None,
+    act: Optional[Callable[[Poly, int, int], Mapping[tuple[int, int], Fraction]]] = None,
+) -> dict[tuple[int, int, int], int]:
+    """Graded dimensions of ker/im of C's connection unrolled over its
+    dual-free parameter monomials (``Unrolling``), at each requested cell
+    (level, q, t), for the cells of nonzero dimension.  Truncated homology,
+    the t-direction of Hochschild homology and Tor itself (the Koszul
+    complex of ``hochschild.HochschildData``) are all this one routine."""
+    unrolled = Unrolling(C, entries, t_range, piece_dim, act)
+    return {g: d for g in cells if (d := unrolled.homology(g))}
 
 
 def homology_truncated(C: CurvedComplex, window: Window) -> TriSeries:
@@ -1309,16 +1348,10 @@ def homology_truncated(C: CurvedComplex, window: Window) -> TriSeries:
     rings = {id(o.ring) for o in C.objects}
     if len(rings) > 1:
         raise ValueError("homology_truncated expects all objects over one ring")
-    ring = C.objects[0].ring if C.objects else None
     cells = (
         (a, q, t)
         for a in range(window.a[0], window.a[1] + 1)
         for t in range(window.t[0], window.t[1] + 1)
         for q in range(window.q[0], window.q[1] + 1)
     )
-    dims = unrolled_homology(
-        C, entries, cells, window.t,
-        lambda level, local: ring.dim(local) if level == 0 else 0,
-        lambda p, level, local: ring.mult_matrix(p, local),
-    )
-    return TriSeries(window, dims)
+    return TriSeries(window, unrolled_homology(C, entries, cells, window.t))

@@ -301,6 +301,8 @@ def cn_family(n: int, variant: str = "plain", cap: int = 3) -> CurvedComplex:
     Maurer-Cartan check reduces every component, with unzip-tagged scalars
     vanishing in the identity bimodule's quotient.
     """
+    if variant not in ("plain", "y", "u", "yu"):
+        raise ValueError(f"unknown C_n variant {variant!r}; expected plain, y, u or yu")
     if n < 1:
         raise ValueError("C_n needs n >= 1")
     W, ident = build_W(Composition.of(n, 1)), build_identity(Composition.of(n, 1))

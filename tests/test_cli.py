@@ -10,6 +10,7 @@ import pytest
 import fraylab
 from fraylab import criteria
 from fraylab.cli import SUITES, main
+from fraylab.hochschild import default_window
 from fraylab.homalg import CurvedComplex, ParamSpec
 
 
@@ -99,7 +100,7 @@ def test_unknot_command_amax_alone_sets_the_window():
     code, out = run_cli(["unknot", "--variant", "intrinsic", "--k", "2", "--amax", "0"])
     assert code == 0
     rep = json.loads(out)
-    assert rep["computed"]["window"]["a"] == [0, 0]
+    assert rep["computed"]["window"] == {**default_window("intrinsic", 2).to_json(), "a": [0, 0]}
     assert all(term["a"] == 0 for term in rep["computed"]["terms"])
 
 
@@ -184,6 +185,7 @@ def test_console_entry_point():
     ["dump", "complex", "--cn", "1", "--qmin", "5", "--k", "2", "--max-n", "7"],
     ["dump", "poly", "--family", "g", "--n", "2", "--b", "1,2"],
     ["dump", "poly", "--family", "a-ijk", "--b", "1,2", "--n", "5"],
+    ["dump", "complex", "--cn", "1", "--variant", "zz"],
 ])
 def test_bad_input_is_one_line_on_stderr(args, capsys):
     assert main(args) == 2

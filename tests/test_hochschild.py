@@ -24,7 +24,9 @@ from fraylab.ssbim import (
     build_W,
     projector,
 )
-from fraylab.symfun import BOTTOM, TOP, Composition, p_in_e
+from fraylab.symfun import BOTTOM, TOP, Composition, compositions, p_in_e
+
+from koszul_oracle import SubsetKoszul
 
 
 def intrinsic(k, w):
@@ -59,7 +61,7 @@ def test_repeated_hh_call_reuses_koszul_ranks(monkeypatch):
         calls.append(1)
         return rank_of(rows)
 
-    monkeypatch.setattr(hochschild, "rank_of", counting_rank_of)
+    monkeypatch.setattr(homalg, "rank_of", counting_rank_of)
     assert hh_bimodule(M, w).series.coeffs == first.coeffs
     assert calls == []
 
@@ -84,9 +86,38 @@ def test_generator_basis_independence(parts):
     # natural degrees up to 6 above the quantum shift (4 at total color 3,
     # where the graded pieces grow fast)
     d_hi = ring.qshift + (6 if lam.total < 3 else 4)
-    cells = [(i, d) for i in range(oracle.g + 1) for d in range(d_hi + 1)]
+    cells = [(i, d) for i in range(len(power_sums) + 1) for d in range(d_hi + 1)]
     assert any(product.dims(i, d) for i, d in cells)
     assert all(oracle.dims(i, d) == product.dims(i, d) for i, d in cells)
+
+
+def _koszul_rings():
+    """W_lambda for |lambda| <= 3 and (1,1,1,1), 1_lambda for |lambda| <= 3,
+    and both orders of every merge/split composite W_a^(N) * W_(N)^a for
+    N <= 3, each with its top composition."""
+    small = [Composition(p) for N in (1, 2, 3) for p in compositions(N)]
+    out = [(build_W(lam), lam) for lam in small + [Composition.of(1, 1, 1, 1)]]
+    out += [(build_identity(lam), lam) for lam in small]
+    for a in small:
+        full = Composition.of(a.total)
+        if a != full:
+            for M in (compose_bimodules(build_W(a, full), build_W(full, a)),
+                      compose_bimodules(build_W(full, a), build_W(a, full))):
+                out.append((M, M.top))
+    return [pytest.param(M.ring, comp, id=M.ring.spec.name) for M, comp in out]
+
+
+@pytest.mark.parametrize("ring, comp", _koszul_rings())
+def test_tor_is_the_unrolled_koszul_complex(ring, comp):
+    """The unrolled one-object Koszul complex has the exterior-subset
+    complex's boundaries, dict for dict, and its Tor dimensions."""
+    data = hochschild.hochschild_data(ring, comp)
+    oracle = SubsetKoszul(ring, hochschild.hh_operators(comp))
+    cells = [(i, d) for i in range(len(oracle.ops) + 2) for d in range(13)]
+    assert any(oracle.dims(i, d) for i, d in cells)
+    for i, d in cells:
+        assert data.boundary(i, d) == oracle.boundary(i, d), (i, d)
+        assert data.dims(i, d) == oracle.dims(i, d), (i, d)
 
 
 def test_a_exponent_range():
@@ -305,24 +336,31 @@ def test_hh_complex_counts_each_piece_once(monkeypatch):
 
 def test_hh_complex_ranks_each_matrix_once(monkeypatch):
     """One call hands each Koszul boundary (i, d) and each unrolled
-    differential g to rank_of once.  A matrix is known by its row objects,
-    which the caches share; the recorder keeps them alive so that their
-    ids stay unique."""
-    calls = {"hochschild": [], "homalg": []}
+    differential g to rank_of once: each cell of each unrolling (the
+    Koszul complex's and the t-direction's) is built once, and each built
+    matrix is ranked once.  A matrix is known by its row objects; the
+    recorders keep them, and the engines, alive so that ids stay unique."""
+    built, ranked = [], []
+    build = homalg.Unrolling._build
 
-    def recorder(module):
-        def counting_rank_of(rows):
-            rows = list(rows)
-            calls[module].append(rows)
-            return rank_of(rows)
-        return counting_rank_of
+    def recording_build(self, g):
+        built.append((self, g))
+        return build(self, g)
+
+    def counting_rank_of(rows):
+        rows = list(rows)
+        ranked.append(rows)
+        return rank_of(rows)
 
     monkeypatch.setattr(hochschild, "_HH_DATA_CACHE", {})
-    monkeypatch.setattr(hochschild, "rank_of", recorder("hochschild"))
-    monkeypatch.setattr(homalg, "rank_of", recorder("homalg"))
+    monkeypatch.setattr(homalg.Unrolling, "_build", recording_build)
+    monkeypatch.setattr(homalg, "rank_of", counting_rank_of)
     lam = Composition.thin(2)
     proj = projector(lam, "def_finite", cap=3)
     hh_complex(proj.complex, lam, Window((0, 2), (-4, 16), (0, 4)))
-    for module, ranked in calls.items():
-        keys = [frozenset(map(id, rows)) for rows in ranked if rows]
-        assert keys and len(keys) == len(set(keys)), module
+    cells = [(id(engine), g) for engine, g in built]
+    assert len(cells) == len(set(cells))
+    koszul = {id(data.koszul) for data in hochschild._HH_DATA_CACHE.values()}
+    assert koszul & {engine for engine, _ in cells}
+    keys = [frozenset(map(id, rows)) for rows in ranked if rows]
+    assert keys and len(keys) == len(set(keys))
