@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import sys
 
 from . import __version__, criteria
@@ -170,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int,
-                       default=int(os.environ.get("FRAYLAB_SEED", "0")))
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--qmin", type=int, default=None)

@@ -4,6 +4,8 @@ A presented ring is a polynomial ring on graded generators modulo
 homogeneous relations.  Its normal forms are division by a reduced Gröbner
 basis of the relations, grown degree by degree as far as a computation
 asks; the quotient in each q-degree has the standard monomials as basis.
+They form an order ideal, so the basis builds each degree's list from the
+lists below it and caches it.
 
 A curved complex is stored in decomposed form: a list of rank-1 free
 objects (each with a multidegree and a presented ring), a connection
@@ -95,7 +97,9 @@ class GroebnerBasis:
     weighted grevlex: weight first, then the monomial whose last differing
     exponent is smaller is the larger.  After ``extend(d)`` the basis is
     complete through weight d: there its leading monomials generate the
-    leading ideal, so division gives the unique normal form.
+    leading ideal, so division gives the unique normal form.  ``standard(d)``
+    lists the monomials of weight d outside that leading ideal, built from
+    the lists of lower weights and cached, one list per weight.
     """
 
     def __init__(self, weights: Sequence[int], relations: Iterable[dict]):
@@ -108,6 +112,7 @@ class GroebnerBasis:
         # monomial -> index of the first lead dividing it (or None); only
         # for weights <= done, where later elements cannot divide
         self._divisors: dict[tuple, Optional[int]] = {}
+        self._standard: dict[int, list[tuple]] = {}  # weight -> standard()
         for rel in relations:
             weights_seen = {self.weight(m) for m in rel}
             if len(weights_seen) != 1:
@@ -139,38 +144,26 @@ class GroebnerBasis:
 
     def standard(self, d: int) -> list[tuple]:
         """Monomials of weight d that no lead divides, largest first.  The
-        basis is first extended through d, so they span the quotient there."""
-        self.extend(d)
-        n = len(self.weights)
-        by_last: list[list[tuple]] = [[] for _ in range(n)]
-        for lead in self.leads:
-            support = [k for k, e in enumerate(lead) if e]
-            if not support:  # the unit ideal
-                return []
-            by_last[support[-1]].append(lead)
-        out: list[tuple] = []
-        # depth-first over exponent prefixes, with the weight still to place
-        stack: list[tuple[tuple, int]] = [((), d)]
-        while stack:
-            prefix, rest = stack.pop()
-            i = len(prefix)
-            if i == n:
-                if rest == 0:
-                    out.append(prefix)
-                continue
-            w = self.weights[i]
-            if i < n - 1:
-                choices = range(rest // w + 1)
-            else:  # the last exponent is fixed by the weight left
-                choices = [rest // w] if rest % w == 0 else []
-            for e in choices:
-                exps = prefix + (e,)
-                # a lead ending at i that divides now divides every larger e
-                if any(all(map(operator.le, lead, exps)) for lead in by_last[i]):
-                    break
-                stack.append((exps, rest - e * w))
-        out.sort(key=lambda m: m[::-1])
-        return out
+        basis is first extended through d, so they span the quotient there.
+        They form an order ideal, so each one of positive weight is x_i * m
+        with m standard of weight d - w_i and ending at or before i; x_i * m
+        stays unless a lead ending at i divides it.  The list is cached."""
+        if d < 0:
+            return []
+        if d not in self._standard:
+            self.extend(d)
+            zero = (0,) * len(self.weights)
+            out = [] if d or zero in self.leads else [zero]
+            for i, w in enumerate(self.weights):
+                ends = [lead for lead in self.leads if lead[i] and not any(lead[i + 1:])]
+                for m in self.standard(d - w):
+                    if any(m[i + 1:]):  # sorted: the rest end after i too
+                        break
+                    m = m[:i] + (m[i] + 1,) + m[i + 1:]
+                    if not any(all(map(operator.le, lead, m)) for lead in ends):
+                        out.append(m)
+            self._standard[d] = out
+        return self._standard[d]
 
     def _divisor(self, m: tuple, w: int) -> Optional[int]:
         i = self._divisors.get(m, -1)
@@ -261,8 +254,8 @@ class GradedRing:
     ideal whose reduced Gröbner basis, in weighted grevlex on the sorted
     generator list, is built on first use and extended degree by degree up
     to the highest q-degree asked for.  Normal forms are division by it, the
-    quotient basis of each degree is its standard monomials, and
-    mult_matrix writes coordinates in that basis.
+    quotient basis of each degree is its (cached) list of standard
+    monomials, and mult_matrix writes coordinates in that basis.
     """
 
     def __init__(self, spec: RingSpec):
@@ -302,7 +295,6 @@ class GradedRing:
         self._basis_cache: dict[int, list[Mono]] = {}
         self._gb: Optional[GroebnerBasis] = None  # built on first use
         self._index = {g: i for i, (g, _) in enumerate(self.generators)}
-        self._standard_cache: dict[int, tuple[list[tuple], dict[tuple, int]]] = {}
         self._mult_cache: dict = {}
 
     # -- presentation preprocessing -----------------------------------------
@@ -355,16 +347,8 @@ class GradedRing:
     def _mono(self, exps: tuple) -> Mono:
         return tuple(sorted((self.generators[i][0], e) for i, e in enumerate(exps) if e))
 
-    def _standard(self, qdeg: int) -> tuple[list[tuple], dict[tuple, int]]:
-        """Standard monomials of the q-degree, as exponent tuples, and
-        their positions."""
-        if qdeg not in self._standard_cache:
-            std = self._groebner().standard(qdeg)
-            self._standard_cache[qdeg] = (std, {m: i for i, m in enumerate(std)})
-        return self._standard_cache[qdeg]
-
     def dim(self, qdeg: int) -> int:
-        return len(self._standard(qdeg)[0])
+        return len(self._groebner().standard(qdeg))
 
     def normal_form(self, p: Poly) -> Poly:
         """Canonical representative of p modulo the relation ideal."""
@@ -404,11 +388,10 @@ class GradedRing:
         key = (frozenset(p.terms.items()), qdeg)
         if key in self._mult_cache:
             return self._mult_cache[key]
-        src, _ = self._standard(qdeg)
-        _, tgt = self._standard(qdeg + p.degree().q)
         gb, f = self._groebner(), self._exps(p)
+        tgt = {m: i for i, m in enumerate(gb.standard(qdeg + p.degree().q))}
         out: dict[tuple[int, int], Fraction] = {}
-        for col, m in enumerate(src):
+        for col, m in enumerate(gb.standard(qdeg)):
             for mm, c in gb.normal_form(_shift(f, m)).items():
                 out[(tgt[mm], col)] = c
         self._mult_cache[key] = out

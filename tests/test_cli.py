@@ -49,6 +49,13 @@ def test_verify_psi_rho():
     assert code == 0
 
 
+def test_seed_comes_only_from_the_flag(monkeypatch):
+    monkeypatch.setenv("FRAYLAB_SEED", "abc")
+    code, out = run_cli(["verify", "psi-rho", "--max-n", "1"])
+    assert code == 0
+    assert json.loads(out)["seed"] == 0
+
+
 def test_verify_gauss_seeded():
     code, out = run_cli(["verify", "gauss", "--max-n", "5", "--seed", "1"])
     assert code == 0

@@ -7,6 +7,7 @@ It stays here as the reference that the fast path is compared with.
 """
 
 import gc
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -104,8 +105,9 @@ def test_trace_pair_rings_match_macaulay(parts, split_first):
     assert_matches_oracle(compose_bimodules(*pair).ring, 12)
 
 
-@given(st.data())
-def test_random_homogeneous_ideals_match_macaulay(data):
+def draw_random_ring(data) -> GradedRing:
+    """Q[z0..z(n-1)], weights 2 or 4, modulo up to three random
+    weight-homogeneous relations."""
     n = data.draw(st.integers(2, 3))
     weights = [data.draw(st.sampled_from([2, 4])) for _ in range(n)]
     gens = [(v_gen(f"z{i}", MultiDegree(0, w, 0)), w) for i, w in enumerate(weights)]
@@ -115,8 +117,37 @@ def test_random_homogeneous_ideals_match_macaulay(data):
         monos = free.basis(data.draw(st.sampled_from([4, 6, 8])))
         coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(monos), max_size=len(monos)))
         relations.append(Poly(dict(zip(monos, coeffs))))
-    ring = GradedRing(RingSpec("random", gens, [r for r in relations if not r.is_zero()]))
+    return GradedRing(RingSpec("random", gens, [r for r in relations if not r.is_zero()]))
+
+
+@given(st.data())
+def test_random_homogeneous_ideals_match_macaulay(data):
+    ring = draw_random_ring(data)
     assert_matches_oracle(ring, 12, seed=data.draw(st.integers(0, 99)))
+
+
+@given(st.data())
+def test_standard_monomials_match_brute_force_in_any_order(data):
+    """standard(d) builds on the lists of lower weights, asked for or not:
+    each answer is every monomial of weight d that no lead divides, sorted
+    by reversed exponents, whatever the order the weights come in."""
+    ring = draw_random_ring(data)
+    gb = GroebnerBasis([w for _, w in ring.generators], map(ring._exps, ring.relations))
+    degrees = data.draw(st.permutations(range(13)))
+    got = {d: gb.standard(d) for d in degrees}
+    for d in range(13):
+        want = sorted(
+            (m for m in itertools.product(*(range(d // w + 1) for w in gb.weights))
+             if gb.weight(m) == d
+             and not any(all(a <= b for a, b in zip(lead, m)) for lead in gb.leads)),
+            key=lambda m: m[::-1],
+        )
+        assert got[d] == want, (d, gb.leads)
+
+
+def test_unit_ideal_has_no_standard_monomials():
+    gb = GroebnerBasis((2, 4), [{(1, 1): 1}, {(0, 0): 3}])
+    assert all(gb.standard(d) == [] for d in range(13))
 
 
 def test_dim_needs_the_s_pair_of_xy_and_x2_minus_y2():
