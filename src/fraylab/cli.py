@@ -214,7 +214,7 @@ def main(argv=None) -> int:
             if value is not None and value < 1:
                 raise ValueError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
         return args.func(args)
-    except ValueError as exc:  # bad --lambda/--b/--k/--variant/window values, unused flags
+    except (ValueError, OSError) as exc:  # bad or unused flags, an unwritable --out
         print(f"fraylab {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -29,12 +29,6 @@ class MultiDegree:
     def __sub__(self, other: "MultiDegree") -> "MultiDegree":
         return MultiDegree(self.a - other.a, self.q - other.q, self.t - other.t)
 
-    def __neg__(self) -> "MultiDegree":
-        return MultiDegree(-self.a, -self.q, -self.t)
-
-    def __bool__(self) -> bool:
-        return (self.a, self.q, self.t) != (0, 0, 0)
-
     def scaled(self, n: int) -> "MultiDegree":
         return MultiDegree(n * self.a, n * self.q, n * self.t)
 

@@ -6,8 +6,8 @@ e_k(X'_j) on side 1), total Hochschild homology is Tor, the Koszul
 homology of the operators xi = e_k(X_j) - e_k(X'_j).  Their Koszul
 complex is itself a one-object curved complex: the ring, one odd
 parameter theta per operator, and the connection sum xi theta^dual.  So
-Tor is the unrolled homology of that complex (``HochschildData``), by the
-one routine that unrolls every curved complex, ``homalg.Unrolling``.
+Tor is that complex unrolled (``koszul``) by the one routine that unrolls
+every curved complex, ``homalg.Unrolling``.
 
 Grading convention.  The computation is Tor-natural (the dual generator
 paired with a degree-q^{2k} polynomial generator carries natural degree
@@ -22,17 +22,16 @@ makes the trace property and the fray factor laws hold on the nose and
 pins the intrinsic unknot rows to prod_j (1 + a q^{-2j})/(1 - q^{2j}).
 
 Curved complexes are handled termwise: chain objects take Tor with
-tracked class representatives, the connection is transported through the
-left/right identification (each e_k(X'_j) replaced by its partner
-e_k(X_j)), and the resulting complex of classes is resolved in the
-t-direction by the same routine, homalg.unrolled_homology, that truncated
-homology uses.  A bimodule is the one-object complex with no parameters.
+class representatives (``Unrolling.classes``), the connection is
+transported through the left/right identification (each e_k(X'_j)
+replaced by its partner e_k(X_j)) to act on them (``Unrolling.induced``),
+and that complex of classes is unrolled in the t-direction in turn.  A
+bimodule is the one-object complex with no parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .grading import MultiDegree
@@ -44,9 +43,7 @@ from .homalg import (
     RC_Object,
     RingSpec,
     Unrolling,
-    unrolled_homology,
 )
-from .linalg import ClassTracker
 from .qseries import TriSeries, Window, unknot_table
 from .ssbim import MergeSplitBimodule, build_identity, projector
 from .symfun import BOTTOM, MIDDLE, Composition, Poly, TOP, alphabet_gens, e_gen
@@ -72,92 +69,35 @@ def hh_operators(comp: Composition) -> list[tuple[Poly, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Koszul/Tor data with class representatives
+# Tor as the unrolled Koszul complex
 
 
-class HochschildData:
-    """Tor of one ring with respect to a list of operators (xi_e, w_e),
-    organized per (exterior level i, natural q-degree d), with class
-    representatives and induced multiplication operators.
-
-    Tor is the unrolled homology of the Koszul complex: one object on the
-    ring, one odd parameter theta_e of degree q^{w_e} t^{-1} per operator,
-    and the connection sum_e xi_e theta_e^dual.  Its pieces are the ring
-    times the exterior monomials theta_E, in the order of the subsets E, so
-    Tor_i at natural degree d is the cell (0, d, -i) of
-    ``homalg.Unrolling``."""
-
-    def __init__(self, ring: GradedRing, ops: list[tuple[Poly, int]]):
-        self.ring = ring
-        # zero-padded names keep the subsets in numeric order
-        names = [f"theta{e:0{len(str(len(ops)))}d}" for e in range(len(ops))]
-        params = ParamSpec.make((n, MultiDegree(0, w, -1), "odd") for n, (_, w) in zip(names, ops))
-        cx = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), ring)], params)
-        connection = {PMono(duals=(n,)): {(0, 0): xi} for n, (xi, _) in zip(names, ops)
-                      if not xi.is_zero()}
-        self.koszul = Unrolling(cx, connection, (-len(ops), 0))
-        self.trackers: dict[tuple[int, int], ClassTracker] = {}
-
-    def boundary(self, i: int, d: int) -> dict[int, dict]:
-        """The contraction differential (i, d) -> (i-1, d) as
-        {true row index: row vector}."""
-        return self.koszul.matrix((0, d, -i))
-
-    def dims(self, i: int, d: int) -> int:
-        """dim Tor_i at natural q-degree d."""
-        return self.koszul.homology((0, d, -i))
-
-    def tracker(self, i: int, d: int) -> ClassTracker:
-        """Tor_i at natural q-degree d as a ClassTracker, with its class
-        representatives."""
-        key = (i, d)
-        if key not in self.trackers:
-            # the image vectors of the incoming map are its columns
-            images: dict[int, dict] = {}
-            for ridx, row in self.boundary(i + 1, d).items():
-                for cidx, v in row.items():
-                    images.setdefault(cidx, {})[ridx] = v
-            self.trackers[key] = ClassTracker(
-                self.boundary(i, d).values(), images.values(),
-                self.koszul.layout((0, d, -i))[1])
-        return self.trackers[key]
-
-    def induced(self, c: Poly, i: int, d: int) -> dict[tuple[int, int], Fraction]:
-        """Matrix of multiplication by c on classes: (i, d) -> (i, d + deg c)."""
-        src = self.tracker(i, d)
-        if c.is_zero() or not src.reps:
-            return {}
-        dq = c.degree().q
-        tgt = self.tracker(i, d + dq)
-        into = self.koszul.layout((0, d + dq, -i))[0].get(0, {})
-        # multiplication by c as {source column: [(target column, value)]}
-        act: dict[int, list] = {}
-        for E, (off, _, local, _) in self.koszul.layout((0, d, -i))[0].get(0, {}).items():
-            if E in into:
-                roff = into[E][0]
-                for (rr, cc), val in self.ring.mult_matrix(c, local).items():
-                    act.setdefault(cc + off, []).append((rr + roff, val))
-        out: dict[tuple[int, int], Fraction] = {}
-        for col, rep in enumerate(src.reps):
-            img: dict[int, Fraction] = {}
-            for k, x in rep.items():
-                for r, val in act.get(k, ()):
-                    img[r] = img.get(r, 0) + x * val
-            for ridx, val in tgt.express(img).items():
-                out[(ridx, col)] = val
-        return out
+def koszul(ring: GradedRing, ops: list[tuple[Poly, int]]) -> Unrolling:
+    """Tor of one ring with respect to a list of operators (xi_e, w_e): the
+    unrolled Koszul complex, one object on the ring, one odd parameter
+    theta_e of degree q^{w_e} t^{-1} per operator, and the connection
+    sum_e xi_e theta_e^dual.  Its pieces are the ring times the exterior
+    monomials theta_E, in the order of the subsets E, so Tor_i at natural
+    degree d is the cell (0, d, -i)."""
+    # zero-padded names keep the subsets in numeric order
+    names = [f"theta{e:0{len(str(len(ops)))}d}" for e in range(len(ops))]
+    params = ParamSpec.make((n, MultiDegree(0, w, -1), "odd") for n, (_, w) in zip(names, ops))
+    cx = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), ring)], params)
+    connection = {PMono(duals=(n,)): {(0, 0): xi} for n, (xi, _) in zip(names, ops)
+                  if not xi.is_zero()}
+    return Unrolling(cx, connection, (-len(ops), 0))
 
 
-_HH_DATA_CACHE: dict[tuple, HochschildData] = {}
+_HH_DATA_CACHE: dict[tuple, Unrolling] = {}
 
 
-def hochschild_data(ring: GradedRing, comp: Composition) -> HochschildData:
+def hochschild_data(ring: GradedRing, comp: Composition) -> Unrolling:
     """Shared Tor data per ring; graded pieces are expensive, so reuse
     across calls.  The key holds the ring itself, not its id(), so a new
     ring never picks up the entry of a collected one."""
     key = (ring, comp.parts)
     if key not in _HH_DATA_CACHE:
-        _HH_DATA_CACHE[key] = HochschildData(ring, hh_operators(comp))
+        _HH_DATA_CACHE[key] = koszul(ring, hh_operators(comp))
     return _HH_DATA_CACHE[key]
 
 
@@ -256,7 +196,7 @@ def hh_complex(
     if any(o.degree.a for o in C.objects):
         raise ValueError("objects with a-degree are not supported")
 
-    data = hochschild_data(ring, comp)
+    tor = hochschild_data(ring, comp)
 
     # transported connection entries
     transported: dict[PMono, dict[tuple[int, int], Poly]] = {}
@@ -277,22 +217,19 @@ def hh_complex(
         for p in mat.values()
     )
 
-    def class_dim(i: int, local: int) -> int:
+    # Tor_i at natural q-degree d is the Koszul cell (0, d, -i)
+    def class_dim(i: int, d: int) -> int:
         if scalar_only:
-            return data.dims(i, local)
-        return data.tracker(i, local).n_classes
+            return tor.homology((0, d, -i))
+        return tor.classes((0, d, -i)).n_classes
 
+    unrolled = Unrolling(C, transported, window.t, class_dim,
+                         lambda p, i, d: tor.induced(p, (0, d, -i)))
     # natural cells (Tor level i, natural q-degree d, t)
     i_range, d_range = orient_window(window, N, qshift, orientation)
-    cells = [
-        (i, d, t)
-        for i in i_range
-        for t in range(window.t[0], window.t[1] + 1)
-        for d in d_range
-    ]
-    dims = unrolled_homology(C, transported, cells, window.t, class_dim, data.induced)
     coeffs = {orient_degree(i, d, t, N, qshift, orientation): dim
-              for (i, d, t), dim in dims.items()}
+              for i in i_range for t in range(window.t[0], window.t[1] + 1) for d in d_range
+              if (dim := unrolled.homology((i, d, t)))}
     return HHResult(TriSeries(window, coeffs))
 
 

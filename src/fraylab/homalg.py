@@ -36,9 +36,10 @@ the supercommutator s r + r s of their parameter monomials.
 
 Homology has one routine too, ``Unrolling``: a connection whose curvature
 vanishes is a differential on the objects times the dual-free parameter
-monomials, graded by (level, q, t).  Truncated homology, the t-direction of
-Hochschild homology and Tor -- the Koszul complex is one object with an
-odd parameter per operator -- all run on it.
+monomials, graded by (level, q, t).  Truncated homology and Tor -- the
+Koszul complex is one object with an odd parameter per operator -- run on
+it, and so does the t-direction of Hochschild homology, on Tor's class
+spaces (``classes``) and the maps induced between them (``induced``).
 
 Every identity check -- Maurer-Cartan, closed chain maps, the SDR
 identities, vanishing curvature -- asks one vanishing rule,
@@ -56,7 +57,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .grading import MultiDegree, parity, shift_sign
-from .linalg import _exact, _scaled, rank_of
+from .linalg import ClassTracker, _exact, _scaled, rank_of
 from .qseries import TriSeries, Window
 from .symfun import Mono, Poly, _mono_mul, eval_at_point
 
@@ -292,8 +293,8 @@ class GradedRing:
         )
         self.relations = kept
         self.qshift = spec.qshift
-        self._basis_cache: dict[int, list[Mono]] = {}
         self._gb: Optional[GroebnerBasis] = None  # built on first use
+        self._free: Optional[GroebnerBasis] = None  # no relations, for basis()
         self._index = {g: i for i, (g, _) in enumerate(self.generators)}
         self._mult_cache: dict = {}
 
@@ -321,10 +322,9 @@ class GradedRing:
     # -- monomial bases ------------------------------------------------------
     def basis(self, qdeg: int) -> list[Mono]:
         """All monomials of the given q-degree in the surviving generators."""
-        if qdeg not in self._basis_cache:
-            free = GroebnerBasis([d for _, d in self.generators], [])
-            self._basis_cache[qdeg] = sorted(map(self._mono, free.standard(qdeg)), key=repr)
-        return self._basis_cache[qdeg]
+        if self._free is None:
+            self._free = GroebnerBasis([d for _, d in self.generators], [])
+        return sorted(map(self._mono, self._free.standard(qdeg)), key=repr)
 
     # -- Gröbner normal forms --------------------------------------------------
     def _groebner(self) -> GroebnerBasis:
@@ -1180,10 +1180,10 @@ class Unrolling:
     default the objects share one ring whose graded pieces sit at level 0.
     `entries` holds the nonzero plain entries per parameter monomial, and
     t_range the t-span of the cells asked for.  Dimensions, actions,
-    parameter products and each cell's differential are computed once.  A
-    differential keeps only its rank (``differential``) unless its rows are
-    asked for (``matrix``), as class representatives need them; rows asked
-    for after the rank are built again."""
+    parameter products, each cell's differential and its class space are
+    computed once.  A differential keeps only its rank (``differential``)
+    unless its rows are asked for (``matrix``), as class spaces
+    (``classes``) need them; rows asked for after the rank are built again."""
 
     def __init__(
         self,
@@ -1216,6 +1216,7 @@ class Unrolling:
         self.products: dict[tuple[PMono, PMono], list] = {}  # pm_mul(s_mono, vmono)
         self.ranks: dict[tuple[int, int, int], tuple[int, int]] = {}
         self.kept: dict[tuple[int, int, int], tuple[dict, int]] = {}
+        self.trackers: dict[tuple[int, int, int], ClassTracker] = {}
 
     def dim(self, level: int, local: int) -> int:
         if local < 0:
@@ -1295,22 +1296,45 @@ class Unrolling:
         r_out, n = self.differential(g)
         return n and n - r_out - self.differential((g[0], g[1], g[2] - 1))[0]
 
+    def classes(self, g: tuple[int, int, int]) -> ClassTracker:
+        """The kernel of the map out of g modulo the image of the map into
+        g, with class representatives."""
+        if g not in self.trackers:
+            # the image vectors of the incoming map are its columns
+            images: dict[int, dict] = {}
+            for ridx, row in self.matrix((g[0], g[1], g[2] - 1)).items():
+                for cidx, v in row.items():
+                    images.setdefault(cidx, {})[ridx] = v
+            self.trackers[g] = ClassTracker(self.matrix(g).values(), images.values(),
+                                            self.layout(g)[1])
+        return self.trackers[g]
 
-def unrolled_homology(
-    C: CurvedComplex,
-    entries: Mapping[PMono, Mapping[tuple[int, int], Poly]],
-    cells: Iterable[tuple[int, int, int]],
-    t_range: tuple[int, int],
-    piece_dim: Optional[Callable[[int, int], int]] = None,
-    act: Optional[Callable[[Poly, int, int], Mapping[tuple[int, int], Fraction]]] = None,
-) -> dict[tuple[int, int, int], int]:
-    """Graded dimensions of ker/im of C's connection unrolled over its
-    dual-free parameter monomials (``Unrolling``), at each requested cell
-    (level, q, t), for the cells of nonzero dimension.  Truncated homology,
-    the t-direction of Hochschild homology and Tor itself (the Koszul
-    complex of ``hochschild.HochschildData``) are all this one routine."""
-    unrolled = Unrolling(C, entries, t_range, piece_dim, act)
-    return {g: d for g in cells if (d := unrolled.homology(g))}
+    def induced(self, p: Poly, g: tuple[int, int, int]) -> dict[tuple[int, int], Fraction]:
+        """Matrix of the map that the plain entry p induces on classes, from g
+        to g shifted by deg p: p acts on every piece and commutes with the
+        connection."""
+        src = self.classes(g)
+        if p.is_zero() or not src.reps:
+            return {}
+        h = (g[0], g[1] + p.degree().q, g[2])
+        tgt, into = self.classes(h), self.layout(h)[0]
+        # p on the pieces as {source column: [(target column, value)]}
+        act: dict[int, list] = {}
+        for oi, pieces in self.layout(g)[0].items():
+            for mono, (off, level, local, _) in pieces.items():
+                hit = into.get(oi, {}).get(mono)
+                if hit is not None:
+                    for (rr, cc), val in self.act(p, level, local).items():
+                        act.setdefault(cc + off, []).append((rr + hit[0], val))
+        out: dict[tuple[int, int], Fraction] = {}
+        for col, rep in enumerate(src.reps):
+            img: dict[int, Fraction] = {}
+            for k, x in rep.items():
+                for r, val in act.get(k, ()):
+                    img[r] = img.get(r, 0) + x * val
+            for ridx, val in tgt.express(img).items():
+                out[(ridx, col)] = val
+        return out
 
 
 def homology_truncated(C: CurvedComplex, window: Window) -> TriSeries:
@@ -1337,4 +1361,5 @@ def homology_truncated(C: CurvedComplex, window: Window) -> TriSeries:
         for t in range(window.t[0], window.t[1] + 1)
         for q in range(window.q[0], window.q[1] + 1)
     )
-    return TriSeries(window, unrolled_homology(C, entries, cells, window.t))
+    unrolled = Unrolling(C, entries, window.t)
+    return TriSeries(window, {g: d for g in cells if (d := unrolled.homology(g))})

@@ -55,9 +55,7 @@ class Laurent:
     def __sub__(self, other: "Laurent") -> "Laurent":
         return self + (-other)
 
-    def __mul__(self, other) -> "Laurent":
-        if not isinstance(other, Laurent):
-            return Laurent({k: v * Fraction(other) for k, v in self.c.items()})
+    def __mul__(self, other: "Laurent") -> "Laurent":
         out: dict[int, Fraction] = {}
         for k1, v1 in self.c.items():
             for k2, v2 in other.c.items():
@@ -69,15 +67,10 @@ class Laurent:
                     out.pop(k, None)
         return Laurent(out)
 
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Laurent):
             return NotImplemented
         return self.c == other.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
 
     def is_zero(self) -> bool:
         return not self.c
@@ -214,12 +207,6 @@ class TriSeries:
         for d, c in other.coeffs.items():
             out[d] = out.get(d, 0) + c
         return TriSeries(self.window, out)
-
-    def __neg__(self) -> "TriSeries":
-        return TriSeries(self.window, {d: -c for d, c in self.coeffs.items()})
-
-    def __sub__(self, other: "TriSeries") -> "TriSeries":
-        return self + (-other)
 
     def __mul__(self, other) -> "TriSeries":
         if not isinstance(other, TriSeries):

@@ -344,9 +344,6 @@ class Composition:
     def __iter__(self):
         return iter(self.parts)
 
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
-
     def ell(self) -> int:
         """Length of the longest element of the parabolic subgroup."""
         return sum(p * (p - 1) // 2 for p in self.parts)

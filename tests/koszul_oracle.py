@@ -1,9 +1,9 @@
 """The exterior-subset Koszul complex the tests compare Tor with.
 
-``SubsetKoszul`` is how ``hochschild.HochschildData`` built Tor before it
-became the unrolled homology of a one-object curved complex: the complex
-M (x) Lambda(dual generators) laid out block by block over the subsets E
-of the operators, in ``itertools.combinations`` order, with the
+``SubsetKoszul`` is how ``hochschild`` built Tor before it became the
+unrolled homology of a one-object curved complex (``hochschild.koszul``):
+the complex M (x) Lambda(dual generators) laid out block by block over the
+subsets E of the operators, in ``itertools.combinations`` order, with the
 contraction differential written straight from the operators'
 multiplication matrices.  ``tests/test_hochschild.py`` compares the
 product's boundaries and Tor dimensions with it.

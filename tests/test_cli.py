@@ -193,6 +193,7 @@ def test_console_entry_point():
     ["dump", "poly", "--family", "g", "--n", "2", "--b", "1,2"],
     ["dump", "poly", "--family", "a-ijk", "--b", "1,2", "--n", "5"],
     ["dump", "complex", "--cn", "1", "--variant", "zz"],
+    ["verify", "a-ijk", "--max-n", "1", "--out", "."],
 ])
 def test_bad_input_is_one_line_on_stderr(args, capsys):
     assert main(args) == 2

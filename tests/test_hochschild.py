@@ -4,7 +4,6 @@ import pytest
 
 from fraylab import hochschild, homalg
 from fraylab.hochschild import (
-    HochschildData,
     compose_bimodules,
     default_window,
     hh_bimodule,
@@ -50,7 +49,7 @@ def test_hh_W11_is_quantum_two_times_intrinsic():
 
 
 def test_repeated_hh_call_reuses_koszul_ranks(monkeypatch):
-    """Tor dimensions are memoized on the shared HochschildData, so an
+    """Tor dimensions are memoized on the shared Koszul unrolling, so an
     identical second call ranks no Koszul boundary again."""
     M = build_W(Composition.of(1, 1))
     w = Window((0, 2), (-6, 10), (0, 0))
@@ -81,14 +80,14 @@ def test_generator_basis_independence(parts):
     ring = build_W(lam).ring
     power_sums = [(p_in_e(k, size, j, TOP) - p_in_e(k, size, j, BOTTOM), 2 * k)
                   for j, size in enumerate(lam.parts, start=1) for k in range(1, size + 1)]
-    oracle = HochschildData(ring, power_sums)
+    oracle = hochschild.koszul(ring, power_sums)
     product = hochschild.hochschild_data(ring, lam)
     # natural degrees up to 6 above the quantum shift (4 at total color 3,
     # where the graded pieces grow fast)
     d_hi = ring.qshift + (6 if lam.total < 3 else 4)
     cells = [(i, d) for i in range(len(power_sums) + 1) for d in range(d_hi + 1)]
-    assert any(product.dims(i, d) for i, d in cells)
-    assert all(oracle.dims(i, d) == product.dims(i, d) for i, d in cells)
+    assert any(product.homology((0, d, -i)) for i, d in cells)
+    assert all(oracle.homology((0, d, -i)) == product.homology((0, d, -i)) for i, d in cells)
 
 
 def _koszul_rings():
@@ -110,14 +109,16 @@ def _koszul_rings():
 @pytest.mark.parametrize("ring, comp", _koszul_rings())
 def test_tor_is_the_unrolled_koszul_complex(ring, comp):
     """The unrolled one-object Koszul complex has the exterior-subset
-    complex's boundaries, dict for dict, and its Tor dimensions."""
+    complex's boundaries, dict for dict, and its Tor dimensions, both as
+    homology and as the number of classes."""
     data = hochschild.hochschild_data(ring, comp)
     oracle = SubsetKoszul(ring, hochschild.hh_operators(comp))
     cells = [(i, d) for i in range(len(oracle.ops) + 2) for d in range(13)]
     assert any(oracle.dims(i, d) for i, d in cells)
     for i, d in cells:
-        assert data.boundary(i, d) == oracle.boundary(i, d), (i, d)
-        assert data.dims(i, d) == oracle.dims(i, d), (i, d)
+        assert data.matrix((0, d, -i)) == oracle.boundary(i, d), (i, d)
+        assert data.homology((0, d, -i)) == oracle.dims(i, d), (i, d)
+        assert data.classes((0, d, -i)).n_classes == oracle.dims(i, d), (i, d)
 
 
 def test_a_exponent_range():
@@ -305,16 +306,17 @@ def test_finite_row_below_natural_degree_zero(k, window, classes):
 # -- one computation per piece ---------------------------------------------------------
 
 def _record_calls(monkeypatch, name):
-    """Wrap HochschildData.<name>; return the list of argument tuples
-    (polynomials compare by value)."""
+    """Wrap Unrolling.<name>; return the list of argument tuples of the
+    calls on the shared Koszul unrollings (polynomials compare by value)."""
     calls = []
-    original = getattr(HochschildData, name)
+    original = getattr(homalg.Unrolling, name)
 
     def wrapper(self, *args):
-        calls.append(args)
+        if any(self is tor for tor in hochschild._HH_DATA_CACHE.values()):
+            calls.append(args)
         return original(self, *args)
 
-    monkeypatch.setattr(HochschildData, name, wrapper)
+    monkeypatch.setattr(homalg.Unrolling, name, wrapper)
     return calls
 
 
@@ -329,7 +331,7 @@ def test_hh_complex_induces_each_action_once(monkeypatch):
 def test_hh_complex_counts_each_piece_once(monkeypatch):
     lam = Composition.thin(2)
     proj = projector(lam, "finite")
-    calls = _record_calls(monkeypatch, "dims")
+    calls = _record_calls(monkeypatch, "homology")
     hh_complex(proj.complex, lam, Window((0, 2), (0, 10), (0, 2)), orientation="natural")
     assert calls and len(calls) == len(set(calls))
 
@@ -360,7 +362,7 @@ def test_hh_complex_ranks_each_matrix_once(monkeypatch):
     hh_complex(proj.complex, lam, Window((0, 2), (-4, 16), (0, 4)))
     cells = [(id(engine), g) for engine, g in built]
     assert len(cells) == len(set(cells))
-    koszul = {id(data.koszul) for data in hochschild._HH_DATA_CACHE.values()}
+    koszul = {id(tor) for tor in hochschild._HH_DATA_CACHE.values()}
     assert koszul & {engine for engine, _ in cells}
     keys = [frozenset(map(id, rows)) for rows in ranked if rows]
     assert keys and len(keys) == len(set(keys))
