@@ -379,21 +379,24 @@ class GradedRing:
             for pt in self.spec.sampler(20, 0)
         )
 
-    def mult_matrix(self, p: Poly, qdeg: int) -> dict[tuple[int, int], Fraction]:
+    def mult_matrix(self, p: Poly, qdeg: int) -> list[tuple]:
         """Matrix of multiplication by p: quotient(qdeg) -> quotient(qdeg + deg p),
-        in the standard-monomial bases."""
+        in the standard-monomial bases, as one packed column (row, value,
+        row, value, ...) per source basis vector; memoized."""
         p = self._apply_subst(p)
         if p.is_zero():
-            return {}
+            return [()] * self.dim(qdeg)
         key = (frozenset(p.terms.items()), qdeg)
         if key in self._mult_cache:
             return self._mult_cache[key]
         gb, f = self._groebner(), self._exps(p)
         tgt = {m: i for i, m in enumerate(gb.standard(qdeg + p.degree().q))}
-        out: dict[tuple[int, int], Fraction] = {}
-        for col, m in enumerate(gb.standard(qdeg)):
+        out = []
+        for m in gb.standard(qdeg):
+            col = []
             for mm, c in gb.normal_form(_shift(f, m)).items():
-                out[(tgt[mm], col)] = c
+                col += (tgt[mm], c)
+            out.append(tuple(col))
         self._mult_cache[key] = out
         return out
 
@@ -1176,14 +1179,15 @@ class Unrolling:
     cell g with g.t = base.t it sits at (level, local) = (g.a - base.a,
     g.q - base.q).  piece_dim(level, local) is its dimension (never asked
     for local < 0, where it is 0) and act(p, level, local) the matrix of the
-    plain entry p from it; a scalar entry acts as c times the identity.  By
+    plain entry p from it, one packed column (row, value, ...) per basis
+    vector of the piece; a scalar entry acts as c times the identity.  By
     default the objects share one ring whose graded pieces sit at level 0.
     `entries` holds the nonzero plain entries per parameter monomial, and
     t_range the t-span of the cells asked for.  Dimensions, actions,
     parameter products, each cell's differential and its class space are
-    computed once.  A differential keeps only its rank (``differential``)
-    unless its rows are asked for (``matrix``), as class spaces
-    (``classes``) need them; rows asked for after the rank are built again."""
+    computed once.  No rows are kept: ``ranks`` holds each differential's
+    rank, and a cell's ``ClassTracker`` (``trackers``) its packed columns
+    once classes are asked for; a rank taken first costs one more build."""
 
     def __init__(
         self,
@@ -1191,7 +1195,7 @@ class Unrolling:
         entries: Mapping[PMono, Mapping[tuple[int, int], Poly]],
         t_range: tuple[int, int],
         piece_dim: Optional[Callable[[int, int], int]] = None,
-        act: Optional[Callable[[Poly, int, int], Mapping[tuple[int, int], Fraction]]] = None,
+        act: Optional[Callable[[Poly, int, int], Sequence[tuple]]] = None,
     ):
         if piece_dim is None:
             ring = C.objects[0].ring if C.objects else None
@@ -1215,7 +1219,6 @@ class Unrolling:
         self.actions: dict = {}
         self.products: dict[tuple[PMono, PMono], list] = {}  # pm_mul(s_mono, vmono)
         self.ranks: dict[tuple[int, int, int], tuple[int, int]] = {}
-        self.kept: dict[tuple[int, int, int], tuple[dict, int]] = {}
         self.trackers: dict[tuple[int, int, int], ClassTracker] = {}
 
     def dim(self, level: int, local: int) -> int:
@@ -1272,21 +1275,22 @@ class Unrolling:
                     mat = actions.get((key, level, local))
                     if mat is None:
                         mat = actions[(key, level, local)] = self.act(p, level, local)
-                    for (rr, cc), val in mat.items():
-                        row = rows.setdefault(rr + roff, {})
-                        row[cc + coff] = row.get(cc + coff, 0) + val * msign * sgn
+                    sign = msign * sgn
+                    for cc, col in enumerate(mat, coff):
+                        it = iter(col)
+                        for rr, val in zip(it, it):
+                            row = rows.setdefault(rr + roff, {})
+                            row[cc] = row.get(cc, 0) + val * sign
         return rows, ncols
 
     def matrix(self, g: tuple[int, int, int]) -> dict[int, dict]:
-        """The connection g -> g + t as {row index: row vector}, kept."""
-        if g not in self.kept:
-            self.kept[g] = self._build(g)
-        return self.kept[g][0]
+        """The connection g -> g + t as {row index: row vector}, built anew."""
+        return self._build(g)[0]
 
     def differential(self, g: tuple[int, int, int]) -> tuple[int, int]:
         """Rank of the connection g -> g + t, and the dimension at g."""
         if g not in self.ranks:
-            rows, ncols = self.kept.get(g) or self._build(g)
+            rows, ncols = self._build(g)
             self.ranks[g] = (rank_of(rows.values()) if rows else 0, ncols)
         return self.ranks[g]
 
@@ -1298,24 +1302,25 @@ class Unrolling:
 
     def classes(self, g: tuple[int, int, int]) -> ClassTracker:
         """The kernel of the map out of g modulo the image of the map into
-        g, with class representatives."""
+        g, with class representatives.  Its tracker keeps the map out of g;
+        the image vectors are the columns that the class space at g - t
+        keeps, so that one is built first when both cells have pieces."""
         if g not in self.trackers:
-            # the image vectors of the incoming map are its columns
-            images: dict[int, dict] = {}
-            for ridx, row in self.matrix((g[0], g[1], g[2] - 1)).items():
-                for cidx, v in row.items():
-                    images.setdefault(cidx, {})[ridx] = v
-            self.trackers[g] = ClassTracker(self.matrix(g).values(), images.values(),
-                                            self.layout(g)[1])
+            ncols, prev = self.layout(g)[1], (g[0], g[1], g[2] - 1)
+            cols = self.classes(prev).columns if ncols and self.layout(prev)[1] else {}
+            images = (dict(zip(it, it)) for it in map(iter, cols.values()))
+            tracker = self.trackers[g] = ClassTracker(self.matrix(g), images, ncols)
+            self.ranks[g] = (tracker.rank, ncols)
         return self.trackers[g]
 
-    def induced(self, p: Poly, g: tuple[int, int, int]) -> dict[tuple[int, int], Fraction]:
+    def induced(self, p: Poly, g: tuple[int, int, int]) -> list[tuple]:
         """Matrix of the map that the plain entry p induces on classes, from g
-        to g shifted by deg p: p acts on every piece and commutes with the
+        to g shifted by deg p, as one packed column (class, value, ...) per
+        class at g: p acts on every piece and commutes with the
         connection."""
         src = self.classes(g)
         if p.is_zero() or not src.reps:
-            return {}
+            return [()] * src.n_classes
         h = (g[0], g[1] + p.degree().q, g[2])
         tgt, into = self.classes(h), self.layout(h)[0]
         # p on the pieces as {source column: [(target column, value)]}
@@ -1324,16 +1329,17 @@ class Unrolling:
             for mono, (off, level, local, _) in pieces.items():
                 hit = into.get(oi, {}).get(mono)
                 if hit is not None:
-                    for (rr, cc), val in self.act(p, level, local).items():
-                        act.setdefault(cc + off, []).append((rr + hit[0], val))
-        out: dict[tuple[int, int], Fraction] = {}
-        for col, rep in enumerate(src.reps):
+                    for cc, col in enumerate(self.act(p, level, local), off):
+                        it = iter(col)
+                        for rr, val in zip(it, it):
+                            act.setdefault(cc, []).append((rr + hit[0], val))
+        out = []
+        for rep in src.reps:
             img: dict[int, Fraction] = {}
             for k, x in rep.items():
                 for r, val in act.get(k, ()):
                     img[r] = img.get(r, 0) + x * val
-            for ridx, val in tgt.express(img).items():
-                out[(ridx, col)] = val
+            out.append(tuple(itertools.chain.from_iterable(tgt.express(img).items())))
         return out
 
 

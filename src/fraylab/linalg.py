@@ -1,12 +1,13 @@
 """Exact sparse linear algebra over Q.
 
-Vectors are dicts {column index: rational}; matrices are lists of row
-vectors.  Entries are ints or Fractions, and an integral entry is read as
-an int: the Koszul and connection matrices are mostly +-1, and with +-1
-pivots elimination then stays in integer arithmetic.  Nothing is rounded
-and no modular image is taken.  Normal forms in presented rings are not
-linear elimination: they are division by a Gröbner basis
-(``homalg.GroebnerBasis``).
+Vectors are dicts {column index: rational}.  Elimination reads a matrix as
+its rows; the maps the engine keeps are packed columns (row, value, row,
+value, ...), read as ``it = iter(col); zip(it, it)``.  Entries are ints or
+Fractions, and an integral entry is read as an int: the Koszul and
+connection matrices are mostly +-1, and with +-1 pivots elimination then
+stays in integer arithmetic.  Nothing is rounded and no modular image is
+taken.  Normal forms in presented rings are not linear elimination: they
+are division by a Gröbner basis (``homalg.GroebnerBasis``).
 
 There is one elimination loop, ``_eliminate``: right-looking Gaussian
 elimination of a whole matrix.  Fill-in, not the arithmetic of one entry,
@@ -35,7 +36,8 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Mapping
 
 
 Vec = dict  # {col: int or Fraction}
@@ -187,33 +189,38 @@ def kernel_basis(rows: Iterable[Vec], ncols: int) -> list[Vec]:
 
 
 class ClassTracker:
-    """ker(M) / span(images) for a matrix M with ncols columns and image
-    vectors that M sends to zero.
+    """ker(M) / span(images) for a matrix M with ncols columns, given by its
+    rows {row index: row vector}, and image vectors that M sends to zero.
 
     A kernel vector is fixed by its entries on the free columns of M.  The
     images, cut down to those columns, are put in reduced row-echelon form;
     the free columns that are not its pivots index the classes, and
-    ``reps[j]`` is the kernel vector of the j-th of them.  ``express`` reads
-    class coordinates through one stored projection {column: [(class,
-    coefficient)]}."""
+    ``reps[j]`` is the kernel vector of the j-th of them.  The rows are not
+    kept: M is held once, as its ``rank`` and its packed columns {column:
+    (row, entry, ...)} (``columns``, the images that M makes).  ``express``
+    checks membership on those and reads class coordinates through one
+    stored projection, packed the same way."""
 
-    def __init__(self, rows: Iterable[Vec] = (), images: Iterable[Vec] = (), ncols: int = 0):
-        rows = list(rows)
+    def __init__(self, rows: Mapping[int, Vec] = {}, images: Iterable[Vec] = (), ncols: int = 0):
         self.ncols = ncols
-        self._cols: dict[int, list] = {}  # column -> [(row, entry)] of M
-        for i, r in enumerate(rows):
+        cols: dict[int, list] = {}
+        for i, r in rows.items():
             for c, x in r.items():
                 if x:
-                    self._cols.setdefault(c, []).append((i, _exact(x)))
-        kernel = _kernel(rref(rows), ncols)
+                    cols.setdefault(c, []).extend((i, _exact(x)))
+        self.columns = {c: tuple(col) for c, col in cols.items()}
+        form = rref(rows.values())
+        self.rank = len(form)
+        kernel = _kernel(form, ncols)
         image = rref({c: x for c, x in v.items() if c in kernel} for v in images)
         classes = [f for f in kernel if f not in image]
         self.reps = [kernel[f] for f in classes]
         self.n_classes = len(classes)
         index = {f: j for j, f in enumerate(classes)}
-        self._proj = {f: [(j, 1)] for f, j in index.items()}
+        self._proj = {f: (j, 1) for f, j in index.items()}
         for q, row in image.items():
-            self._proj[q] = [(index[f], -x) for f, x in row.items() if f != q]
+            self._proj[q] = tuple(chain.from_iterable(
+                (index[f], -x) for f, x in row.items() if f != q))
 
     def express(self, v: Vec) -> dict[int, Fraction]:
         """Class coordinates of v; raises unless v is a vector on the ncols
@@ -225,9 +232,11 @@ class ClassTracker:
                 continue
             if not 0 <= c < self.ncols:
                 raise ValueError(f"column {c} lies outside the tracked space")
-            for i, y in self._cols.get(c, ()):
+            it = iter(self.columns.get(c, ()))
+            for i, y in zip(it, it):
                 image[i] = image.get(i, 0) + x * y
-            for j, y in self._proj.get(c, ()):
+            it = iter(self._proj.get(c, ()))
+            for j, y in zip(it, it):
                 coords[j] = coords.get(j, 0) + x * y
         if any(image.values()):
             raise ValueError("vector lies outside the tracked subspace")

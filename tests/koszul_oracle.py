@@ -48,13 +48,15 @@ class SubsetKoszul:
                 if xi.is_zero():
                     continue
                 roff = tgt_off[tuple(x for x in E if x != e)]
-                for (rr, cc), val in self.ring.mult_matrix(xi, local).items():
-                    row = rows.setdefault(rr + roff, {})
-                    v = row.get(cc + coff, 0) + (-1) ** pos * val
-                    if v:
-                        row[cc + coff] = v
-                    else:
-                        row.pop(cc + coff, None)
+                for cc, col in enumerate(self.ring.mult_matrix(xi, local)):
+                    it = iter(col)
+                    for rr, val in zip(it, it):
+                        row = rows.setdefault(rr + roff, {})
+                        v = row.get(cc + coff, 0) + (-1) ** pos * val
+                        if v:
+                            row[cc + coff] = v
+                        else:
+                            row.pop(cc + coff, None)
         return {r: row for r, row in rows.items() if row}
 
     def dims(self, i: int, d: int) -> int:

@@ -244,3 +244,26 @@ def test_normal_forms_are_exact_when_the_leading_coefficient_is_not_one(c, n, b,
     assert got.terms == {mono: want}
     (coeff,) = got.terms.values()
     assert type(coeff) is (int if want.denominator == 1 else Fraction)
+
+
+@given(st.data())
+def test_mult_matrix_columns_are_normal_forms(data):
+    """Column j of mult_matrix(p, d) holds the coordinates of the normal form
+    of p m_j, m_j the j-th standard monomial of weight d, in the standard
+    monomials of weight d + deg p: on random rings and on W_(1,1,1)."""
+    if data.draw(st.booleans()):
+        ring = build_W(Composition.of(1, 1, 1)).ring
+    else:
+        ring = draw_random_ring(data)
+    monos = ring.basis(data.draw(st.sampled_from([w for w in (0, 2, 4, 6) if ring.basis(w)])))
+    chosen = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+    p = Poly({m: data.draw(st.integers(-3, 3).filter(bool)) for m in chosen})
+    d = data.draw(st.integers(0, 10))
+    gb = ring._groebner()
+    index = {ring._mono(e): i for i, e in enumerate(gb.standard(d + p.degree().q))}
+    cols = ring.mult_matrix(p, d)
+    assert len(cols) == ring.dim(d)
+    for col, exps in zip(cols, gb.standard(d)):
+        it = iter(col)
+        product = ring.normal_form(p * Poly({ring._mono(exps): 1}))
+        assert dict(zip(it, it)) == {index[m]: c for m, c in product.terms.items()}

@@ -366,3 +366,34 @@ def test_hh_complex_ranks_each_matrix_once(monkeypatch):
     assert koszul & {engine for engine, _ in cells}
     keys = [frozenset(map(id, rows)) for rows in ranked if rows]
     assert keys and len(keys) == len(set(keys))
+
+
+def test_class_spaces_build_each_koszul_cell_once(monkeypatch):
+    """The same records as test_hh_complex_ranks_each_matrix_once, on the
+    class-tracking path (an infinite projector, whose entries are not all
+    scalars): a class space reads the map into its cell from the class
+    space below, so no Koszul cell is built a second time for it."""
+    built, ranked = [], []
+    build = homalg.Unrolling._build
+
+    def recording_build(self, g):
+        built.append((self, g))
+        return build(self, g)
+
+    def counting_rank_of(rows):
+        rows = list(rows)
+        ranked.append(rows)
+        return rank_of(rows)
+
+    monkeypatch.setattr(hochschild, "_HH_DATA_CACHE", {})
+    monkeypatch.setattr(homalg.Unrolling, "_build", recording_build)
+    monkeypatch.setattr(homalg, "rank_of", counting_rank_of)
+    lam = Composition.thin(2)
+    proj = projector(lam, "infinite", cap=3)
+    hh_complex(proj.complex, lam, Window((0, 2), (-4, 16), (0, 4)))
+    cells = [(id(engine), g) for engine, g in built]
+    assert len(cells) == len(set(cells))
+    (tor,) = hochschild._HH_DATA_CACHE.values()
+    assert tor.trackers and id(tor) in {engine for engine, _ in cells}
+    keys = [frozenset(map(id, rows)) for rows in ranked if rows]
+    assert keys and len(keys) == len(set(keys))

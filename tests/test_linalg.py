@@ -215,8 +215,9 @@ def combination(coeffs: list[int], vecs: list[dict]) -> dict:
 def test_tracker_on_a_small_matrix():
     """M = (1 -1 0) and the image (1, 1, 1): column 0 is M's pivot and
     column 1 the image's, so column 2 is the one class."""
-    tr = ClassTracker([{0: 1, 1: -1}], [{0: 1, 1: 1, 2: 1}], 3)
+    tr = ClassTracker({0: {0: 1, 1: -1}}, [{0: 1, 1: 1, 2: 1}], 3)
     assert tr.n_classes == 1 and tr.reps == [{2: 1}]
+    assert tr.rank == 1 and tr.columns == {0: (0, 1), 1: (0, -1)}
     assert tr.express({0: 1, 1: 1}) == {0: -1}
     assert tr.express({0: 2, 1: 2, 2: 2}) == {}
     for outside in ({0: 1}, {3: 1}):
@@ -233,7 +234,8 @@ def test_reps_express_as_unit_vectors(data, rows):
     ker = kernel_basis(rows, NCOLS)
     coeffs = st.lists(st.integers(-2, 2), min_size=len(ker), max_size=len(ker))
     images = [combination(c, ker) for c in data.draw(st.lists(coeffs, max_size=4))]
-    tr = ClassTracker(rows, images, NCOLS)
+    tr = ClassTracker(dict(enumerate(rows)), images, NCOLS)
+    assert tr.rank == dense_rank(rows)
     assert tr.n_classes == len(tr.reps) == NCOLS - dense_rank(rows) - dense_rank(images)
     for j, v in enumerate(tr.reps):
         assert tr.express(v) == {j: 1}
