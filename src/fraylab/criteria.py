@@ -51,6 +51,7 @@ from .symfun import (
     g_polys,
     psi_rho_roundtrip,
     rho_psi_roundtrip,
+    thin_legs,
     vanishing_locus_sampler,
     x_gen,
 )
@@ -137,7 +138,7 @@ def thin_recursion(max_n: int = 6) -> list[dict]:
     for n in range(1, max_n + 1):
         fam = a_thin_recursive(n)
         ok = all(
-            a_identity_defect(fam, Composition.thin(n), i, thin=True).is_zero()
+            a_identity_defect(thin_legs(fam), Composition.thin(n), i).is_zero()
             for i in range(1, n + 1)
         )
         out.append(_record(f"thin recursion n={n}", ok, {"n": n}))

@@ -20,6 +20,9 @@ i.e. multiply by a^N q^{-2T - qshift} and flip a.  The reference exponent
 uses T of the one-block ring regardless of the actual composition, which
 makes the trace property and the fray factor laws hold on the nose and
 pins the intrinsic unknot rows to prod_j (1 + a q^{-2j})/(1 - q^{2j}).
+The natural orientation, (i, q, t) |-> (i, q - qshift, t), only removes the
+quantum shift; ``hh_complex`` reads each reported degree through the
+inverse of the chosen map.
 
 Curved complexes are handled termwise: chain objects take Tor with
 class representatives (``Unrolling.classes``), the connection is
@@ -99,33 +102,6 @@ def hochschild_data(ring: GradedRing, comp: Composition) -> Unrolling:
     if key not in _HH_DATA_CACHE:
         _HH_DATA_CACHE[key] = koszul(ring, hh_operators(comp))
     return _HH_DATA_CACHE[key]
-
-
-# ---------------------------------------------------------------------------
-# orientation
-
-
-def orient_window(window: Window, N: int, qshift: int, orientation: str) -> tuple[range, range]:
-    """Natural (i, d) ranges needed to fill the requested window."""
-    if orientation == "table":
-        shift = N * (N + 1) + qshift
-        i_lo = max(0, N - window.a[1])
-        i_hi = min(N, N - window.a[0])
-    else:
-        shift = qshift
-        i_lo = max(0, window.a[0])
-        i_hi = min(N, window.a[1])
-    d_lo = window.q[0] + shift
-    d_hi = window.q[1] + shift
-    return range(i_lo, i_hi + 1), range(d_lo, d_hi + 1)
-
-
-def orient_degree(i: int, d: int, t: int, N: int, qshift: int, orientation: str):
-    """table: multiply by a^N q^{-N(N+1)-qshift} and flip a; natural: only
-    normalize away the quantum shift (Tor grading kept)."""
-    if orientation == "table":
-        return (N - i, d - N * (N + 1) - qshift, t)
-    return (i, d - qshift, t)
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +201,19 @@ def hh_complex(
 
     unrolled = Unrolling(C, transported, window.t, class_dim,
                          lambda p, i, d: tor.induced(p, (0, d, -i)))
-    # natural cells (Tor level i, natural q-degree d, t)
-    i_range, d_range = orient_window(window, N, qshift, orientation)
-    coeffs = {orient_degree(i, d, t, N, qshift, orientation): dim
-              for i in i_range for t in range(window.t[0], window.t[1] + 1) for d in d_range
-              if (dim := unrolled.homology((i, d, t)))}
+    # the one orientation map, inverted: the reported (a, q, t) is the cell
+    # (i, d, t) of Tor level i at natural q-degree d, with table i = N - a,
+    # d = q + N(N+1) + qshift, and natural i = a, d = q + qshift
+    table = orientation == "table"
+    shift = qshift + (N * (N + 1) if table else 0)
+    coeffs = {}
+    for a in range(window.a[0], window.a[1] + 1):
+        i = N - a if table else a
+        if 0 <= i <= N:
+            for t in range(window.t[0], window.t[1] + 1):
+                for q in range(window.q[0], window.q[1] + 1):
+                    if dim := unrolled.homology((i, q + shift, t)):
+                        coeffs[(a, q, t)] = dim
     return HHResult(TriSeries(window, coeffs))
 
 
@@ -271,11 +255,8 @@ def trace_check(
     which keeps the graded pieces small."""
     one = hh_bimodule(compose_bimodules(M1, M2), window, orientation="natural")
     two = hh_bimodule(compose_bimodules(M2, M1), window, orientation="natural")
-    ok = one.series.equal_on(two.series, window)
-    return {
-        "ok": ok,
-        "mismatches": one.series.mismatches(two.series, window),
-    }
+    mismatches = one.series.mismatches(two.series, window)
+    return {"ok": not mismatches, "mismatches": mismatches}
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +296,13 @@ def unknot_invariant(
         computed = hh_complex(projector(lam, variant, cap=cap).complex, lam, window).series
 
     expected = unknot_table(variant, k).expand(window)
-    exact = computed.equal_on(expected, window)
+    mismatches = computed.mismatches(expected, window)
     report = {
         "variant": variant,
         "k": k,
         "window": window.to_json(),
-        "match": exact,
-        "mismatches": [] if exact else computed.mismatches(expected, window),
+        "match": not mismatches,
+        "mismatches": mismatches,
         "monomial_defect": None,
     }
     return report, computed, expected

@@ -6,7 +6,9 @@ Fraction), windows are explicit, and equality is coefficientwise on the
 window intersection.  Rational expressions (products of monomial numerator
 factors over factors 1 - M) are expanded geometrically in a declared
 direction; every denominator factor used here has positive weight in q or
-in t, so truncation to a window needs finitely many terms.
+in t, so truncation to a window needs finitely many terms.  The product
+starts at the origin, so the working window of an expansion holds the
+origin as well as the requested window, whatever that window's position.
 """
 
 from __future__ import annotations
@@ -169,13 +171,6 @@ class Window:
             (max(self.t[0], other.t[0]), min(self.t[1], other.t[1])),
         )
 
-    def inflate(self, da: int, dq: int, dt: int) -> "Window":
-        return Window(
-            (self.a[0] - da, self.a[1] + da),
-            (self.q[0] - dq, self.q[1] + dq),
-            (self.t[0] - dt, self.t[1] + dt),
-        )
-
     def to_json(self):
         return {"a": list(self.a), "q": list(self.q), "t": list(self.t)}
 
@@ -228,16 +223,7 @@ class TriSeries:
         return TriSeries(window, self.coeffs)
 
     def equal_on(self, other: "TriSeries", window: Window | None = None) -> bool:
-        w = self.window.intersect(other.window)
-        if window is not None:
-            w = w.intersect(window)
-        degs = set(self.coeffs) | set(other.coeffs)
-        for d in degs:
-            if not w.contains(d):
-                continue
-            if self.coeffs.get(d, 0) != other.coeffs.get(d, 0):
-                return False
-        return True
+        return not self.mismatches(other, window)
 
     def mismatches(self, other: "TriSeries", window: Window | None = None):
         w = self.window.intersect(other.window)
@@ -279,7 +265,7 @@ class RationalSeriesExpr:
     denominator: list of degree triples M, each standing for (1 - a^i q^j t^k),
     expanded as a geometric series in its own monomial.  Every monomial must
     have positive q-weight or positive t-weight so expansion terminates on a
-    window.
+    window, and no factor may carry a negative a-exponent.
     """
 
     numerator: list[dict[tuple[int, int, int], Fraction]]
@@ -304,19 +290,22 @@ class RationalSeriesExpr:
                 neg_q += max(0, -min(d[1] for d in f))
                 pos_q += max(0, max(d[1] for d in f))
                 neg_t += max(0, -min(d[2] for d in f))
+        t_top = max(0, window.t[1]) + neg_t
         for m in self.denominator:
             if m[2] > 0:
-                steps = max(0, (window.t[1] + neg_t) // m[2])
+                steps = t_top // m[2]
                 if m[1] < 0:
                     neg_q += steps * (-m[1])
                 else:
                     pos_q += steps * m[1]
-            elif m[1] > 0:
-                pass
-            else:
+            elif m[1] <= 0:
                 raise ValueError(f"denominator factor 1 - a^{m[0]}q^{m[1]}t^{m[2]} "
                                  "has no valid expansion direction")
-        big = window.inflate(0, neg_q + pos_q, neg_t)
+        # the product starts at the origin, so the working window holds it
+        slack = neg_q + pos_q
+        big = Window((min(0, window.a[0]), max(0, window.a[1])),
+                     (min(0, window.q[0]) - slack, max(0, window.q[1]) + slack),
+                     (min(0, window.t[0]) - neg_t, t_top))
         out = TriSeries.one(big)
         for m in self.denominator:
             out = out * _geometric(big, m)
@@ -326,30 +315,28 @@ class RationalSeriesExpr:
 
 
 def _geometric(window: Window, m: tuple[int, int, int]) -> TriSeries:
-    """1/(1 - a^i q^j t^k) expanded in nonnegative powers of the monomial."""
-    if m[2] > 0:
-        steps = max(0, window.t[1] // m[2])
-    elif m[1] > 0:
-        steps = max(0, (window.q[1] - window.q[0]) // m[1])
-    else:
-        raise ValueError("non-invertible denominator factor")
-    coeffs = {}
-    for n in range(steps + 2):
-        d = (n * m[0], n * m[1], n * m[2])
-        if window.contains(d) or n == 0:
-            coeffs[d] = 1
-    return TriSeries(window, coeffs)
+    """1/(1 - a^i q^j t^k) expanded in nonnegative powers of the monomial,
+    up to the top of a window that holds the origin: in t when the monomial
+    has positive t-weight, else in q (``expand`` admits no other)."""
+    steps = window.t[1] // m[2] if m[2] > 0 else window.q[1] // m[1]
+    return TriSeries(window, {(n * m[0], n * m[1], n * m[2]): 1 for n in range(steps + 1)})
 
 
 # ---------------------------------------------------------------------------
 # the colored-unknot tables
 
 
-def _num(*terms) -> dict:
-    out = {}
-    for d, c in terms:
-        out[d] = Fraction(c)
-    return out
+# variant: (deformed, times [k]!, extra numerator factor per j), the rows of
+# unknot_table's docstring; a deformed row has one more denominator factor
+# 1 - t^2 q^{-2j} per j.
+UNKNOT_ROWS = {
+    "intrinsic": (False, False, None),
+    "finite": (False, True, {(0, 0, 0): 1, (0, -2, 1): 1}),
+    "def_intrinsic": (True, False, None),
+    "def_finite": (False, True, None),
+    "infinite": (True, True, {(0, 0, 0): 1, (0, -2, 2): -1}),
+    "def_infinite": (True, True, None),
+}
 
 
 def unknot_table(variant: str, k: int) -> RationalSeriesExpr:
@@ -378,44 +365,17 @@ def unknot_table(variant: str, k: int) -> RationalSeriesExpr:
     """
     if k < 1:
         raise ValueError("color must be a positive integer")
+    if variant not in UNKNOT_ROWS:
+        raise ValueError(f"unknown table variant {variant!r}")
+    deformed, factorial, extra = UNKNOT_ROWS[variant]
     num: list[dict] = []
     den: list[tuple[int, int, int]] = []
-
-    def a_factor(j):
-        num.append(_num(((0, 0, 0), 1), ((1, -2 * j, 0), 1)))
-
-    def theta_factor():
-        # 1 + t q^{-2}: one Koszul generator theta_j1 of a block of size 1
-        num.append(_num(((0, 0, 0), 1), ((0, -2, 1), 1)))
-
-    if variant == "intrinsic":
-        for j in range(1, k + 1):
-            a_factor(j)
-            den.append((0, 2 * j, 0))
-    elif variant == "finite":
-        for j in range(1, k + 1):
-            a_factor(j)
-            theta_factor()
-            den.append((0, 2 * j, 0))
-        return RationalSeriesExpr(num, den).times_laurent(quantum_factorial(k))
-    elif variant == "def_intrinsic":
-        for j in range(1, k + 1):
-            a_factor(j)
+    for j in range(1, k + 1):
+        num.append({(0, 0, 0): 1, (1, -2 * j, 0): 1})
+        if extra:
+            num.append(dict(extra))
+        if deformed:
             den.append((0, -2 * j, 2))
-            den.append((0, 2 * j, 0))
-    elif variant == "def_finite":
-        for j in range(1, k + 1):
-            a_factor(j)
-            den.append((0, 2 * j, 0))
-        return RationalSeriesExpr(num, den).times_laurent(quantum_factorial(k))
-    elif variant in ("infinite", "def_infinite"):
-        for j in range(1, k + 1):
-            a_factor(j)
-            den.append((0, -2 * j, 2))
-            den.append((0, 2 * j, 0))
-            if variant == "infinite":
-                num.append(_num(((0, 0, 0), 1), ((0, -2, 2), -1)))
-        return RationalSeriesExpr(num, den).times_laurent(quantum_factorial(k))
-    else:
-        raise ValueError(f"unknown table variant {variant!r}")
-    return RationalSeriesExpr(num, den)
+        den.append((0, 2 * j, 0))
+    expr = RationalSeriesExpr(num, den)
+    return expr.times_laurent(quantum_factorial(k)) if factorial else expr

@@ -63,6 +63,7 @@ from .symfun import (
     elementary_of_total,
     expand_to_x,
     g_polys,
+    thin_legs,
     vanishing_locus_sampler,
     x_gen,
 )
@@ -187,21 +188,11 @@ def _u_params(n: int) -> list[tuple[str, MultiDegree, str]]:
     return [(f"u{i}", MultiDegree(0, -2 * i, 2), "even") for i in range(1, n + 1)]
 
 
-def _thin_legs(fam: Mapping[tuple[int, int], Poly]) -> dict[tuple[int, int, int], Poly]:
-    """A thin family a_ij in the x-variables, as a_ij1 in the coordinates
-    of W_{(1^m)}: x_j (x'_j) is e_1 of block j on its side."""
-    out = {}
-    for (i, j), p in fam.items():
-        table = {g: Poly.gen(e_gen(g[2], 1, g[1])) for g in p.gens() if g[0] == "x"}
-        out[(i, j, 1)] = p.substitute(table)
-    return out
-
-
 def _a_coefficients(lam: Composition) -> dict[tuple[int, int, int], Poly]:
     """a_ijk in the ring's coordinates; the thin recursion for (1^n), the
     telescoping family otherwise (any valid family is acceptable)."""
     if all(p == 1 for p in lam.parts):
-        return _thin_legs(a_thin_recursive(lam.total))
+        return thin_legs(a_thin_recursive(lam.total))
     return a_family(lam)
 
 
@@ -435,7 +426,7 @@ def tau_complex(n: int, cap: int = 2) -> CurvedComplex:
     """tw_{tau_n}(W_{(1^{n+1})} (x) Lambda[Theta_{n+1}] (x) R[U_{n+1}]):
     Koszul legs (x_j - x'_j) theta_j1 plus u-legs -a_{ij} theta-dual_j1 u_i
     over the extended thin family."""
-    return _twisted_koszul(Composition.thin(n + 1), _thin_legs(extended_thin_family(n)), cap=cap)
+    return _twisted_koszul(Composition.thin(n + 1), thin_legs(extended_thin_family(n)), cap=cap)
 
 
 def basis_change_check(n: int, cap: int = 2) -> CheckReport:
@@ -459,7 +450,7 @@ def basis_change_check(n: int, cap: int = 2) -> CheckReport:
         return CheckReport(False, f"case identity fails at (i,j)=({bad[0]},{bad[1]})")
 
     m = n + 1
-    tau_n = _twisted_koszul(Composition.thin(m), _thin_legs(lamfam), cap=cap, check=False)
+    tau_n = _twisted_koszul(Composition.thin(m), thin_legs(lamfam), cap=cap, check=False)
     xp_ring = Poly.gen(e_gen(m, 1, BOTTOM))  # x'_{n+1} in the W ring
 
     forward = {}

@@ -558,20 +558,24 @@ def a_thin_recursive(n: int) -> dict[tuple[int, int], Poly]:
     return fam
 
 
-def a_identity_defect(fam, b: Composition, i: int, thin: bool = False) -> Poly:
+def thin_legs(fam: Mapping[tuple[int, int], Poly]) -> dict[tuple[int, int, int], Poly]:
+    """A thin family a_ij in the x-variables, as a_ij1 in the coordinates
+    of W_{(1^m)}: x_j (x'_j) is e_1 of block j on its side."""
+    out = {}
+    for (i, j), p in fam.items():
+        table = {g: Poly.gen(e_gen(g[2], 1, g[1])) for g in p.gens() if g[0] == "x"}
+        out[(i, j, 1)] = p.substitute(table)
+    return out
+
+
+def a_identity_defect(fam, b: Composition, i: int) -> Poly:
     """LHS - RHS of the defining identity for index i, in raw variables."""
-    m = len(b)
     lhs = Poly.zero()
-    if thin:
-        for j in range(1, m + 1):
-            diff = Poly.gen(x_gen(j)) - Poly.gen(x_gen(j, BOTTOM))
-            lhs = lhs + fam[(i, j)] * diff
-    else:
-        for j in range(1, m + 1):
-            for k in range(1, b.parts[j - 1] + 1):
-                diff = Poly.gen(e_gen(j, k)) - Poly.gen(e_gen(j, k, BOTTOM))
-                lhs = lhs + fam[(i, j, k)] * diff
-        lhs = expand_to_x(lhs, b)
+    for j in range(1, len(b) + 1):
+        for k in range(1, b.parts[j - 1] + 1):
+            diff = Poly.gen(e_gen(j, k)) - Poly.gen(e_gen(j, k, BOTTOM))
+            lhs = lhs + fam[(i, j, k)] * diff
+    lhs = expand_to_x(lhs, b)
     all_top = [x_gen(i2) for i2 in range(1, b.total + 1)]
     all_bot = [x_gen(i2, BOTTOM) for i2 in range(1, b.total + 1)]
     rhs = esp(all_top, i) - esp(all_bot, i)

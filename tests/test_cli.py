@@ -103,6 +103,18 @@ def test_unknot_command_below_natural_degree_zero():
     assert json.loads(out)["match"] is True
 
 
+def test_unknot_command_on_a_window_away_from_the_origin():
+    """The table row keeps its coefficients on a window that excludes the
+    origin: 1, q^-2 a and their q^2 multiples, as computed."""
+    code, out = run_cli(["unknot", "--variant", "intrinsic", "--k", "1",
+                         "--qmin", "6", "--qmax", "8"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["match"] is True
+    assert [(term["a"], term["q"]) for term in rep["expected"]["terms"]] == [
+        (0, 6), (0, 8), (1, 6), (1, 8)]
+
+
 def test_unknot_command_amax_alone_sets_the_window():
     code, out = run_cli(["unknot", "--variant", "intrinsic", "--k", "2", "--amax", "0"])
     assert code == 0

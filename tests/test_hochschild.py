@@ -127,6 +127,26 @@ def test_a_exponent_range():
     assert all(0 <= d[0] <= 2 for d in res.series.coeffs)
 
 
+@pytest.mark.parametrize("finite_projector", [False, True], ids=["W_(1,1)", "finite_(1,1)"])
+def test_table_series_is_the_natural_series_reoriented(finite_projector):
+    """The one orientation map: the table series is the natural one under
+    (a, q, t) |-> (N - a, q - N(N+1), t), here on windows that the map
+    carries onto each other."""
+    lam, N = Composition.of(1, 1), 2
+    table_w = Window((0, N), (-6, 10), (0, 2))
+    natural_w = Window((0, N), (-6 + N * (N + 1), 10 + N * (N + 1)), (0, 2))
+    if finite_projector:
+        cx = projector(lam, "finite").complex
+        table = hh_complex(cx, lam, table_w).series
+        natural = hh_complex(cx, lam, natural_w, orientation="natural").series
+    else:
+        table = hh_bimodule(build_W(lam), table_w).series
+        natural = hh_bimodule(build_W(lam), natural_w, orientation="natural").series
+    assert table.coeffs
+    assert table.coeffs == {(N - a, q - N * (N + 1), t): c
+                            for (a, q, t), c in natural.coeffs.items()}
+
+
 # -- trace property ----------------------------------------------------------------
 
 def test_trace_identity_trivial():
@@ -336,12 +356,13 @@ def test_hh_complex_counts_each_piece_once(monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
-def test_hh_complex_ranks_each_matrix_once(monkeypatch):
-    """One call hands each Koszul boundary (i, d) and each unrolled
-    differential g to rank_of once: each cell of each unrolling (the
-    Koszul complex's and the t-direction's) is built once, and each built
-    matrix is ranked once.  A matrix is known by its row objects; the
-    recorders keep them, and the engines, alive so that ids stay unique."""
+def _builds_and_ranks(monkeypatch, variant):
+    """Run hh_complex on the variant's projector on (1,1) from an empty Tor
+    cache, recording each cell build and each rank_of call, and assert that
+    no cell of any unrolling is built twice and no built matrix is ranked
+    twice.  A matrix is known by its row objects; the recorders keep them,
+    and the engines, alive so that ids stay unique.  Returns the ids of the
+    engines that built cells."""
     built, ranked = [], []
     build = homalg.Unrolling._build
 
@@ -358,14 +379,22 @@ def test_hh_complex_ranks_each_matrix_once(monkeypatch):
     monkeypatch.setattr(homalg.Unrolling, "_build", recording_build)
     monkeypatch.setattr(homalg, "rank_of", counting_rank_of)
     lam = Composition.thin(2)
-    proj = projector(lam, "def_finite", cap=3)
+    proj = projector(lam, variant, cap=3)
     hh_complex(proj.complex, lam, Window((0, 2), (-4, 16), (0, 4)))
     cells = [(id(engine), g) for engine, g in built]
     assert len(cells) == len(set(cells))
-    koszul = {id(tor) for tor in hochschild._HH_DATA_CACHE.values()}
-    assert koszul & {engine for engine, _ in cells}
     keys = [frozenset(map(id, rows)) for rows in ranked if rows]
     assert keys and len(keys) == len(set(keys))
+    return {engine for engine, _ in cells}
+
+
+def test_hh_complex_ranks_each_matrix_once(monkeypatch):
+    """One call hands each Koszul boundary (i, d) and each unrolled
+    differential g to rank_of once: each cell of each unrolling (the
+    Koszul complex's and the t-direction's) is built once, and each built
+    matrix is ranked once."""
+    engines = _builds_and_ranks(monkeypatch, "def_finite")
+    assert {id(tor) for tor in hochschild._HH_DATA_CACHE.values()} & engines
 
 
 def test_class_spaces_build_each_koszul_cell_once(monkeypatch):
@@ -373,27 +402,6 @@ def test_class_spaces_build_each_koszul_cell_once(monkeypatch):
     class-tracking path (an infinite projector, whose entries are not all
     scalars): a class space reads the map into its cell from the class
     space below, so no Koszul cell is built a second time for it."""
-    built, ranked = [], []
-    build = homalg.Unrolling._build
-
-    def recording_build(self, g):
-        built.append((self, g))
-        return build(self, g)
-
-    def counting_rank_of(rows):
-        rows = list(rows)
-        ranked.append(rows)
-        return rank_of(rows)
-
-    monkeypatch.setattr(hochschild, "_HH_DATA_CACHE", {})
-    monkeypatch.setattr(homalg.Unrolling, "_build", recording_build)
-    monkeypatch.setattr(homalg, "rank_of", counting_rank_of)
-    lam = Composition.thin(2)
-    proj = projector(lam, "infinite", cap=3)
-    hh_complex(proj.complex, lam, Window((0, 2), (-4, 16), (0, 4)))
-    cells = [(id(engine), g) for engine, g in built]
-    assert len(cells) == len(set(cells))
+    engines = _builds_and_ranks(monkeypatch, "infinite")
     (tor,) = hochschild._HH_DATA_CACHE.values()
-    assert tor.trackers and id(tor) in {engine for engine, _ in cells}
-    keys = [frozenset(map(id, rows)) for rows in ranked if rows]
-    assert keys and len(keys) == len(set(keys))
+    assert tor.trackers and id(tor) in engines

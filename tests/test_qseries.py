@@ -14,6 +14,7 @@ from fraylab.qseries import (
     quantum_binomial,
     quantum_factorial,
     quantum_int,
+    UNKNOT_ROWS,
     unknot_table,
 )
 from fraylab.symfun import Composition
@@ -278,3 +279,26 @@ def test_expanded_rows_keep_the_rule(variant):
                               [(0, 2, 0)]).expand(w)
     assert_exact_coeffs(half)
     assert any(c.__class__ is Fraction for c in half.coeffs.values())
+
+
+@st.composite
+def rows_and_windows(draw):
+    """A table row with k <= 3 and a window anywhere near its terms, mostly
+    away from the origin."""
+    k = draw(st.integers(1, 3))
+    a0 = draw(st.integers(0, k))
+    q0, t0 = draw(st.integers(-16, 20)), draw(st.integers(0, 4))
+    w = Window((a0, draw(st.integers(a0, k))), (q0, q0 + draw(st.integers(0, 8))),
+               (t0, t0 + draw(st.integers(0, 3))))
+    return draw(st.sampled_from(sorted(UNKNOT_ROWS))), k, w
+
+
+@given(rows_and_windows())
+def test_expansion_on_any_window_is_the_restriction_of_a_wider_one(case):
+    """A row expanded on a window equals its expansion on a window that
+    also holds the origin, restricted: where the window lies does not
+    change its coefficients."""
+    variant, k, w = case
+    wide = Window((0, w.a[1]), (min(0, w.q[0]), max(0, w.q[1])), (0, w.t[1]))
+    expr = unknot_table(variant, k)
+    assert expr.expand(w).coeffs == expr.expand(wide).restrict(w).coeffs

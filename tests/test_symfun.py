@@ -30,6 +30,7 @@ from fraylab.symfun import (
     rho_matrix,
     rho_psi_roundtrip,
     rho_substitution,
+    thin_legs,
     u_param,
     v_gen,
     vanishing_locus_sampler,
@@ -171,7 +172,7 @@ def test_thin_recursive_worked_example():
 def test_thin_recursive_identity(n):
     fam = a_thin_recursive(n)
     for i in range(1, n + 1):
-        assert a_identity_defect(fam, Composition.thin(n), i, thin=True).is_zero()
+        assert a_identity_defect(thin_legs(fam), Composition.thin(n), i).is_zero()
 
 
 # -- g polynomials ---------------------------------------------------------------
