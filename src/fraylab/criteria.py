@@ -42,10 +42,9 @@ from .symfun import (
     a_family,
     a_identity_defect,
     a_thin_recursive,
+    block_differences,
     compositions,
     curvature_transport_defect,
-    e_gen,
-    esp_sym,
     eval_at_point,
     expand_to_x,
     g_polys,
@@ -168,17 +167,16 @@ def psi_rho(max_n: int = 4) -> list[dict]:
 
 
 def g_congruences(max_n: int = 4, seed: int = 0) -> list[dict]:
-    """Criterion 7, for n <= max_n and i <= n + 1: (x_1 - x'_1) g_i + e_i(X)
-    - e_i(X') vanishes on 100 seeded points of the (n, 1) vanishing locus,
-    and for i = n + 1 it is zero in the ring of W_{(n,1)}."""
+    """Criterion 7, for n <= max_n and i <= n + 1: xi_{2,1} g_i + xi_{1,i} =
+    (x_{n+1} - x'_{n+1}) g_i + e_i(X_1) - e_i(X'_1), with xi_{1,n+1} = 0,
+    vanishes on 100 seeded points of the (n, 1) vanishing locus, and for
+    i = n + 1 it is zero in the ring of W_{(n,1)}."""
     samples = 100
-    xdiff = Poly.gen(e_gen(2, 1)) - Poly.gen(e_gen(2, 1, BOTTOM))
     out = []
     for n in range(1, max_n + 1):
         b = Composition.of(n, 1)
-        gs = g_polys(n)
-        legs = [xdiff * gs[i - 1] + (esp_sym(i, n) - esp_sym(i, n, 1, BOTTOM))
-                for i in range(1, n + 2)]
+        *xis, xlast = [xi for _, _, xi in block_differences(b)]
+        legs = [xlast * g + xi for g, xi in zip(g_polys(n), xis + [Poly.zero()])]
         pts = vanishing_locus_sampler(b, samples, seed)
         ok = all(eval_at_point(expanded, pt, b) == 0
                  for expanded in (expand_to_x(leg, b) for leg in legs) for pt in pts)
@@ -260,19 +258,22 @@ def gauss(max_n: int = 50, seed: int = 0) -> list[dict]:
 
 
 def ladder(n: int = 3, cap: int = 2) -> list[dict]:
-    """Criterion 9: the thin-recursion basis change for m <= n; for m <=
-    min(n, 3), every C_m variant collapses to two terms under cone-iota
-    elimination, and the ladder collapse passes its checks.  The collapses
-    stop at 3: each further step costs about five times the one before."""
+    """Criterion 9: for m <= n, the thin-recursion basis change and the
+    collapse of every C_m variant to two terms under cone-iota elimination;
+    for m <= min(n, 3), the ladder collapse passes its checks.  The ladder
+    collapse stops at 3: its cost grows about fivefold per step, from under
+    0.01 s at m = 1 to about 1 s at m = 7 (2-core container), while the four
+    cone-iota collapses of one m take under 0.1 s for every m <= 7."""
     out = [_record(f"ladder basis change n={m}", basis_change_check(m, cap=cap).ok, {"n": m})
            for m in range(1, n + 1)]
-    for m in range(1, min(n, 3) + 1):
+    for m in range(1, n + 1):
         for variant in CN_VARIANTS:
             red = _built(lambda: cone_iota_eliminate(m, variant, cap=cap))
             ok = red is not None and len(red.objects) == 2
             out.append(_record(f"cone-iota collapse C_{m}^{variant}", ok, {"n": m}))
-        ok = _built(lambda: ladder_collapse(m, cap=cap)) is not None
-        out.append(_record(f"ladder collapse n={m}", ok, {"n": m}))
+        if m <= 3:
+            ok = _built(lambda: ladder_collapse(m, cap=cap)) is not None
+            out.append(_record(f"ladder collapse n={m}", ok, {"n": m}))
     return out
 
 

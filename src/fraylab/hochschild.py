@@ -40,6 +40,7 @@ from typing import Optional
 from .grading import MultiDegree
 from .homalg import (
     CurvedComplex,
+    Entry,
     GradedRing,
     ParamSpec,
     PMono,
@@ -49,7 +50,7 @@ from .homalg import (
 )
 from .qseries import TriSeries, Window, unknot_table
 from .ssbim import MergeSplitBimodule, build_identity, projector
-from .symfun import BOTTOM, MIDDLE, Composition, Poly, TOP, alphabet_gens, e_gen
+from .symfun import BOTTOM, MIDDLE, Composition, Poly, TOP, alphabet_gens, block_differences, e_gen
 
 # ---------------------------------------------------------------------------
 # results
@@ -67,8 +68,7 @@ class HHResult:
 def hh_operators(comp: Composition) -> list[tuple[Poly, int]]:
     """(xi, natural dual degree) for each blockwise generator: the
     differences e_k(X_j) - e_k(X'_j) of corresponding top/bottom blocks."""
-    return [(Poly.gen(g) - Poly.gen(h), 2 * g[3])
-            for g, h in zip(alphabet_gens(comp, TOP), alphabet_gens(comp, BOTTOM))]
+    return [(xi, 2 * k) for _, k, xi in block_differences(comp)]
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +85,9 @@ def koszul(ring: GradedRing, ops: list[tuple[Poly, int]]) -> Unrolling:
     # zero-padded names keep the subsets in numeric order
     names = [f"theta{e:0{len(str(len(ops)))}d}" for e in range(len(ops))]
     params = ParamSpec.make((n, MultiDegree(0, w, -1), "odd") for n, (_, w) in zip(names, ops))
-    cx = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), ring)], params)
-    connection = {PMono(duals=(n,)): {(0, 0): xi} for n, (xi, _) in zip(names, ops)
-                  if not xi.is_zero()}
-    return Unrolling(cx, connection, (-len(ops), 0))
+    connection = {PMono(duals=(n,)): {(0, 0): Entry.plain(xi)} for n, (xi, _) in zip(names, ops)}
+    cx = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), ring)], params, connection)
+    return Unrolling(cx, (-len(ops), 0))
 
 
 _HH_DATA_CACHE: dict[tuple, Unrolling] = {}
@@ -174,23 +173,21 @@ def hh_complex(
 
     tor = hochschild_data(ring, comp)
 
-    # transported connection entries
-    transported: dict[PMono, dict[tuple[int, int], Poly]] = {}
-    for mono, mat in C.terms.items():
-        for (i, j), e in mat.items():
-            if not e.is_plain():
-                raise ValueError("hh_complex with opaque entries is not defined")
-            p = ring.normal_form(_identify_sides(e.plain_part()))
-            if not p.is_zero():
-                transported.setdefault(mono, {})[(i, j)] = p
+    # the connection transported through the identification; Unrolling
+    # rejects an opaque part
+    C = C.derived(terms={
+        mono: {ij: Entry({tag: ring.normal_form(_identify_sides(p)) for tag, p in e.parts.items()})
+               for ij, e in mat.items()}
+        for mono, mat in C.terms.items()
+    })
 
     # with scalar entries only, every entry acts as a multiple of the
     # identity on class spaces, so class counts suffice and no
     # representatives are built
     scalar_only = all(
-        p.constant_value() is not None
-        for mat in transported.values()
-        for p in mat.values()
+        e.plain_part().constant_value() is not None
+        for mat in C.terms.values()
+        for e in mat.values()
     )
 
     # Tor_i at natural q-degree d is the Koszul cell (0, d, -i)
@@ -199,7 +196,7 @@ def hh_complex(
             return tor.homology((0, d, -i))
         return tor.classes((0, d, -i)).n_classes
 
-    unrolled = Unrolling(C, transported, window.t, class_dim,
+    unrolled = Unrolling(C, window.t, class_dim,
                          lambda p, i, d: tor.induced(p, (0, d, -i)))
     # the one orientation map, inverted: the reported (a, q, t) is the cell
     # (i, d, t) of Tor level i at natural q-degree d, with table i = N - a,

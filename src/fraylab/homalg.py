@@ -10,9 +10,13 @@ lists below it and caches it.
 A curved complex is stored in decomposed form: a list of rank-1 free
 objects (each with a multidegree and a presented ring), a connection
 written as a sum of (parameter monomial, matrix of ring elements) terms,
-and a declared curvature.  Parameter monomials live in the Clifford-type
-algebra generated by even multiplications, odd multiplications theta and
-contractions theta-dual, subject to
+and a declared curvature.  A complex made from another -- shifted,
+eliminated, re-parametrized -- is ``derived`` from it, keeping its cap and
+opaque-tag rules; only ``cone`` merges two complexes' settings.  An opaque
+tag maps between its objects' bimodules and shifts by their qshifts.
+Parameter monomials live in the Clifford-type algebra generated by even
+multiplications, odd multiplications theta and contractions theta-dual,
+subject to
 
     theta^2 = (theta-dual)^2 = 0,
     theta-dual theta + theta theta-dual = 1,
@@ -34,12 +38,13 @@ sums first: its entries commute and its interchange sign is 1, so
 ``CurvedComplex.square`` multiplies each unordered pair of terms once, by
 the supercommutator s r + r s of their parameter monomials.
 
-Homology has one routine too, ``Unrolling``: a connection whose curvature
-vanishes is a differential on the objects times the dual-free parameter
-monomials, graded by (level, q, t).  Truncated homology and Tor -- the
-Koszul complex is one object with an odd parameter per operator -- run on
-it, and so does the t-direction of Hochschild homology, on Tor's class
-spaces (``classes``) and the maps induced between them (``induced``).
+Homology has one routine too, ``Unrolling``: the plain connection of a
+complex over one ring, with vanishing curvature, is a differential on the
+objects times the dual-free parameter monomials, graded by (level, q, t).
+Truncated homology and Tor -- the Koszul complex is one object with an odd
+parameter per operator -- run on it, and so does the t-direction of
+Hochschild homology, on Tor's class spaces (``classes``) and the maps
+induced between them (``induced``).
 
 Every identity check -- Maurer-Cartan, closed chain maps, the SDR
 identities, vanishing curvature -- asks one vanishing rule,
@@ -262,9 +267,8 @@ class GradedRing:
     def __init__(self, spec: RingSpec):
         self.spec = spec
         self._subst: dict[tuple, Poly] = {}
-        kept: list[Poly] = []
         gens = dict(spec.generators)
-        todo = [self._apply_subst(r) for r in spec.relations]
+        todo = spec.relations
         changed = True
         while changed:
             changed = False
@@ -661,14 +665,12 @@ class CurvedComplex:
         curvature: Mapping[PMono, Poly] | None = None,
         cap: Optional[int] = None,
         opaque_rules: Mapping[tuple, Optional[str]] | None = None,
-        opaque_degrees: Mapping[str, MultiDegree] | None = None,
     ):
         self.objects = list(objects)
         self.params = params
         self.terms: Terms = {}
         self.cap = cap
         self.opaque_rules = dict(opaque_rules or {})
-        self.opaque_degrees = dict(opaque_degrees or {})
         if terms:
             for mono, mat in terms.items():
                 clean = {ij: e for ij, e in mat.items() if not e.is_zero()}
@@ -678,15 +680,28 @@ class CurvedComplex:
             m: p for m, p in (curvature or {}).items() if not p.is_zero()
         }
 
+    def derived(self, objects: Sequence[RC_Object] | None = None,
+                params: ParamSpec | None = None, terms: Terms | None = None,
+                curvature: Mapping[PMono, Poly] | None = None) -> "CurvedComplex":
+        """A complex with self's cap and opaque rules, and self's objects,
+        parameters, connection or curvature wherever none is given."""
+        return CurvedComplex(self.objects if objects is None else objects,
+                             self.params if params is None else params,
+                             self.terms if terms is None else terms,
+                             self.curvature if curvature is None else curvature,
+                             self.cap, self.opaque_rules)
+
     # -- bookkeeping ---------------------------------------------------------
     def entry_degree(self, i: int, j: int, entry: Entry) -> MultiDegree:
-        """Internal degree of an entry O_j -> O_i (checks homogeneity).
-        Opaque tags carry declared degrees absorbing any cross-ring shift."""
+        """Internal degree of an entry O_j -> O_i (checks homogeneity).  An
+        opaque tag maps representatives of O_j's presented bimodule to O_i's,
+        so a tagged part also shifts by qshift(O_j) - qshift(O_i)."""
+        shift = MultiDegree(0, self.objects[j].ring.qshift - self.objects[i].ring.qshift, 0)
         degs = set()
         for tag, p in entry.parts.items():
             d = p.degree()
             if tag is not None:
-                d = d + self.opaque_degrees[tag]
+                d = d + shift
             degs.add(d.as_tuple())
         if len(degs) != 1:
             raise ValueError(f"inhomogeneous entry at ({i},{j})")
@@ -892,28 +907,9 @@ class CurvedComplex:
     # -- basic constructions ---------------------------------------------------
     def shifted(self, delta: MultiDegree) -> "CurvedComplex":
         sign = shift_sign(delta)
-        objects = [
-            RC_Object(o.degree + delta, o.ring, o.label) for o in self.objects
-        ]
-        terms = {
-            m: {ij: e.scale(sign) for ij, e in mat.items()}
-            for m, mat in self.terms.items()
-        }
-        return CurvedComplex(
-            objects, self.params, terms, dict(self.curvature), self.cap,
-            self.opaque_rules, self.opaque_degrees,
-        )
-
-    def with_params(self, extra: ParamSpec) -> "CurvedComplex":
-        return CurvedComplex(
-            self.objects,
-            self.params.merge(extra),
-            {m: dict(mat) for m, mat in self.terms.items()},
-            dict(self.curvature),
-            self.cap,
-            self.opaque_rules,
-            self.opaque_degrees,
-        )
+        objects = [RC_Object(o.degree + delta, o.ring, o.label) for o in self.objects]
+        terms = {m: {ij: e.scale(sign) for ij, e in mat.items()} for m, mat in self.terms.items()}
+        return self.derived(objects, terms=terms)
 
     # -- serialization ----------------------------------------------------------
     def to_json(self):
@@ -1004,7 +1000,6 @@ def cone(f: ChainMap) -> CurvedComplex:
         objects, Y.params.merge(X.params), terms, curv,
         Y.cap if Y.cap is not None else X.cap,
         {**X.opaque_rules, **Y.opaque_rules},
-        {**X.opaque_degrees, **Y.opaque_degrees},
     )
 
 
@@ -1107,15 +1102,7 @@ def gaussian_eliminate(C: CurvedComplex, entry: tuple[int, int]) -> tuple[Curved
     }
     new_terms = CurvedComplex.add_terms(new_terms, correction, -inv)
 
-    reduced = CurvedComplex(
-        [C.objects[i] for i in keep],
-        C.params,
-        new_terms,
-        dict(C.curvature),
-        C.cap,
-        C.opaque_rules,
-        C.opaque_degrees,
-    )
+    reduced = C.derived([C.objects[i] for i in keep], terms=new_terms)
 
     # SDR data: f(x->x) = id, f(r->y) = -gamma phi^{-1};
     #           g(x->x) = id, g(y->c) = -phi^{-1} kappa; h = phi^{-1}: r -> c.
@@ -1181,9 +1168,10 @@ class Unrolling:
     for local < 0, where it is 0) and act(p, level, local) the matrix of the
     plain entry p from it, one packed column (row, value, ...) per basis
     vector of the piece; a scalar entry acts as c times the identity.  By
-    default the objects share one ring whose graded pieces sit at level 0.
-    `entries` holds the nonzero plain entries per parameter monomial, and
-    t_range the t-span of the cells asked for.  Dimensions, actions,
+    default the graded pieces of the objects' ring sit at level 0.  The
+    entries are the plain parts of C's connection: an opaque part, or
+    objects over more than one ring, raise ValueError.  t_range is the
+    t-span of the cells asked for.  Dimensions, actions,
     parameter products, each cell's differential and its class space are
     computed once.  No rows are kept: ``ranks`` holds each differential's
     rank, and a cell's ``ClassTracker`` (``trackers``) its packed columns
@@ -1192,11 +1180,14 @@ class Unrolling:
     def __init__(
         self,
         C: CurvedComplex,
-        entries: Mapping[PMono, Mapping[tuple[int, int], Poly]],
         t_range: tuple[int, int],
         piece_dim: Optional[Callable[[int, int], int]] = None,
         act: Optional[Callable[[Poly, int, int], Sequence[tuple]]] = None,
     ):
+        if any(not e.is_plain() for mat in C.terms.values() for e in mat.values()):
+            raise ValueError("homology with opaque entries is not defined")
+        if len({id(o.ring) for o in C.objects}) > 1:
+            raise ValueError("an unrolling expects all objects over one ring")
         if piece_dim is None:
             ring = C.objects[0].ring if C.objects else None
             piece_dim = lambda level, local: ring.dim(local) if level == 0 else 0  # noqa: E731
@@ -1210,9 +1201,10 @@ class Unrolling:
                 base = o.degree + mdeg
                 self.bases.setdefault(base.t, []).append((oi, mono, base))
         self.terms = []
-        for s_mono, mat in entries.items():
+        for s_mono, mat in C.terms.items():
             eps = C._eps(s_mono)
-            for (i, j), p in mat.items():
+            for (i, j), e in mat.items():
+                p = e.plain_part()
                 key = frozenset(p.terms.items())
                 self.terms.append((s_mono, i, j, eps[j], p, p.constant_value(), key))
         self.dims: dict[tuple[int, int], int] = {}
@@ -1350,22 +1342,11 @@ def homology_truncated(C: CurvedComplex, window: Window) -> TriSeries:
     bad = nonvanishing(C.diagonal(C.curvature), C.objects, C.objects)
     if bad is not None:
         raise ValueError(f"homology of a complex with non-vanishing curvature at {_at(bad)}")
-    # entries must be plain to act on monomial bases
-    entries: dict[PMono, dict[tuple[int, int], Poly]] = {}
-    for mono, mat in C.terms.items():
-        for ij, e in mat.items():
-            if not e.is_plain():
-                raise ValueError("homology with opaque entries is not defined")
-            if not e.plain_part().is_zero():
-                entries.setdefault(mono, {})[ij] = e.plain_part()
-    rings = {id(o.ring) for o in C.objects}
-    if len(rings) > 1:
-        raise ValueError("homology_truncated expects all objects over one ring")
+    unrolled = Unrolling(C, window.t)
     cells = (
         (a, q, t)
         for a in range(window.a[0], window.a[1] + 1)
         for t in range(window.t[0], window.t[1] + 1)
         for q in range(window.q[0], window.q[1] + 1)
     )
-    unrolled = Unrolling(C, entries, window.t)
     return TriSeries(window, {g: d for g in cells if (d := unrolled.homology(g))})

@@ -59,6 +59,7 @@ from .symfun import (
     a_family,
     a_thin_recursive,
     alphabet_gens,
+    block_differences,
     e_gen,
     elementary_of_total,
     expand_to_x,
@@ -128,8 +129,7 @@ def build_identity(a: Composition) -> MergeSplitBimodule:
     """The identity bimodule 1_a: blockwise differences are killed."""
     key = ("1", a.parts)
     if key not in _BIMODULE_CACHE:
-        relations = [Poly.gen(g) - Poly.gen(h)
-                     for g, h in zip(alphabet_gens(a, TOP), alphabet_gens(a, BOTTOM))]
+        relations = [xi for _, _, xi in block_differences(a)]
         name = f"1[{'.'.join(map(str, a.parts))}]"
         _BIMODULE_CACHE[key] = _bimodule(name, a, a, relations, 0, block_preserving=True)
     return _BIMODULE_CACHE[key]
@@ -212,8 +212,7 @@ def _twisted_koszul(
 
     F_u = sum_i (e_i(X) - e_i(X')) u_i and F_y = sum_jk (e_k(X_j) - e_k(X'_j)) y_jk.
     check runs one Maurer-Cartan check (see the module docstring)."""
-    legs = [(j, k, Poly.gen(e_gen(j, k, TOP)) - Poly.gen(e_gen(j, k, BOTTOM)))
-            for j, size in enumerate(lam.parts, start=1) for k in range(1, size + 1)]
+    legs = block_differences(lam)
     entries = [(f"th{j}_{k}", MultiDegree(0, -2 * k, 1), "odd") for j, k, _ in legs]
     terms: Terms = {PMono((), (f"th{j}_{k}",), ()): {(0, 0): Entry.plain(d)} for j, k, d in legs}
     curv: dict[PMono, Poly] = {}
@@ -276,11 +275,6 @@ def projector(lam: Composition, variant: str, cap: int = 3, check: bool = True) 
 UNZIP_RULES = {("unit", "unzip"): None}
 
 
-def _xdiff() -> Poly:
-    """x_{n+1} - x'_{n+1}, the e_1 of block 2 of (n, 1) on each side."""
-    return Poly.gen(e_gen(2, 1, TOP)) - Poly.gen(e_gen(2, 1, BOTTOM))
-
-
 def cn_family(n: int, variant: str = "plain", cap: int = 3) -> CurvedComplex:
     """The three-term complex q^n W -> tq^{n-2} W -> t^2 q^{-2} 1 with the
     variant backward twists:
@@ -288,7 +282,8 @@ def cn_family(n: int, variant: str = "plain", cap: int = 3) -> CurvedComplex:
         plain: none            y: + y_{n+1} backward
         u: - sum g_i u_i       yu: both.
 
-    The unzip arrow is an opaque symbol of forced internal degree q^n; the
+    The unzip arrow is an opaque symbol; its internal degree q^n is the
+    qshift of W_{(n,1)} over that of the identity bimodule.  The
     Maurer-Cartan check reduces every component, with unzip-tagged scalars
     vanishing in the identity bimodule's quotient.
     """
@@ -302,29 +297,22 @@ def cn_family(n: int, variant: str = "plain", cap: int = 3) -> CurvedComplex:
         RC_Object(MultiDegree(0, n - 2, 1), W.ring, "tqn2W"),
         RC_Object(MultiDegree(0, -2, 2), ident.ring, "t2q21"),
     ]
+    # xi_{1,i} for i <= n, then xi_{2,1} = x_{n+1} - x'_{n+1}
+    *xis, xlast = [xi for _, _, xi in block_differences(Composition.of(n, 1))]
     entries: list[tuple[str, MultiDegree, str]] = []
     curv: dict[PMono, Poly] = {}
     if variant in ("y", "yu"):
         entries.append((f"y{n + 1}", MultiDegree(0, -2, 2), "even"))
-        curv[PMono(((f"y{n + 1}", 1),), (), ())] = _xdiff()
+        curv[PMono(((f"y{n + 1}", 1),), (), ())] = xlast
     if variant in ("u", "yu"):
         entries.extend(_u_params(n))
-        for i in range(1, n + 1):
-            diff = Poly.gen(e_gen(1, i, TOP)) - Poly.gen(e_gen(1, i, BOTTOM))
-            curv[PMono(((f"u{i}", 1),), (), ())] = diff
-    params = ParamSpec.make(entries)
+        for i, xi in enumerate(xis, start=1):
+            curv[PMono(((f"u{i}", 1),), (), ())] = xi
     terms = _two_term(n, variant, n)
     terms[PM_ONE][(2, 1)] = Entry.opaque("unzip")
 
-    cx = CurvedComplex(
-        objects,
-        params,
-        terms,
-        curv,
-        cap=cap,
-        opaque_rules=UNZIP_RULES,
-        opaque_degrees={"unzip": MultiDegree(0, n, 0), "unit": MultiDegree(0, -n, 0)},
-    )
+    cx = CurvedComplex(objects, ParamSpec.make(entries), terms, curv, cap=cap,
+                       opaque_rules=UNZIP_RULES)
     cx.check_homogeneous()
     rep = cx.mc_check()
     if not rep:
@@ -336,7 +324,8 @@ def _two_term(n: int, variant: str, legs: int) -> Terms:
     """The connection of the two-term complex q^n W <-> tq^{n-2} W: forward
     x_{n+1} - x'_{n+1}, backward y_{n+1} (variants y, yu) and -g_i u_i for
     i <= legs (variants u, yu)."""
-    terms: Terms = {PM_ONE: {(1, 0): Entry.plain(_xdiff())}}
+    xlast = block_differences(Composition.of(n, 1))[-1][2]
+    terms: Terms = {PM_ONE: {(1, 0): Entry.plain(xlast)}}
     if variant in ("y", "yu"):
         terms[PMono(((f"y{n + 1}", 1),), (), ())] = {(0, 1): Entry.plain(Poly.one())}
     if variant in ("u", "yu"):
@@ -352,16 +341,13 @@ def _collapse(cx: CurvedComplex, psi: Terms, want: Terms) -> CurvedComplex:
     verified; a failure raises), and comparison with the two-term
     connection want."""
     last = cx.objects[2]
-    source = CurvedComplex(
-        [RC_Object(last.degree, last.ring, "src")], cx.params, {},
-        cx.curvature, cx.cap, cx.opaque_rules, cx.opaque_degrees,
-    )
+    source = cx.derived([RC_Object(last.degree, last.ring, "src")], terms={})
     phi = ChainMap(source, cx, {PM_ONE: {(2, 0): Entry.plain(Poly.one())}, **psi})
     reduced, sdr = gaussian_eliminate(cone(phi), (3, 0))
     rep = sdr.verify()
     if not rep:
         raise ValueError(f"Gaussian elimination produced a bad SDR: {rep.details}")
-    bad = _terms_mismatch(reduced, CurvedComplex(cx.objects[:2], cx.params, want))
+    bad = _terms_mismatch(reduced, cx.derived(cx.objects[:2], terms=want))
     if bad:
         raise AssertionError(f"two-term complex after elimination: {bad}")
     return reduced
@@ -399,7 +385,8 @@ def ladder_collapse(n: int, cap: int = 2):
     """Build Cone(Phi), Phi = iota (x) 1 + psi (x) u_{n+1}, eliminate the
     identity rung, verify the two-term answer with backward
     -sum_{i<=n+1} g_i u_i, and return tw_{tau_n} on W_{(1^{n+1})}."""
-    cx = cn_family(n, "u", cap=cap).with_params(ParamSpec.make(_u_params(n + 1)))
+    cx = cn_family(n, "u", cap=cap)
+    cx = cx.derived(params=cx.params.merge(ParamSpec.make(_u_params(n + 1))))
     psi = {PMono(((f"u{n + 1}", 1),), (), ()): {(0, 0): Entry.opaque("unit", g_polys(n)[n])}}
     return _collapse(cx, psi, _two_term(n, "u", n + 1)), tau_complex(n, cap=cap)
 
@@ -527,7 +514,4 @@ def _substitute_u_linear(cx: CurvedComplex, table: Mapping[str, list]) -> Curved
                 piece = ent.times_poly(coeff)
                 prev = tgt.get(ij)
                 tgt[ij] = piece if prev is None else prev + piece
-    return CurvedComplex(
-        cx.objects, cx.params, new_terms, dict(cx.curvature), cx.cap,
-        cx.opaque_rules, cx.opaque_degrees,
-    )
+    return cx.derived(terms=new_terms)

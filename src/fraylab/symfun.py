@@ -18,7 +18,8 @@ Everything downstream (presented rings, curved complexes, Hochschild
 homology) manipulates these polynomials.  Raw expansion and evaluation read
 side-0 blocks from the top composition and side-1 blocks from the bottom
 one.  The partially symmetric families of the source constructions live
-here: block decompositions of total elementary polynomials, the a_ijk
+here: block decompositions of total elementary polynomials, the blockwise
+differences xi_jk = e_k(X_j) - e_k(X'_j) (``block_differences``), the a_ijk
 telescoping family and its thin recursion, the g_i polynomials of the
 two-strand collapse, and the psi/rho change of deformation variables: one
 triangular matrix R (``rho_matrix``) gives rho, and psi is its inverse.
@@ -418,6 +419,14 @@ def elementary_of_total(i: int, b: Composition, side: int = TOP) -> Poly:
     })
 
 
+def block_differences(b: Composition) -> list[tuple[int, int, Poly]]:
+    """(j, k, e_k(X_j) - e_k(X'_j)) for every block generator of b, in the
+    order of alphabet_gens: the Koszul legs of a frayed projector, the
+    relations of the identity bimodule and the Hochschild operators."""
+    return [(g[2], g[3], Poly.gen(g) - Poly.gen(h))
+            for g, h in zip(alphabet_gens(b, TOP), alphabet_gens(b, BOTTOM))]
+
+
 def block_x_gens(b: Composition, j: int, side: int = TOP) -> list[tuple]:
     """Raw variables of block j (1-based) under the global numbering."""
     off = b.block_offsets()[j - 1]
@@ -571,10 +580,8 @@ def thin_legs(fam: Mapping[tuple[int, int], Poly]) -> dict[tuple[int, int, int],
 def a_identity_defect(fam, b: Composition, i: int) -> Poly:
     """LHS - RHS of the defining identity for index i, in raw variables."""
     lhs = Poly.zero()
-    for j in range(1, len(b) + 1):
-        for k in range(1, b.parts[j - 1] + 1):
-            diff = Poly.gen(e_gen(j, k)) - Poly.gen(e_gen(j, k, BOTTOM))
-            lhs = lhs + fam[(i, j, k)] * diff
+    for j, k, diff in block_differences(b):
+        lhs = lhs + fam[(i, j, k)] * diff
     lhs = expand_to_x(lhs, b)
     all_top = [x_gen(i2) for i2 in range(1, b.total + 1)]
     all_bot = [x_gen(i2, BOTTOM) for i2 in range(1, b.total + 1)]

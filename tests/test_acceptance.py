@@ -173,7 +173,8 @@ def test_criterion_8b_records_a_bad_sdr(monkeypatch):
 
 
 def test_criterion_9_ladder():
-    report("criterion 9: ladder basis change (n <= 5), cone collapses (n <= 3)",
+    report("criterion 9: ladder basis change and cone-iota collapses (n <= 5), "
+           "ladder collapses (n <= 3)",
            criteria.ladder(n=5, cap=2))
 
 

@@ -308,6 +308,14 @@ def test_cap_sufficiency_guard():
         hh_complex(proj.complex, lam, Window((0, 1), (-2, 6), (0, 6)))
 
 
+def test_hh_complex_rejects_an_opaque_entry():
+    lam = Composition.of(1)
+    cx = projector(lam, "finite").complex
+    terms = {**cx.terms, homalg.PM_ONE: {(0, 0): homalg.Entry.opaque("f")}}
+    with pytest.raises(ValueError, match="opaque"):
+        hh_complex(cx.derived(terms=terms), lam, Window((0, 1), (-2, 6), (0, 2)))
+
+
 # -- windows below natural q-degree 0 ------------------------------------------------
 
 @pytest.mark.parametrize("k, window, classes", [

@@ -691,6 +691,36 @@ def test_shift_complex_function(qx):
     assert again.terms[PM_ONE][(1, 0)].plain_part() == x
 
 
+def test_derived_keeps_cap_and_opaque_rules(qx):
+    rules = {("f", "g"): None}
+    cx = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), qx)], ParamSpec.make([]),
+                       {PM_ONE: {(0, 0): Entry.opaque("f")}}, cap=2, opaque_rules=rules)
+    for new in (cx.derived(), cx.derived(terms={}), cx.shifted(MultiDegree(0, 2, 0))):
+        assert (new.cap, new.opaque_rules) == (2, rules)
+    assert cx.derived(terms={}).terms == {}
+    assert cx.derived().terms[PM_ONE][(0, 0)].parts == cx.terms[PM_ONE][(0, 0)].parts
+
+
+# -- the unrolling's guards --------------------------------------------------------------
+
+def test_unrolling_rejects_an_opaque_entry(qx):
+    cx = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), qx)], ParamSpec.make([]),
+                       {PM_ONE: {(0, 0): Entry({None: Poly.one(), "f": Poly.one()})}})
+    with pytest.raises(ValueError, match="opaque"):
+        homalg_module.Unrolling(cx, (0, 1))
+    with pytest.raises(ValueError, match="opaque"):
+        homology_truncated(cx, Window((0, 0), (0, 2), (0, 1)))
+
+
+def test_unrolling_rejects_objects_over_two_rings(qx, qxy):
+    cx = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), qx),
+                        RC_Object(MultiDegree(0, 0, 1), qxy)], ParamSpec.make([]))
+    with pytest.raises(ValueError, match="one ring"):
+        homalg_module.Unrolling(cx, (0, 1))
+    with pytest.raises(ValueError, match="one ring"):
+        homology_truncated(cx, Window((0, 0), (0, 2), (0, 1)))
+
+
 # -- the one vanishing rule --------------------------------------------------------------
 
 def _plain_terms(cells, mono=PM_ONE):

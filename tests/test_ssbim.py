@@ -6,10 +6,11 @@ import pytest
 
 from fraylab import criteria, ssbim
 from fraylab.grading import MultiDegree
-from fraylab.hochschild import compose_bimodules
-from fraylab.homalg import PM_ONE, CheckReport, PMono, SdrData, homology_truncated
+from fraylab.hochschild import compose_bimodules, hh_operators
+from fraylab.homalg import PM_ONE, CheckReport, Entry, PMono, SdrData, homology_truncated
 from fraylab.qseries import Laurent, Window, f_factor, quantum_binomial, quantum_int
 from fraylab.ssbim import (
+    UNZIP_RULES,
     basis_change_check,
     build_identity,
     build_W,
@@ -20,7 +21,18 @@ from fraylab.ssbim import (
     ladder_collapse,
     projector,
 )
-from fraylab.symfun import BOTTOM, MIDDLE, TOP, Composition, Poly, e_gen, eval_at_point, g_polys
+from fraylab.symfun import (
+    BOTTOM,
+    MIDDLE,
+    TOP,
+    Composition,
+    Poly,
+    block_differences,
+    compositions,
+    e_gen,
+    eval_at_point,
+    g_polys,
+)
 
 
 # -- merge-split bimodules -------------------------------------------------------
@@ -323,6 +335,22 @@ def test_projector_json():
     assert "connection" in data
 
 
+@pytest.mark.parametrize("parts", [p for N in range(1, 5) for p in compositions(N)])
+def test_block_differences_are_operators_relations_and_legs(parts):
+    """xi_jk = e_k(X_j) - e_k(X'_j) is one list, in one order: the
+    Hochschild operators, the relations of 1_lambda and the Koszul legs of
+    the finite projector."""
+    lam = Composition(parts)
+    xis = [xi for _, _, xi in block_differences(lam)]
+    assert [xi for xi, _ in hh_operators(lam)] == xis
+    assert build_identity(lam).ring.spec.relations == xis
+    cx = projector(lam, "finite").complex
+    legs = [cx.terms[PMono((), (th,), ())][(0, 0)].plain_part() for th in cx.params.odd_names()]
+    assert legs == xis
+    assert [(j, k) for j, k, _ in block_differences(lam)] == [
+        (j, k) for j, size in enumerate(parts, start=1) for k in range(1, size + 1)]
+
+
 # -- the C_n family ----------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -342,6 +370,20 @@ def test_cn_plain_shape():
     # forward x_2 - x'_2 then opaque unzip
     assert cx.terms[PM_ONE][(1, 0)].is_plain()
     assert not cx.terms[PM_ONE][(2, 1)].is_plain()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("variant", ["plain", "y", "u", "yu"])
+def test_cn_unzip_degree_comes_from_the_rings(n, variant):
+    """The unzip arrow W_{(n,1)} -> 1_{(n,1)} takes its degree q^n from the
+    two rings' qshifts; the same arrow carrying x_{n+1} is inhomogeneous."""
+    cx = cn_family(n, variant, cap=2)
+    assert cx.objects[1].ring.qshift - cx.objects[2].ring.qshift == n
+    cx.check_homogeneous()
+    terms = {mono: dict(mat) for mono, mat in cx.terms.items()}
+    terms[PM_ONE][(2, 1)] = Entry.opaque("unzip", Poly.gen(e_gen(2, 1, TOP)))
+    with pytest.raises(ValueError, match="not t"):
+        cx.derived(terms=terms).check_homogeneous()
 
 
 def test_cn_u_backward_maps():
@@ -391,6 +433,28 @@ def test_ladder_collapse(n):
     assert len(red.objects) == 2
     assert len(tau.objects) == 1
     assert tau.mc_check().ok
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ladder_collapse_keeps_cap_and_rules(n):
+    red, _ = ladder_collapse(n, cap=2)
+    assert red.cap == 2
+    assert red.opaque_rules == UNZIP_RULES
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ladder_cone_is_homogeneous(n, monkeypatch):
+    """The cone that the ladder collapse eliminates in is homogeneous: its
+    opaque 'unit' arrow 1_{(n,1)} -> W_{(n,1)} takes degree q^{-n} from the
+    rings."""
+    cones = []
+    eliminate = ssbim.gaussian_eliminate
+    monkeypatch.setattr(ssbim, "gaussian_eliminate",
+                        lambda C, entry: (cones.append(C), eliminate(C, entry))[1])
+    ladder_collapse(n, cap=2)
+    (C,) = cones
+    assert any(e.parts.keys() == {"unit"} for mat in C.terms.values() for e in mat.values())
+    C.check_homogeneous()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
