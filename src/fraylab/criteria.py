@@ -27,6 +27,8 @@ from .homalg import (
 )
 from .qseries import RationalSeriesExpr, TriSeries, Window, quantum_factorial, unknot_table
 from .ssbim import (
+    CN_VARIANTS,
+    PROJECTOR_VARIANTS,
     basis_change_check,
     build_W,
     cn_family,
@@ -54,8 +56,6 @@ from .symfun import (
     vanishing_locus_sampler,
     x_gen,
 )
-
-CN_VARIANTS = ("plain", "y", "u", "yu")
 
 
 def _record(name: str, ok: bool, params: Optional[dict] = None) -> dict:
@@ -182,7 +182,7 @@ def g_congruences(max_n: int = 4, seed: int = 0) -> list[dict]:
                  for expanded in (expand_to_x(leg, b) for leg in legs) for pt in pts)
         out.append(_record(f"g congruence n={n} ({samples} samples, i<=n+1)", ok,
                            {"n": n, "samples": samples}))
-        ok = build_W(b).ring.reduces_to_zero(legs[n])
+        ok = build_W(b).reduces_to_zero(legs[n])
         out.append(_record(f"g congruence n={n}, i=n+1 exact", ok, {"n": n}))
     return out
 
@@ -195,7 +195,7 @@ def maurer_cartan(max_n: int = 3, cap: int = 2) -> list[dict]:
     out = []
     for N in range(1, max_n + 1):
         for parts in compositions(N):
-            for variant in ("finite", "def_finite", "infinite", "def_infinite"):
+            for variant in PROJECTOR_VARIANTS:
                 proj = _built(lambda: projector(Composition(parts), variant, cap=cap))
                 out.append(_record(f"mc {variant} lambda={parts}", proj is not None,
                                    {"lambda": list(parts), "cap": cap}))

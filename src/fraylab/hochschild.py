@@ -27,9 +27,10 @@ inverse of the chosen map.
 Curved complexes are handled termwise: chain objects take Tor with
 class representatives (``Unrolling.classes``), the connection is
 transported through the left/right identification (each e_k(X'_j)
-replaced by its partner e_k(X_j)) to act on them (``Unrolling.induced``),
-and that complex of classes is unrolled in the t-direction in turn.  A
-bimodule is the one-object complex with no parameters.
+moved to side 0, as e_k(X_j), by ``symfun.move_sides``) to act on them
+(``Unrolling.induced``), and that complex of classes is unrolled in the
+t-direction in turn.  A bimodule is its ring, and the one-object complex on
+it with no parameters; its top alphabet gives the Tor operators.
 """
 
 from __future__ import annotations
@@ -45,12 +46,11 @@ from .homalg import (
     ParamSpec,
     PMono,
     RC_Object,
-    RingSpec,
     Unrolling,
 )
 from .qseries import TriSeries, Window, unknot_table
-from .ssbim import MergeSplitBimodule, build_identity, projector
-from .symfun import BOTTOM, MIDDLE, Composition, Poly, TOP, alphabet_gens, block_differences, e_gen
+from .ssbim import PROJECTOR_VARIANTS, bimodule_ring, build_identity, projector
+from .symfun import BOTTOM, MIDDLE, Composition, Poly, TOP, block_differences, e_gen, move_sides
 
 # ---------------------------------------------------------------------------
 # results
@@ -90,45 +90,33 @@ def koszul(ring: GradedRing, ops: list[tuple[Poly, int]]) -> Unrolling:
     return Unrolling(cx, (-len(ops), 0))
 
 
-_HH_DATA_CACHE: dict[tuple, Unrolling] = {}
+_HH_DATA_CACHE: dict[GradedRing, Unrolling] = {}
 
 
-def hochschild_data(ring: GradedRing, comp: Composition) -> Unrolling:
-    """Shared Tor data per ring; graded pieces are expensive, so reuse
-    across calls.  The key holds the ring itself, not its id(), so a new
-    ring never picks up the entry of a collected one."""
-    key = (ring, comp.parts)
-    if key not in _HH_DATA_CACHE:
-        _HH_DATA_CACHE[key] = koszul(ring, hh_operators(comp))
-    return _HH_DATA_CACHE[key]
+def hochschild_data(ring: GradedRing) -> Unrolling:
+    """Shared Tor data per ring, over the operators of its top alphabet;
+    graded pieces are expensive, so reuse across calls.  The key is the
+    ring itself, not its id(), so a new ring never picks up the entry of a
+    collected one."""
+    if ring not in _HH_DATA_CACHE:
+        _HH_DATA_CACHE[ring] = koszul(ring, hh_operators(ring.spec.alphabets[0]))
+    return _HH_DATA_CACHE[ring]
 
 
 # ---------------------------------------------------------------------------
 # hochschild homology of bimodules
 
 
-def hh_bimodule(
-    M: MergeSplitBimodule,
-    window: Window,
-    orientation: str = "table",
-) -> HHResult:
-    """Total Hochschild homology of a merge-split (or identity) bimodule:
-    hh_complex of the one-object complex on its ring."""
-    if M.top != M.bottom:
-        raise ValueError("Hochschild homology needs matching top and bottom")
-    C = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), M.ring)], ParamSpec(()))
-    return hh_complex(C, M.top, window, orientation)
+def hh_bimodule(M: GradedRing, window: Window, orientation: str = "table") -> HHResult:
+    """Total Hochschild homology of a bimodule (merge-split, identity or
+    composite): hh_complex of the one-object complex on its ring, over its
+    top alphabet."""
+    C = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), M)], ParamSpec(()))
+    return hh_complex(C, M.spec.alphabets[0], window, orientation)
 
 
 # ---------------------------------------------------------------------------
 # hochschild homology of curved complexes (termwise + transported twist)
-
-
-def _identify_sides(p: Poly) -> Poly:
-    """Replace every bottom-side generator by its top-side partner."""
-    table = {g: Poly.gen(e_gen(g[2], g[3], TOP)) for g in p.gens()
-             if g[0] == "e" and g[1] == BOTTOM}
-    return p.substitute(table) if table else p
 
 
 def hh_complex(
@@ -141,42 +129,36 @@ def hh_complex(
     ring, with the connection transported through the left/right
     identification, then homology in the t-direction.
 
-    Pre: the curvature must vanish under the identification (checked)."""
+    Pre: the curvature must vanish under the identification, and comp must
+    be the ring's top and bottom alphabet (both checked)."""
     rings = {id(o.ring) for o in C.objects}
     if len(rings) != 1:
         raise ValueError("hh_complex expects a single underlying ring")
     ring = C.objects[0].ring
+    if comp is None or ring.spec.alphabets != (comp, comp):
+        raise ValueError(f"Hochschild homology over {comp} needs top and bottom alphabets "
+                         f"{comp}, not {ring.spec.name}'s {ring.spec.alphabets}")
     N = comp.total
     qshift = ring.qshift
 
     for mono, p in C.curvature.items():
-        ident = _identify_sides(p)
+        ident = move_sides(p, {BOTTOM: TOP})
         if not ident.is_zero():
             raise ValueError(
                 f"curvature does not vanish under left/right identification "
                 f"at {mono}: {ident!r}"
             )
 
-    # cap sufficiency: even monomials just beyond the cap must not reach the window
-    if C.cap is not None:
-        min_t = min(
-            (d.t for _, d, p in C.params.params if p == "even"), default=None
-        )
-        if min_t is not None and (C.cap + 1) * min_t <= window.t[1] + 1:
-            raise ValueError(
-                "parameter cap too small for the requested t-window "
-                f"(cap {C.cap}, window t <= {window.t[1]})"
-            )
-
     if any(o.degree.a for o in C.objects):
         raise ValueError("objects with a-degree are not supported")
 
-    tor = hochschild_data(ring, comp)
+    tor = hochschild_data(ring)
 
     # the connection transported through the identification; Unrolling
-    # rejects an opaque part
+    # rejects an opaque part and a cap too small for the window
     C = C.derived(terms={
-        mono: {ij: Entry({tag: ring.normal_form(_identify_sides(p)) for tag, p in e.parts.items()})
+        mono: {ij: Entry({tag: ring.normal_form(move_sides(p, {BOTTOM: TOP}))
+                          for tag, p in e.parts.items()})
                for ij, e in mat.items()}
         for mono, mat in C.terms.items()
     })
@@ -218,32 +200,23 @@ def hh_complex(
 # bimodule composition and the trace property
 
 
-def compose_bimodules(M1: MergeSplitBimodule, M2: MergeSplitBimodule) -> MergeSplitBimodule:
+def compose_bimodules(M1: GradedRing, M2: GradedRing) -> GradedRing:
     """M1 * M2: tensor over the middle coefficient ring, realized by
     adjoining the middle alphabet (side MIDDLE: M1's bottom, M2's top) with
-    identification relations."""
-    if M1.bottom != M2.top:
+    identification relations.  Neither factor may be a composite: its middle
+    alphabet would merge with the new one."""
+    (top, middle), (middle2, bottom) = M1.spec.alphabets, M2.spec.alphabets
+    if middle != middle2:
         raise ValueError("compositions do not match for composition")
-
-    def moved(M: MergeSplitBimodule, sides: tuple[int, int]) -> list[Poly]:
-        """M's relations with its side s moved to sides[s]."""
-        return [rel.substitute({g: Poly.gen(e_gen(g[2], g[3], sides[g[1]])) for g in rel.gens()})
-                for rel in M.ring.spec.relations]
-
-    gens = (alphabet_gens(M1.top, TOP) + alphabet_gens(M2.bottom, BOTTOM)
-            + alphabet_gens(M1.bottom, MIDDLE))
-    spec = RingSpec(
-        name=f"{M1.ring.spec.name}*{M2.ring.spec.name}",
-        generators=[(g, 2 * g[3]) for g in gens],
-        relations=moved(M1, (TOP, MIDDLE)) + moved(M2, (MIDDLE, BOTTOM)),
-        qshift=M1.qshift + M2.qshift,
-    )
-    return MergeSplitBimodule(M1.top, M2.bottom, GradedRing(spec))
+    if any(e_gen(1, 1, MIDDLE) in dict(M.spec.generators) for M in (M1, M2)):
+        raise ValueError("a composite bimodule cannot be a factor of a composite")
+    relations = ([move_sides(rel, {BOTTOM: MIDDLE}) for rel in M1.spec.relations]
+                 + [move_sides(rel, {TOP: MIDDLE}) for rel in M2.spec.relations])
+    return bimodule_ring(f"{M1.spec.name}*{M2.spec.name}", (top, bottom, middle),
+                         relations, M1.qshift + M2.qshift)
 
 
-def trace_check(
-    M1: MergeSplitBimodule, M2: MergeSplitBimodule, window: Window
-) -> dict:
+def trace_check(M1: GradedRing, M2: GradedRing, window: Window) -> dict:
     """hh(M1 * M2) == hh(M2 * M1) exactly on the window.
 
     Both sides share the same color N, so applying or omitting the global
@@ -260,7 +233,7 @@ def trace_check(
 # the unknot acceptance computations
 
 
-UNKNOT_VARIANTS = ("intrinsic", "finite", "def_finite", "infinite", "def_infinite")
+UNKNOT_VARIANTS = ("intrinsic",) + PROJECTOR_VARIANTS
 DESK_LIMIT = 3
 
 

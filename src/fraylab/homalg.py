@@ -11,9 +11,10 @@ A curved complex is stored in decomposed form: a list of rank-1 free
 objects (each with a multidegree and a presented ring), a connection
 written as a sum of (parameter monomial, matrix of ring elements) terms,
 and a declared curvature.  A complex made from another -- shifted,
-eliminated, re-parametrized -- is ``derived`` from it, keeping its cap and
-opaque-tag rules; only ``cone`` merges two complexes' settings.  An opaque
-tag maps between its objects' bimodules and shifts by their qshifts.
+eliminated, re-parametrized -- is ``derived`` from it, keeping its
+curvature, cap and opaque-tag rules; only ``cone`` merges two complexes'
+settings.  An opaque tag maps between its objects' bimodules and shifts by
+their qshifts.
 Parameter monomials live in the Clifford-type algebra generated by even
 multiplications, odd multiplications theta and contractions theta-dual,
 subject to
@@ -44,7 +45,8 @@ objects times the dual-free parameter monomials, graded by (level, q, t).
 Truncated homology and Tor -- the Koszul complex is one object with an odd
 parameter per operator -- run on it, and so does the t-direction of
 Hochschild homology, on Tor's class spaces (``classes``) and the maps
-induced between them (``induced``).
+induced between them (``induced``).  It alone bounds parameter powers,
+and refuses a bound that would truncate the answer.
 
 Every identity check -- Maurer-Cartan, closed chain maps, the SDR
 identities, vanishing curvature -- asks one vanishing rule,
@@ -81,8 +83,9 @@ class RingSpec:
     locus of the relations, used as a second route in equality checks:
     ``GradedRing.sampled_zero`` always asks for 20 points at seed 0.
     alphabets, the (top, bottom) compositions of a ring on symfun's e_k
-    symbols, give the blocks of its side-0 and side-1 generators at those
-    points.
+    symbols, is the bimodule's one record of its sides: the blocks of its
+    side-0 and side-1 generators at those points, and the alphabet
+    Hochschild homology is taken over.
     """
 
     name: str
@@ -681,15 +684,13 @@ class CurvedComplex:
         }
 
     def derived(self, objects: Sequence[RC_Object] | None = None,
-                params: ParamSpec | None = None, terms: Terms | None = None,
-                curvature: Mapping[PMono, Poly] | None = None) -> "CurvedComplex":
-        """A complex with self's cap and opaque rules, and self's objects,
-        parameters, connection or curvature wherever none is given."""
+                params: ParamSpec | None = None, terms: Terms | None = None) -> "CurvedComplex":
+        """A complex with self's curvature, cap and opaque rules, and self's
+        objects, parameters or connection wherever none is given."""
         return CurvedComplex(self.objects if objects is None else objects,
                              self.params if params is None else params,
                              self.terms if terms is None else terms,
-                             self.curvature if curvature is None else curvature,
-                             self.cap, self.opaque_rules)
+                             self.curvature, self.cap, self.opaque_rules)
 
     # -- bookkeeping ---------------------------------------------------------
     def entry_degree(self, i: int, j: int, entry: Entry) -> MultiDegree:
@@ -1128,23 +1129,16 @@ def gaussian_eliminate(C: CurvedComplex, entry: tuple[int, int]) -> tuple[Curved
 # truncated homology
 
 
-def _module_monomials(params: ParamSpec, cap: Optional[int], t_lo: int, t_hi: int):
-    """Dual-free parameter monomials whose degree can matter in [t_lo, t_hi]."""
-    odds = params.odd_names()
-    evens = params.even_names()
-    even_degs = {n: params.degree(n) for n in evens}
-    odd_degs = {n: params.degree(n) for n in odds}
-    max_exp = {}
-    for n in evens:
-        dt = even_degs[n].t
-        max_exp[n] = (max(t_hi, 0)) // dt + 1 if dt > 0 else (cap or 0)
-        if cap is not None:
-            max_exp[n] = min(max_exp[n], cap)
+def _module_monomials(params: ParamSpec, cap: Optional[int], t_hi: int):
+    """Dual-free parameter monomials whose degree can matter up to t_hi;
+    every even parameter has t-degree > 0 (``Unrolling`` checks)."""
+    odds, evens = params.odd_names(), params.even_names()
+    max_exp = [max(t_hi, 0) // params.degree(n).t + 1 for n in evens]
+    ranges = [range((e if cap is None else min(e, cap)) + 1) for e in max_exp]
     out = []
     for subset in itertools.chain.from_iterable(
         itertools.combinations(odds, k) for k in range(len(odds) + 1)
     ):
-        ranges = [range(max_exp[n] + 1) for n in evens]
         for exps in itertools.product(*ranges):
             total = sum(exps)
             if cap is not None and total > cap:
@@ -1171,7 +1165,8 @@ class Unrolling:
     default the graded pieces of the objects' ring sit at level 0.  The
     entries are the plain parts of C's connection: an opaque part, or
     objects over more than one ring, raise ValueError.  t_range is the
-    t-span of the cells asked for.  Dimensions, actions,
+    t-span of the cells asked for; an even parameter of t-degree <= 0, or a
+    cap whose next monomials reach t_range, raise too.  Dimensions, actions,
     parameter products, each cell's differential and its class space are
     computed once.  No rows are kept: ``ranks`` holds each differential's
     rank, and a cell's ``ClassTracker`` (``trackers``) its packed columns
@@ -1188,13 +1183,20 @@ class Unrolling:
             raise ValueError("homology with opaque entries is not defined")
         if len({id(o.ring) for o in C.objects}) > 1:
             raise ValueError("an unrolling expects all objects over one ring")
+        even_t = [C.params.degree(n).t for n in C.params.even_names()]
+        if any(t <= 0 for t in even_t):
+            raise ValueError("an even parameter of t-degree <= 0 has unbounded powers")
+        # a monomial just past the cap must not reach the cells' targets
+        if C.cap is not None and even_t and (C.cap + 1) * min(even_t) <= t_range[1] + 1:
+            raise ValueError("parameter cap too small for the requested t-window "
+                             f"(cap {C.cap}, window t <= {t_range[1]})")
         if piece_dim is None:
             ring = C.objects[0].ring if C.objects else None
             piece_dim = lambda level, local: ring.dim(local) if level == 0 else 0  # noqa: E731
             act = lambda p, level, local: ring.mult_matrix(p, local)  # noqa: E731
         self.params = C.params
         self.piece_dim, self.act = piece_dim, act
-        monos = _module_monomials(C.params, C.cap, t_range[0] - 1, t_range[1] + 1)
+        monos = _module_monomials(C.params, C.cap, t_range[1] + 1)
         self.bases: dict[int, list] = {}  # t -> [(obj, mono, base)]
         for oi, o in enumerate(C.objects):
             for mono, mdeg in monos:

@@ -1,12 +1,14 @@
 """Merge-split bimodules, frayed projectors, and the two-strand recursions.
 
-A merge-split bimodule W_a^b is presented as the quotient of the
-polynomial ring on blockwise elementary symmetric generators, the symfun
-symbols e_k(X_j) of a on side 0 (X) and e_k(X'_j) of b on side 1 (X'), by
-the total-alphabet differences e_i(X) - e_i(X').  The identity bimodule 1_a
-instead kills every blockwise difference.  Overall quantum shifts (the
-ell-bookkeeping of merges) are tracked as an explicit qshift on the ring,
-never baked into generator degrees.
+A bimodule is its presented ring, a GradedRing.  A merge-split bimodule
+W_a^b is the quotient of the polynomial ring on blockwise elementary
+symmetric generators, the symfun symbols e_k(X_j) of a on side 0 (X) and
+e_k(X'_j) of b on side 1 (X'), by the total-alphabet differences e_i(X) -
+e_i(X').  The identity bimodule 1_a instead kills every blockwise
+difference.  Every bimodule ring, composites included, is built by
+``bimodule_ring``; its ``spec.alphabets`` is the one record of (top,
+bottom).  Overall quantum shifts (the ell-bookkeeping of merges) are the
+ring's qshift, never baked into generator degrees.
 
 Frayed projectors are curved complexes on W_lambda: the Koszul twist over
 the odd alphabet Theta (finite), plus theta-dual y-twists (deformed
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .grading import MultiDegree
 from .homalg import (
@@ -50,7 +52,7 @@ from .homalg import (
     cone,
     gaussian_eliminate,
 )
-from .qseries import f_factor
+from .qseries import Laurent, f_factor
 from .symfun import (
     BOTTOM,
     Composition,
@@ -74,40 +76,24 @@ from .symfun import (
 # presented bimodules
 
 
-@dataclass
-class MergeSplitBimodule:
-    top: Composition
-    bottom: Composition
-    ring: GradedRing
-
-    @property
-    def qshift(self) -> int:
-        return self.ring.qshift
+_BIMODULE_CACHE: dict[tuple, GradedRing] = {}
 
 
-_BIMODULE_CACHE: dict[tuple, MergeSplitBimodule] = {}
+def bimodule_ring(name: str, sides: tuple[Composition, ...], relations: list[Poly],
+                  qshift: int, sampler: Optional[Callable] = None) -> GradedRing:
+    """The bimodule presented on the e_k of each alphabet sides[s] on side s
+    (top, bottom and, for a composite, the middle one), modulo relations;
+    its alphabets are (top, bottom)."""
+    gens = [g for s, b in enumerate(sides) for g in alphabet_gens(b, s)]
+    return GradedRing(RingSpec(name=name, generators=[(g, 2 * g[3]) for g in gens],
+                               relations=relations, qshift=qshift, sampler=sampler,
+                               alphabets=sides[:2]))
 
 
-def _bimodule(name: str, top: Composition, bottom: Composition, relations: list[Poly],
-              qshift: int, block_preserving: bool) -> MergeSplitBimodule:
-    """The bimodule presented on the e_k(X_j) of top (side TOP) and the
-    e_k(X'_j) of bottom (side BOTTOM), sampled on the vanishing locus of
-    the total (or, block_preserving, the blockwise) differences."""
-    spec = RingSpec(
-        name=name,
-        generators=[(g, 2 * g[3]) for g in alphabet_gens(top, TOP) + alphabet_gens(bottom, BOTTOM)],
-        relations=relations,
-        qshift=qshift,
-        sampler=partial(vanishing_locus_sampler, top, block_preserving=block_preserving),
-        alphabets=(top, bottom),
-    )
-    return MergeSplitBimodule(top, bottom, GradedRing(spec))
-
-
-def build_W(top: Composition, bottom: Composition | None = None) -> MergeSplitBimodule:
+def build_W(top: Composition, bottom: Composition | None = None) -> GradedRing:
     """W_a^b: relations are the total-alphabet elementary differences.
     qshift = ell((N)) - ell(bottom), the shift of the merge to the full
-    symmetric ring."""
+    symmetric ring.  Sampled on the vanishing locus of those differences."""
     if bottom is None:
         bottom = top
     if top.total != bottom.total:
@@ -120,18 +106,22 @@ def build_W(top: Composition, bottom: Composition | None = None) -> MergeSplitBi
             for i in range(1, N + 1)
         ]
         name = f"W[{'.'.join(map(str, top.parts))}^{'.'.join(map(str, bottom.parts))}]"
-        _BIMODULE_CACHE[key] = _bimodule(name, top, bottom, relations,
-                                         N * (N - 1) // 2 - bottom.ell(), block_preserving=False)
+        _BIMODULE_CACHE[key] = bimodule_ring(name, (top, bottom), relations,
+                                             N * (N - 1) // 2 - bottom.ell(),
+                                             partial(vanishing_locus_sampler, top))
     return _BIMODULE_CACHE[key]
 
 
-def build_identity(a: Composition) -> MergeSplitBimodule:
-    """The identity bimodule 1_a: blockwise differences are killed."""
+def build_identity(a: Composition) -> GradedRing:
+    """The identity bimodule 1_a: blockwise differences are killed, and it
+    is sampled where they vanish."""
     key = ("1", a.parts)
     if key not in _BIMODULE_CACHE:
         relations = [xi for _, _, xi in block_differences(a)]
         name = f"1[{'.'.join(map(str, a.parts))}]"
-        _BIMODULE_CACHE[key] = _bimodule(name, a, a, relations, 0, block_preserving=True)
+        _BIMODULE_CACHE[key] = bimodule_ring(
+            name, (a, a), relations, 0,
+            partial(vanishing_locus_sampler, a, block_preserving=True))
     return _BIMODULE_CACHE[key]
 
 
@@ -142,26 +132,19 @@ def graded_rank_check(lam: Composition, qmax: int) -> bool:
     """dim_q W_lambda * q^{-qshift} == f_factor(|lambda|, lambda) * dim_q 1_lambda
     on [0..qmax], the blamgon rank times the identity (both sides as honest
     q-series)."""
-    W = build_W(lam)
-    ident = build_identity(lam)
-    lhs = {}
-    for d in range(0, qmax + 1):
-        lhs[d - W.qshift] = W.ring.dim(d)
-    rhs_series = {d: ident.ring.dim(d) for d in range(0, qmax + 1)}
+    W, ident = build_W(lam), build_identity(lam)
     rank = f_factor(lam.total, lam)
-    rhs = {}
-    for k, c in rank.c.items():
-        for d, v in rhs_series.items():
-            rhs[k + d] = rhs.get(k + d, 0) + int(c) * v
+    lhs = {d - W.qshift: W.dim(d) for d in range(0, qmax + 1)}
+    rhs = (rank * Laurent({d: ident.dim(d) for d in range(0, qmax + 1)})).c
     top = qmax - W.qshift - max((abs(k) for k in rank.c), default=0)
-    for d in range(-abs(W.qshift) - 4, top + 1):
-        if lhs.get(d, 0) != rhs.get(d, 0):
-            return False
-    return True
+    return all(lhs.get(d, 0) == rhs.get(d, 0) for d in range(-abs(W.qshift) - 4, top + 1))
 
 
 # ---------------------------------------------------------------------------
 # frayed projectors
+
+
+PROJECTOR_VARIANTS = ("finite", "def_finite", "infinite", "def_infinite")
 
 
 @dataclass
@@ -169,7 +152,6 @@ class FrayedProjector:
     lam: Composition
     variant: str
     complex: CurvedComplex
-    cap: Optional[int]
 
     def to_json(self):
         out = self.complex.to_json()
@@ -177,7 +159,7 @@ class FrayedProjector:
             {
                 "lambda": list(self.lam.parts),
                 "variant": self.variant,
-                "cap": self.cap,
+                "cap": self.complex.cap,
                 "qshift": self.complex.objects[0].ring.qshift,
             }
         )
@@ -228,7 +210,7 @@ def _twisted_koszul(
         for j, k, d in legs:
             terms[PMono(((f"y{j}_{k}", 1),), (), (f"th{j}_{k}",))] = {(0, 0): Entry.plain(Poly.one())}
             curv[PMono(((f"y{j}_{k}", 1),), (), ())] = d
-    obj = RC_Object(MultiDegree(0, 0, 0), build_W(lam).ring, "W")
+    obj = RC_Object(MultiDegree(0, 0, 0), build_W(lam), "W")
     cx = CurvedComplex([obj], ParamSpec.make(entries), terms, curv, cap=cap)
     cx.check_homogeneous()
     if check:
@@ -248,7 +230,7 @@ def projector(lam: Composition, variant: str, cap: int = 3, check: bool = True) 
     a-family identity sum_jk a_ijk (e_k(X_j) - e_k(X'_j)) = e_i(X) - e_i(X')
     as polynomials, before the quotient: in W_lambda both sides vanish, so
     Maurer-Cartan alone cannot see a wrong a-family."""
-    if variant not in ("finite", "def_finite", "infinite", "def_infinite"):
+    if variant not in PROJECTOR_VARIANTS:
         raise ValueError(f"unknown projector variant {variant!r}")
     if variant == "finite":
         cap = None
@@ -265,13 +247,14 @@ def projector(lam: Composition, variant: str, cap: int = 3, check: bool = True) 
             if not (lhs.get(i, Poly.zero()) + curv).is_zero():
                 raise ValueError(f"a-family of W{lam.parts} fails sum_jk a_ijk "
                                  f"(e_k(X_j) - e_k(X'_j)) = e_i(X) - e_i(X') at i = {i}")
-    return FrayedProjector(lam, variant, cx, cap)
+    return FrayedProjector(lam, variant, cx)
 
 
 # ---------------------------------------------------------------------------
 # the C_n family on (n, 1)-strands
 
 
+CN_VARIANTS = ("plain", "y", "u", "yu")
 UNZIP_RULES = {("unit", "unzip"): None}
 
 
@@ -287,15 +270,16 @@ def cn_family(n: int, variant: str = "plain", cap: int = 3) -> CurvedComplex:
     Maurer-Cartan check reduces every component, with unzip-tagged scalars
     vanishing in the identity bimodule's quotient.
     """
-    if variant not in ("plain", "y", "u", "yu"):
-        raise ValueError(f"unknown C_n variant {variant!r}; expected plain, y, u or yu")
+    if variant not in CN_VARIANTS:
+        raise ValueError(f"unknown C_n variant {variant!r}; "
+                         f"expected one of {', '.join(CN_VARIANTS)}")
     if n < 1:
         raise ValueError("C_n needs n >= 1")
     W, ident = build_W(Composition.of(n, 1)), build_identity(Composition.of(n, 1))
     objects = [
-        RC_Object(MultiDegree(0, n, 0), W.ring, "qnW"),
-        RC_Object(MultiDegree(0, n - 2, 1), W.ring, "tqn2W"),
-        RC_Object(MultiDegree(0, -2, 2), ident.ring, "t2q21"),
+        RC_Object(MultiDegree(0, n, 0), W, "qnW"),
+        RC_Object(MultiDegree(0, n - 2, 1), W, "tqn2W"),
+        RC_Object(MultiDegree(0, -2, 2), ident, "t2q21"),
     ]
     # xi_{1,i} for i <= n, then xi_{2,1} = x_{n+1} - x'_{n+1}
     *xis, xlast = [xi for _, _, xi in block_differences(Composition.of(n, 1))]

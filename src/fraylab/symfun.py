@@ -427,6 +427,15 @@ def block_differences(b: Composition) -> list[tuple[int, int, Poly]]:
             for g, h in zip(alphabet_gens(b, TOP), alphabet_gens(b, BOTTOM))]
 
 
+def move_sides(p: Poly, moves: Mapping[int, int]) -> Poly:
+    """p with every e_k(X_j) on a side in moves put on side moves[side], all
+    at once: {BOTTOM: TOP} identifies X' with X, and {TOP: MIDDLE} with
+    {BOTTOM: MIDDLE} glues two bimodules along their shared alphabet."""
+    table = {g: Poly.gen(e_gen(g[2], g[3], moves[g[1]])) for g in p.gens()
+             if g[0] == "e" and g[1] in moves}
+    return p.substitute(table) if table else p
+
+
 def block_x_gens(b: Composition, j: int, side: int = TOP) -> list[tuple]:
     """Raw variables of block j (1-based) under the global numbering."""
     off = b.block_offsets()[j - 1]

@@ -23,7 +23,7 @@ from fraylab.ssbim import (
     build_W,
     projector,
 )
-from fraylab.symfun import BOTTOM, TOP, Composition, compositions, p_in_e
+from fraylab.symfun import BOTTOM, TOP, Composition, compositions, p_in_e, x_gen
 
 from koszul_oracle import SubsetKoszul
 
@@ -71,17 +71,34 @@ def test_hh_rejects_unbalanced():
         hh_bimodule(M, Window((0, 2), (-4, 4), (0, 0)))
 
 
+@pytest.mark.parametrize("ring", [
+    build_W(Composition.of(1, 1), Composition.of(2)),
+    homalg.GradedRing(homalg.RingSpec("Qx", [(x_gen(1), 2)], [])),
+], ids=["W[1.1^2]", "no alphabets"])
+def test_hh_bimodule_reads_matching_alphabets(ring):
+    with pytest.raises(ValueError, match="top and bottom alphabets"):
+        hh_bimodule(ring, Window((0, 2), (-4, 4), (0, 0)))
+
+
+def test_hh_complex_rejects_a_composition_not_the_rings():
+    """The series is reported for the ring's own composition; another one
+    once failed inside the ring's normal form with a KeyError."""
+    cx = projector(Composition.of(1, 1), "finite").complex
+    with pytest.raises(ValueError, match="top and bottom alphabets"):
+        hh_complex(cx, Composition.of(2), Window((0, 2), (-4, 8), (0, 2)))
+
+
 @pytest.mark.parametrize("parts", [(1,), (2,), (1, 1), (1, 1, 1), (2, 1)])
 def test_generator_basis_independence(parts):
     """Tor over the power-sum differences p_k(X_j) - p_k(X'_j) has the
     dimensions of the product's Tor over e_k(X_j) - e_k(X'_j): the two
     operator lists differ by an invertible triangular change."""
     lam = Composition(parts)
-    ring = build_W(lam).ring
+    ring = build_W(lam)
     power_sums = [(p_in_e(k, size, j, TOP) - p_in_e(k, size, j, BOTTOM), 2 * k)
                   for j, size in enumerate(lam.parts, start=1) for k in range(1, size + 1)]
     oracle = hochschild.koszul(ring, power_sums)
-    product = hochschild.hochschild_data(ring, lam)
+    product = hochschild.hochschild_data(ring)
     # natural degrees up to 6 above the quantum shift (4 at total color 3,
     # where the graded pieces grow fast)
     d_hi = ring.qshift + (6 if lam.total < 3 else 4)
@@ -102,8 +119,8 @@ def _koszul_rings():
         if a != full:
             for M in (compose_bimodules(build_W(a, full), build_W(full, a)),
                       compose_bimodules(build_W(full, a), build_W(a, full))):
-                out.append((M, M.top))
-    return [pytest.param(M.ring, comp, id=M.ring.spec.name) for M, comp in out]
+                out.append((M, M.spec.alphabets[0]))
+    return [pytest.param(M, comp, id=M.spec.name) for M, comp in out]
 
 
 @pytest.mark.parametrize("ring, comp", _koszul_rings())
@@ -111,7 +128,7 @@ def test_tor_is_the_unrolled_koszul_complex(ring, comp):
     """The unrolled one-object Koszul complex has the exterior-subset
     complex's boundaries, dict for dict, and its Tor dimensions, both as
     homology and as the number of classes."""
-    data = hochschild.hochschild_data(ring, comp)
+    data = hochschild.hochschild_data(ring)
     oracle = SubsetKoszul(ring, hochschild.hh_operators(comp))
     cells = [(i, d) for i in range(len(oracle.ops) + 2) for d in range(13)]
     assert any(oracle.dims(i, d) for i, d in cells)
@@ -154,6 +171,22 @@ def test_trace_identity_trivial():
     w = Window((0, 2), (-4, 8), (0, 0))
     rep = trace_check(ident, ident, w)
     assert rep["ok"]
+
+
+def test_composite_records_its_outer_alphabets():
+    a, b = Composition.of(1, 1), Composition.of(2)
+    assert compose_bimodules(build_W(a, b), build_W(b, b)).spec.alphabets == (a, b)
+    assert compose_bimodules(build_W(b, a), build_W(a, b)).spec.alphabets == (b, b)
+
+
+def test_a_composite_cannot_be_a_factor():
+    """Its middle alphabet would silently merge with the new middle one."""
+    a, b = Composition.of(1, 1), Composition.of(2)
+    M = compose_bimodules(build_W(a, b), build_W(b, a))
+    with pytest.raises(ValueError, match="composite"):
+        compose_bimodules(M, build_W(a, b))
+    with pytest.raises(ValueError, match="composite"):
+        compose_bimodules(build_W(b, a), M)
 
 
 def test_trace_split_merge_digon():

@@ -469,7 +469,7 @@ def test_gaussian_eliminate_matches_reference_loop(seed):
     lambda: build_identity(Composition.of(1, 2)),
 ])
 def test_sampled_zero_agrees_with_raw_expansion(build):
-    ring = build().ring
+    ring = build()
     spec = ring.spec
     rng = random.Random(3)
     gens = [Poly.gen(g) for g, _ in spec.generators]
@@ -719,6 +719,27 @@ def test_unrolling_rejects_objects_over_two_rings(qx, qxy):
         homalg_module.Unrolling(cx, (0, 1))
     with pytest.raises(ValueError, match="one ring"):
         homology_truncated(cx, Window((0, 0), (0, 2), (0, 1)))
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+def test_unrolling_rejects_an_even_parameter_of_t_degree_zero(qx, cap):
+    """z of degree q^2 t^0 has unbounded powers in every t-cell; the powers
+    kept were once cut at the cap (or at 1 without one), which gave spurious
+    t = 0 classes at q = 0, 2, ..., 8 (q = 4, 6, 8 at cap 2)."""
+    cx = CurvedComplex([RC_Object(MultiDegree(0, 0, 0), qx), RC_Object(MultiDegree(0, -2, 1), qx)],
+                       ParamSpec.make([("z", MultiDegree(0, 2, 0), "even")]),
+                       {PMono((("z", 1),), (), ()): {(1, 0): Entry.plain(Poly.one())}}, cap=cap)
+    with pytest.raises(ValueError, match="t-degree"):
+        homology_truncated(cx, Window((0, 0), (-2, 8), (0, 1)))
+
+
+def test_homology_truncated_rejects_a_cap_too_small_for_the_window():
+    """u^2 of the cap-1 projector would reach t = 4, inside the window; the
+    truncated series once came back with t = 3 classes."""
+    cx = projector(Composition.of(1), "def_infinite", cap=1).complex
+    with pytest.raises(ValueError, match="cap too small"):
+        homology_truncated(cx, Window((0, 0), (-2, 6), (0, 6)))
+    assert homology_truncated(cx, Window((0, 0), (-2, 6), (0, 2))).coeffs
 
 
 # -- the one vanishing rule --------------------------------------------------------------

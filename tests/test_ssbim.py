@@ -40,7 +40,7 @@ from fraylab.symfun import (
 def test_identity_bimodule_collapses():
     ident = build_identity(Composition.of(2))
     # relations identify primed with unprimed: ring ~ Sym(x1,x2)
-    dims = [ident.ring.dim(d) for d in range(0, 12, 2)]
+    dims = [ident.dim(d) for d in range(0, 12, 2)]
     # 1, e1, (e1^2, e2), ... partitions into parts <= 2
     assert dims == [1, 1, 2, 2, 3, 3]
     assert ident.qshift == 0
@@ -75,7 +75,7 @@ def test_ring_generators_are_named_by_side(top, bottom):
          _alphabet(a, TOP) | _alphabet(a, BOTTOM) | _alphabet(b, MIDDLE)),
     ]
     for M, want in rings:
-        spec = M.ring.spec
+        spec = M.spec
         assert {g for g, _ in spec.generators} == want
         assert all(d == 2 * g[3] for g, d in spec.generators)
         assert set().union(*(r.gens() for r in spec.relations)) <= want
@@ -105,11 +105,11 @@ def test_finite_projector_on_full_block_splits():
     H = homology_truncated(proj.complex, w)
     ident = build_identity(lam)
     for d in range(0, 9, 2):
-        assert H.coeffs.get((0, d, 0), 0) == ident.ring.dim(d)
+        assert H.coeffs.get((0, d, 0), 0) == ident.dim(d)
     # t-degree-1 piece: theta_1 (q^{-2}) and theta_2 (q^{-4}) copies
     for d in range(-4, 6):
-        want = (ident.ring.dim(d + 2) if d + 2 >= 0 else 0) + (
-            ident.ring.dim(d + 4) if d + 4 >= 0 else 0
+        want = (ident.dim(d + 2) if d + 2 >= 0 else 0) + (
+            ident.dim(d + 4) if d + 4 >= 0 else 0
         )
         assert H.coeffs.get((0, d, 1), 0) == want
 
@@ -125,7 +125,7 @@ def test_finite_projector_poincare_vs_reduced():
     # theta-degree 0 part of homology at t=0: ker of the Koszul pair on W
     # sanity: series at t=0 is a subquotient of W's series
     for d in range(0, 7, 2):
-        assert H.coeffs.get((0, d, 0), 0) <= W.ring.dim(d)
+        assert H.coeffs.get((0, d, 0), 0) <= W.dim(d)
 
 
 @pytest.mark.parametrize("parts", [(1,), (1, 1), (2,), (1, 1, 1), (2, 1), (1, 2), (3,)])
@@ -174,8 +174,8 @@ def test_infinite_projector_base_case_contracts():
         H = homology_truncated(proj.complex, w)
         ident = build_identity(Composition.of(1))
         expected = {
-            (0, d, 0): Fraction(ident.ring.dim(d)) for d in range(0, 9, 2)
-            if ident.ring.dim(d)
+            (0, d, 0): Fraction(ident.dim(d)) for d in range(0, 9, 2)
+            if ident.dim(d)
         }
         assert H.coeffs == expected, (cap, H.coeffs)
 
@@ -343,7 +343,7 @@ def test_block_differences_are_operators_relations_and_legs(parts):
     lam = Composition(parts)
     xis = [xi for _, _, xi in block_differences(lam)]
     assert [xi for xi, _ in hh_operators(lam)] == xis
-    assert build_identity(lam).ring.spec.relations == xis
+    assert build_identity(lam).spec.relations == xis
     cx = projector(lam, "finite").complex
     legs = [cx.terms[PMono((), (th,), ())][(0, 0)].plain_part() for th in cx.params.odd_names()]
     assert legs == xis

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from fraylab.symfun import (
     BOTTOM,
+    MIDDLE,
+    TOP,
     Composition,
     compositions,
     Poly,
@@ -23,6 +25,7 @@ from fraylab.symfun import (
     eval_at_point,
     expand_to_x,
     g_polys,
+    move_sides,
     p_gen,
     p_in_e,
     psi_rho_roundtrip,
@@ -99,6 +102,15 @@ def test_expand_is_ring_homomorphism(p, q):
     assert expand_to_x(p * q, b) == expand_to_x(p, b) * expand_to_x(q, b)
     assert expand_to_x(p + q, b) == expand_to_x(p, b) + expand_to_x(q, b)
 
+
+def test_move_sides_moves_every_listed_side_at_once():
+    e = lambda j, k, side: Poly.gen(e_gen(j, k, side))  # noqa: E731
+    p = e(1, 1, TOP) * e(2, 1, BOTTOM) + e(1, 2, BOTTOM) + Poly.gen(x_gen(1, BOTTOM))
+    assert move_sides(p, {TOP: BOTTOM, BOTTOM: TOP}) == (
+        e(1, 1, BOTTOM) * e(2, 1, TOP) + e(1, 2, TOP) + Poly.gen(x_gen(1, BOTTOM)))
+    assert move_sides(p, {BOTTOM: MIDDLE}) == (
+        e(1, 1, TOP) * e(2, 1, MIDDLE) + e(1, 2, MIDDLE) + Poly.gen(x_gen(1, BOTTOM)))
+    assert move_sides(p, {MIDDLE: TOP}) is p
 
 # -- newton conversion ---------------------------------------------------------
 
